@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .errors import InversionError, ParameterError
+from .errors import InversionError, ParameterError, ScalekitError
 from .levy import LaplaceExponent, big_phi
 
 __all__ = [
@@ -287,7 +287,7 @@ def verify_laplace_identity(scale, psi: LaplaceExponent, thetas: Sequence[float]
         try:
             got = laplace_transform_numeric(scale.eval, th, scale.phi_q, kinks=kinks)
             errs.append(abs(got - target) / abs(target))
-        except Exception as exc:   # quadrature stagnation -> partial report
+        except ScalekitError as exc:   # quadrature stagnation -> partial report
             errs.append(math.inf)
             flags.append(f"theta={th}: {exc}")
     return IdentityReport(thetas=tuple(thetas), relative_errors=tuple(errs),

@@ -194,8 +194,8 @@ def cmd_figures(args) -> int:
             for frac in alphas:
                 params = case.params(float(frac))
                 scale = w_rational(params, RationalAlpha(frac.numerator, frac.denominator), q)
-                for x in xs:
-                    fh.write(f"{x:.12g},{float(frac):.12g},{scale.eval(float(x)):.12g}\n")
+                for x, w in zip(xs, scale.eval(xs)):
+                    fh.write(f"{x:.12g},{float(frac):.12g},{w:.12g}\n")
         print(f"wrote {path}", file=sys.stderr)
     return 0
 

@@ -101,8 +101,7 @@ def z_q(scale: ScaleFunction, x: float) -> float:
         if hi <= lo:
             continue
         mid = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GL_NODES
-        vals = np.array([scale.eval(float(v)) for v in mid])
-        total += 0.5 * (hi - lo) * float(np.dot(_GL_WEIGHTS, vals))
+        total += 0.5 * (hi - lo) * float(np.dot(_GL_WEIGHTS, scale.eval(mid)))
     return 1.0 + scale.q * total
 
 
@@ -115,6 +114,8 @@ def dividend_barrier(scale: ScaleFunction) -> float:
 
     Valid for parents whose dual jump density is completely monotone
     (W^(q)' is then convex, so a bracketed golden-section search suffices).
+    Raises NotApplicableError when W^(q)' is still decreasing at the end of
+    the search grid, x = 1e-3 * 1.6^39.
     """
     if scale.q <= 0:
         raise ParameterError("the dividend barrier needs q > 0")
@@ -129,8 +130,8 @@ def dividend_barrier(scale: ScaleFunction) -> float:
             break
         prev_x, prev_d = g, d
     if bracket is None:
-        # derivative still decreasing on the whole grid: flat/degenerate case
-        return float(grid[-1])
+        raise NotApplicableError(
+            f"W^(q)' is still decreasing at x = {grid[-1]:.4g}: no minimizer on the search grid")
     lo, hi = bracket
     if hi <= 2e-3 and scale.eval_deriv(1e-9) <= scale.eval_deriv(2e-3):
         # increasing from the start: minimizer at the origin

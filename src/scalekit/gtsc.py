@@ -181,15 +181,19 @@ class ScaleFunction:
     """Evaluable q-scale function W^(q) with provenance.
 
     ``eval`` returns W^(q)(x) (0 for x < 0, the right limit at 0);
-    ``eval_deriv`` the derivative on (0, inf).  Instances are immutable
-    apart from an internal memo and safe to share.
+    ``eval_deriv`` the derivative on (0, inf).  Both take a number or an
+    array.  A route that supplies ``pair_fn(x, deriv)`` -- W, and W' when
+    deriv is set, on an array of x >= 0 -- has arrays evaluated by it in one
+    pass; other routes loop over the points.  Instances are immutable apart
+    from an internal memo of scalar values and safe to share.
     """
 
     def __init__(self, q: float, phi_q: float, route: str,
                  eval_fn: Callable[[float], float],
                  deriv_fn: Optional[Callable[[float], float]] = None,
                  psi: Optional[LaplaceExponent] = None,
-                 value_at_zero: Optional[float] = None):
+                 value_at_zero: Optional[float] = None,
+                 pair_fn: Optional[Callable[[np.ndarray, bool], tuple]] = None):
         self.q = q
         self.phi_q = phi_q
         self.route = route
@@ -197,10 +201,23 @@ class ScaleFunction:
         self._eval_fn = eval_fn
         self._deriv_fn = deriv_fn
         self._value_at_zero = value_at_zero
+        self._pair_fn = pair_fn
         self._memo: dict[float, float] = {}
+
+    def _array_pair(self, x, deriv: bool):
+        x = np.asarray(x, dtype=float)
+        w = np.zeros(x.shape)
+        wp = np.zeros(x.shape)
+        on = ~(x < 0.0)             # NaN goes on to the route, which rejects it
+        w[on], d = self._pair_fn(x[on], deriv)
+        if deriv:
+            wp[on] = d
+        return w, wp
 
     def eval(self, x):
         if np.ndim(x) > 0:
+            if self._pair_fn is not None:
+                return self._array_pair(x, False)[0]
             return np.array([self.eval(float(v)) for v in np.asarray(x).ravel()]).reshape(np.shape(x))
         x = float(x)
         if x < 0.0:
@@ -218,6 +235,8 @@ class ScaleFunction:
 
     def eval_deriv(self, x):
         if np.ndim(x) > 0:
+            if self._pair_fn is not None:
+                return self._array_pair(x, True)[1]
             return np.array([self.eval_deriv(float(v)) for v in np.asarray(x).ravel()]).reshape(np.shape(x))
         x = float(x)
         if x < 0.0:
@@ -258,79 +277,90 @@ def w_rational(params: GtscParams, alpha: Optional[RationalAlpha] = None,
     x_switch = (0.45 / rmax) ** n if rmax > 0 else math.inf
 
     inv_n = 1.0 / n
-    a_ml = inv_n
-    facts = [math.factorial(j) for j in range(int(max(mults)) + 2)]
-
-    def _series_pair(x: float) -> tuple[float, float]:
-        # returns (W, W') from the small-x series
-        ex = math.exp(-gamma * x)
-        s = 0.0
-        sd = 0.0
-        for i in range(1, len(bcoef)):
-            if bcoef[i] == 0.0:
-                continue
-            p = i * inv_n - 1.0
-            rg = sps.rgamma(i * inv_n)
-            xi = x ** p if p != 0.0 else 1.0
-            t = bcoef[i] * rg * xi
-            s += t
-            if p != 0.0:
-                sd += bcoef[i] * rg * p * x ** (p - 1.0)
-            mag = abs(bcoef[i]) * rg * (x ** p if x > 0 else 1.0)
-            if i > 2 * n and mag < 1e-18 * (abs(s) + 1e-300):
-                break
-        return ex * s, ex * (sd - gamma * s)
-
-    def _pfd_value(x: float) -> float:
-        xr = x ** inv_n
-        total = 0.0j
-        for r, mu, row in zip(pf.roots, pf.multiplicities, pf.coeffs):
-            z = r * xr
-            for j in range(mu):
-                total += (row[j] / facts[j]) * x ** ((j + 1) * inv_n - 1.0) \
-                    * mittag_leffler_deriv(a_ml, a_ml, j, z)
-        total *= math.exp(-gamma * x)
-        if abs(total.imag) > 1e-9 * (1.0 + abs(total.real)):
-            raise NumericalError(
-                f"imaginary residue {total.imag:.3g} in the Mittag-Leffler sum at x={x:.6g}")
-        return total.real
-
-    def _pfd_deriv(x: float) -> float:
-        xr = x ** inv_n
-        total = 0.0j
-        for r, mu, row in zip(pf.roots, pf.multiplicities, pf.coeffs):
-            z = r * xr
-            for j in range(mu):
-                p1 = (j + 1) * inv_n - 1.0
-                t = p1 * x ** (p1 - 1.0) * mittag_leffler_deriv(a_ml, a_ml, j, z) \
-                    + (r * inv_n) * x ** ((j + 2) * inv_n - 2.0) \
-                    * mittag_leffler_deriv(a_ml, a_ml, j + 1, z)
-                total += (row[j] / facts[j]) * t
-        total = total * math.exp(-gamma * x) - gamma * _pfd_value(x)
-        if abs(total.imag) > 1e-9 * (1.0 + abs(total.real)):
-            raise NumericalError(
-                f"imaginary residue {total.imag:.3g} in the Mittag-Leffler sum at x={x:.6g}")
-        return total.real
-
+    # partial fractions as arrays: pf_coef[j, r] = coefficient / j! (0 for j >= mu_r)
+    pf_roots = np.asarray(pf.roots, dtype=complex)
+    pf_mults = np.asarray(pf.multiplicities)
+    max_mu = int(pf_mults.max())
+    pf_coef = np.zeros((max_mu, pf_roots.size), dtype=complex)
+    for r, (mu, row) in enumerate(zip(pf.multiplicities, pf.coeffs)):
+        pf_coef[:mu, r] = [row[j] / math.factorial(j) for j in range(mu)]
+    # nonzero terms of the small-x series: coefficient b_i/Gamma(i/n) and power i/n - 1
+    idx = np.flatnonzero(bcoef[1:]) + 1
+    s_coef = bcoef[idx] * sps.rgamma(idx * inv_n)
+    s_pow = idx * inv_n - 1.0
+    s_late = idx > 2 * n
     w0 = bcoef[n] if len(bcoef) > n else 0.0
-
-    def eval_fn(x: float) -> float:
-        if x <= x_switch:
-            return _series_pair(x)[0] if x > 0.0 else w0
-        return _pfd_value(x)
-
     wp0 = asymptote_zero(params, q).wprime0
 
+    def _series_pair(x: np.ndarray, deriv: bool):
+        # the series summed up to its first negligible term beyond i = 2n, per x
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = s_coef * x[:, None] ** s_pow
+            partial = np.cumsum(terms, axis=1)
+            stop = s_late & (np.abs(terms) < 1e-18 * (np.abs(partial) + 1e-300))
+        last = np.where(stop.any(axis=1), stop.argmax(axis=1), idx.size - 1)
+        rows = np.arange(x.size)
+        ex = np.exp(-gamma * x)
+        s = partial[rows, last]
+        if not deriv:
+            return ex * s, None
+        sd = np.cumsum(terms * s_pow / x[:, None], axis=1)[rows, last]
+        return ex * s, ex * (sd - gamma * s)
+
+    def _real(total: np.ndarray, x: np.ndarray) -> np.ndarray:
+        bad = np.abs(total.imag) > 1e-9 * (1.0 + np.abs(total.real))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NumericalError(f"imaginary residue {total.imag[i]:.3g} in the "
+                                 f"Mittag-Leffler sum at x={x[i]:.6g}")
+        return total.real
+
+    def _pfd_pair(x: np.ndarray, deriv: bool):
+        # ML_j(r x^{1/n}) for all roots r at once, j <= mu (j < mu for W alone)
+        z = np.outer(pf_roots, x ** inv_n)
+        ml = []
+        for j in range(max_mu + deriv):
+            on = pf_mults + deriv > j
+            ml_j = np.zeros(z.shape, dtype=complex)
+            ml_j[on] = mittag_leffler_deriv(inv_n, inv_n, j, z[on])
+            ml.append(ml_j)
+        total = np.zeros(x.size, dtype=complex)
+        dtotal = np.zeros(x.size, dtype=complex)
+        for j in range(max_mu):
+            p1 = (j + 1) * inv_n - 1.0
+            # root by root, so that a point's sum does not depend on the points around it
+            s_j = sum(c * m for c, m in zip(pf_coef[j], ml[j]))
+            total += s_j * x ** p1
+            if deriv:
+                t_j = sum(c * r * m for c, r, m in zip(pf_coef[j], pf_roots, ml[j + 1]))
+                dtotal += p1 * s_j * x ** (p1 - 1.0) + inv_n * t_j * x ** ((j + 2) * inv_n - 2.0)
+        ex = np.exp(-gamma * x)
+        w = _real(total * ex, x)
+        return w, (_real(dtotal * ex, x) - gamma * w if deriv else None)
+
+    def pair_fn(x: np.ndarray, deriv: bool):
+        """W, and W' when deriv is set, on an array of x >= 0 in one pass."""
+        if np.isnan(x).any():
+            raise ParameterError("x must be a number, got NaN")
+        w = np.full(x.shape, w0)
+        wp = np.full(x.shape, wp0) if deriv else None
+        for branch, sel in ((_series_pair, (x > 0.0) & (x <= x_switch)),
+                            (_pfd_pair, x > x_switch)):
+            if sel.any():
+                w[sel], d = branch(x[sel], deriv)
+                if deriv:
+                    wp[sel] = d
+        return w, wp
+
+    def eval_fn(x: float) -> float:
+        return float(pair_fn(np.array([x]), False)[0][0])
+
     def deriv_fn(x: float) -> float:
-        if x <= 0.0:
-            return wp0
-        if x <= x_switch:
-            return _series_pair(x)[1]
-        return _pfd_deriv(x)
+        return float(pair_fn(np.array([x]), True)[1][0])
 
     return ScaleFunction(q=q, phi_q=phi_q, route="rational-ML",
                          eval_fn=eval_fn, deriv_fn=deriv_fn,
-                         psi=params.exponent(), value_at_zero=w0)
+                         psi=params.exponent(), value_at_zero=w0, pair_fn=pair_fn)
 
 
 def _to_fraction(alpha: float):

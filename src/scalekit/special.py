@@ -3,9 +3,10 @@
 Provides:
 
 * ``mittag_leffler`` / ``mittag_leffler_deriv`` -- two-parameter
-  Mittag-Leffler function E_{a,b}(z) and its z-derivatives, for complex
-  argument.  Evaluation uses the power series where it is safe (a
-  cancellation guard decides) and otherwise numerical inversion of the
+  Mittag-Leffler function E_{a,b}(z) and its z-derivatives, for a complex
+  argument or an array of them.  Evaluation uses the power series where it
+  is safe (a cancellation guard decides), summed for a whole array as one
+  block with cached coefficient tables, and otherwise numerical inversion of the
   Laplace transform s^{a*g-b}/(s^a - z)^g along an optimal parabolic
   contour, with explicit residues for the poles that lie right of the
   contour.  A high-precision series (mpmath) is the fallback of last
@@ -46,6 +47,7 @@ _LOG_MACH_EPS = math.log(np.finfo(float).eps)  # about -36.04
 _SERIES_ATTEMPT_RADIUS = 5.0   # always try the series inside this disc
 _SERIES_GUARD = 1.0e3          # max |term| / |sum| tolerated before rejecting
 _SERIES_KMAX = 120_000
+_SERIES_CHUNK = 512            # series terms per block pass
 _N_CAP = 1200                  # max quadrature nodes per contour half
 
 
@@ -68,48 +70,65 @@ class MLParams:
 # power series with cancellation guard
 # ---------------------------------------------------------------------------
 
-def _series_prabhakar(a: float, bp: float, g: int, z: complex):
-    """Sum_k C(k+g-1, k) z^k / Gamma(a k + bp) with a cancellation guard.
+@lru_cache(maxsize=256)
+def _series_table(a: float, bp: float, g: int, k0: int):
+    """The z-free part of the series terms k0 <= k < k0 + _SERIES_CHUNK.
 
-    Returns (value, ok).  ok is False when the series did not converge
-    within the term budget or lost too many digits to cancellation.
+    Returns (k, log C(k+g-1, k) - log|Gamma(a k + bp)|, sign of Gamma(a k + bp)),
+    read-only, so that a block of arguments only adds k log z.
     """
-    if z == 0:
-        return complex(sps.rgamma(bp)), True
-    abs_z = abs(z)
-    log_az = math.log(abs_z)
-    arg_z = cmath.phase(z)
-    total = 0.0 + 0.0j
-    max_log_term = -math.inf
-    chunk = 512
+    k = np.arange(k0, k0 + _SERIES_CHUNK, dtype=float)
+    x = a * k + bp
+    logc = sps.gammaln(k + g) - math.lgamma(g) - sps.gammaln(k + 1) - sps.gammaln(x)
+    sgn = sps.gammasgn(x)
+    for arr in (k, logc, sgn):
+        arr.flags.writeable = False
+    return k, logc, sgn
+
+
+def _series_block(a: float, bp: float, g: int, z: np.ndarray):
+    """Sum_k C(k+g-1, k) z^k / Gamma(a k + bp) on a 1-D array z, with a cancellation guard.
+
+    Returns (values, ok).  ok[i] is False where the series would overflow,
+    did not converge within the term budget or lost too many digits to
+    cancellation.  Rows that have converged leave the block; the rest go on
+    chunk by chunk.
+    """
+    total = np.zeros(z.size, dtype=complex)
+    ok = z == 0
+    total[ok] = sps.rgamma(bp)
+    rows = np.flatnonzero(~ok)
+    log_az = np.log(np.abs(z[rows]))
+    arg_z = np.angle(z[rows])
+    max_log = np.full(rows.size, -np.inf)
     k0 = 0
-    lgg = math.lgamma(g)
-    done = False
-    while k0 < _SERIES_KMAX:
-        k = np.arange(k0, k0 + chunk, dtype=float)
+    while rows.size and k0 < _SERIES_KMAX:
+        k, logc, sgn = _series_table(a, bp, g, k0)
         # log |term| = log C(k+g-1,k) + k log|z| - log|Gamma(a k + bp)|
-        logc = sps.gammaln(k + g) - lgg - sps.gammaln(k + 1)
-        x = a * k + bp
-        lgx = sps.gammaln(x)          # -inf at poles -> rgamma handled via sign
-        sgn = sps.gammasgn(x)
-        logt = logc + k * log_az - lgx
-        if np.max(logt) > 650.0:      # would overflow double
-            return total, False
-        terms = sgn * np.exp(logt) * np.exp(1j * k * arg_z)
-        total += terms.sum()
-        max_log_term = max(max_log_term, float(np.max(logt)))
+        logt = logc + np.outer(log_az, k)
+        top = logt.max(axis=1)
+        fit = top <= 650.0                 # otherwise the terms overflow double
+        if not fit.all():
+            rows, log_az, arg_z, max_log = rows[fit], log_az[fit], arg_z[fit], max_log[fit]
+            logt, top = logt[fit], top[fit]
+        max_log = np.maximum(max_log, top)
+        # sum only the columns holding a term within e^60 of its row's largest;
+        # modulus and phase apart, as a real exp and cos/sin beat a complex exp
+        cols = np.flatnonzero((logt >= (max_log - 60.0)[:, None]).any(axis=0))
+        if cols.size:
+            c = slice(cols[0], cols[-1] + 1)
+            mag = sgn[c] * np.exp(logt[:, c])
+            phase = np.outer(arg_z, k[c])
+            total[rows] += ((mag * np.cos(phase)).sum(axis=1)
+                            + 1j * (mag * np.sin(phase)).sum(axis=1))
         # convergence: last terms negligible vs current sum and decreasing
-        tail = np.exp(logt[-8:])
-        ref = abs(total)
-        if ref > 0 and np.all(tail < 1e-18 * ref) and logt[-1] < logt[0]:
-            done = True
-            break
-        k0 += chunk
-    if not done:
-        return total, False
-    if abs(total) == 0.0:
-        return total, max_log_term < -100.0
-    ok = max_log_term - math.log(abs(total)) < math.log(_SERIES_GUARD)
+        ref = np.abs(total[rows])
+        done = ((ref > 0) & (np.exp(logt[:, -8:]).max(axis=1) < 1e-18 * ref)
+                & (logt[:, -1] < logt[:, 0]))
+        ok[rows[done]] = max_log[done] - np.log(ref[done]) < math.log(_SERIES_GUARD)
+        keep = ~done
+        rows, log_az, arg_z, max_log = rows[keep], log_az[keep], arg_z[keep], max_log[keep]
+        k0 += _SERIES_CHUNK
     return total, ok
 
 
@@ -259,7 +278,8 @@ def _contour_sum(a: float, bp: float, g: int, z: complex, mu: float, h: float, N
     u = h * k
     s = mu * (1j * u + 1.0) ** 2
     ds = 2j * mu * (1.0 + 1j * u)
-    vals = np.exp(s) * s ** (a * g - bp) / (s ** a - z) ** g * ds
+    log_s = np.log(s)
+    vals = np.exp(s + (a * g - bp) * log_s) / (np.exp(a * log_s) - z) ** g * ds
     return complex(h * vals.sum() / (2j * math.pi))
 
 
@@ -356,26 +376,32 @@ def _mp_series(a: float, bp: float, g: int, z: complex) -> complex:
 # dispatchers
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=400_000)
-def _ml_core(a: float, bp: float, g: int, z: complex) -> complex:
-    """E^g_{a,bp}(z) (Prabhakar form, integer g >= 1) for 0 < a <= 1."""
-    if z == 0:
-        return complex(sps.rgamma(bp))
+def _ml_block(a: float, bp: float, g: int, z: np.ndarray) -> np.ndarray:
+    """E^g_{a,bp}(z) (Prabhakar form, integer g >= 1) for 0 < a <= 1 on a 1-D array z."""
     if g == 1 and a == 1.0 and bp == 1.0:
-        return cmath.exp(z)
-    if g == 1 and bp > a + 1.0 and abs(z) > 2.0:
+        return np.exp(z)
+    out = np.empty(z.size, dtype=complex)
+    todo = np.ones(z.size, dtype=bool)
+    if g == 1 and bp > a + 1.0:
         # lower the second index below a+1 so the contour scheme applies:
         # E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z
-        steps = int(math.ceil((bp - (a + 1.0)) / a))
-        corr = 0.0j
-        for i in range(1, steps + 1):
-            corr += complex(sps.rgamma(bp - i * a)) * z ** (-i)
-        return (_ml_core(a, bp - steps * a, 1, z) - corr * z ** steps) / z ** steps
-    attempt_series = (abs(z) <= _SERIES_ATTEMPT_RADIUS) or (z.imag == 0.0 and z.real >= 0.0)
-    if attempt_series:
-        val, ok = _series_prabhakar(a, bp, g, z)
-        if ok:
-            return val
+        todo = np.abs(z) <= 2.0
+        zb = z[~todo]
+        if zb.size:
+            steps = int(math.ceil((bp - (a + 1.0)) / a))
+            corr = sum(sps.rgamma(bp - i * a) * zb ** (-i) for i in range(1, steps + 1))
+            out[~todo] = (_ml_block(a, bp - steps * a, 1, zb) - corr * zb ** steps) / zb ** steps
+    attempt = todo & ((np.abs(z) <= _SERIES_ATTEMPT_RADIUS) | ((z.imag == 0.0) & (z.real >= 0.0)))
+    val, ok = _series_block(a, bp, g, z[attempt])
+    out[attempt] = val
+    todo[np.flatnonzero(attempt)[ok]] = False
+    for i in np.flatnonzero(todo):
+        out[i] = _ml_pointwise(a, bp, g, complex(z[i]))
+    return out
+
+
+def _ml_pointwise(a: float, bp: float, g: int, z: complex) -> complex:
+    """Contour inversion with its self-check, else the mpmath series, for one z."""
     try:
         val, err = _contour_prabhakar(a, bp, g, z)
         if err <= 1e-10 * max(1.0, abs(val)):
@@ -385,55 +411,83 @@ def _ml_core(a: float, bp: float, g: int, z: complex) -> complex:
     return _mp_series(a, bp, g, z)
 
 
-def _ml_a_le_1(a: float, b: float, j: int, z: complex) -> complex:
-    return math.factorial(j) * _ml_core(a, a * j + b, j + 1, z)
+@lru_cache(maxsize=400_000)
+def _ml_core(a: float, bp: float, g: int, z: complex) -> complex:
+    """One-point ``_ml_block``, memoised for repeated scalar requests."""
+    return complex(_ml_block(a, bp, g, np.array([z], dtype=complex))[0])
 
 
-def _check_ml_saturation(a: float, z: complex) -> None:
-    """Raise when the dominant exponential e^{z^{1/a}} overflows double range."""
-    if z == 0:
-        return
-    re_max = max((s.real for s in _poles_on_sheet(a, z)), default=-math.inf)
-    if re_max > 705.0:
-        raise SaturationError(
-            f"Mittag-Leffler overflow: Re(z^(1/a)) = {re_max:.4g} beyond floating range",
-            magnitude=re_max)
+def _ml_a_le_1(a: float, b: float, j: int, z: np.ndarray) -> np.ndarray:
+    """j! E^{j+1}_{a, a j + b}(z), the j-th derivative of E_{a,b}, for 0 < a <= 1.
+
+    A single point goes through the memoised ``_ml_core``.
+    """
+    bp = a * j + b
+    val = [_ml_core(a, bp, j + 1, complex(z[0]))] if z.size == 1 else _ml_block(a, bp, j + 1, z)
+    return math.factorial(j) * np.asarray(val)
 
 
-def _duplication_points(a: float, z: complex):
-    m = int(math.ceil(a))
-    zr = abs(z) ** (1.0 / m)
-    th = cmath.phase(z) / m
-    return m, [zr * cmath.exp(1j * (th + 2.0 * math.pi * h / m)) for h in range(m)]
+def _check_ml_saturation(a: float, z: np.ndarray) -> None:
+    """Raise when e^{z^{1/a}} overflows double range; only |z|^{1/a} > 700 can."""
+    for zi in z[np.abs(z) > 700.0 ** a]:
+        re_max = max((s.real for s in _poles_on_sheet(a, complex(zi))), default=-math.inf)
+        if re_max > 705.0:
+            raise SaturationError(
+                f"Mittag-Leffler overflow: Re(z^(1/a)) = {re_max:.4g} beyond floating range",
+                magnitude=re_max)
 
 
-def mittag_leffler(a: float, b: float, z: complex) -> complex:
+def _ml_deriv(a: float, b: float, j: int, z):
+    """j-th z-derivative of E_{a,b} on a number or an array z (j <= 9 checked by callers)."""
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.ravel()
+    _check_ml_saturation(a, flat)
+    if a <= 1.0:
+        out = _ml_a_le_1(a, b, j, flat)
+    else:
+        val, ok = _series_block(a, a * j + b, j + 1, flat)
+        out = math.factorial(j) * val
+        if not ok.all():
+            if j > 2:
+                raise CapabilityError("derivative order > 2 for a > 1 is not supported")
+            # split the index, E_{a,b}(z) = (1/m) sum_h E_{a/m,b}(p_h) with p_h^m = z,
+            # and differentiate through p_h(z)
+            zb = flat[~ok][:, None]
+            m = int(math.ceil(a))
+            th = (np.angle(zb) + 2.0 * math.pi * np.arange(m)) / m
+            pts = np.abs(zb) ** (1.0 / m) * np.exp(1j * th)
+
+            def ml(i):
+                return _ml_a_le_1(a / m, b, i, pts.ravel()).reshape(pts.shape)
+
+            dp = pts / (m * zb)
+            if j == 0:
+                terms = ml(0)
+            elif j == 1:
+                terms = ml(1) * dp
+            else:
+                terms = ml(2) * dp ** 2 + ml(1) * dp * (1.0 / m - 1.0) / zb
+            out[~ok] = terms.sum(axis=1) / m
+    # zero the imaginary part on the real axis; a scalar request gets a complex back
+    out[flat.imag == 0.0] = out.real[flat.imag == 0.0]
+    return complex(out[0]) if zs.shape == () else out.reshape(zs.shape)
+
+
+def mittag_leffler(a: float, b: float, z):
     """Two-parameter Mittag-Leffler function E_{a,b}(z), a > 0.
 
-    Accurate to about 1e-10 relative over the arguments the scale-function
-    formulas generate; raises SaturationError when exp(z^(1/a)) exceeds
-    floating-point range.
+    z is a number or an array; an array is evaluated in one block pass and
+    returned as a complex array of the same shape.  Accurate to about 1e-10
+    relative over the arguments the scale-function formulas generate; raises
+    SaturationError when exp(z^(1/a)) exceeds floating-point range.
     """
     if not a > 0:
         raise ParameterError(f"Mittag-Leffler index a must be positive, got {a}")
-    z = complex(z)
-    _check_ml_saturation(a, z)
-    if a <= 1.0:
-        out = _ml_core(a, b, 1, z)
-    else:
-        val, ok = _series_prabhakar(a, b, 1, z)
-        if ok:
-            out = val
-        else:
-            m, pts = _duplication_points(a, z)
-            out = sum(_ml_core(a / m, b, 1, p) for p in pts) / m
-    if z.imag == 0.0:
-        out = complex(out.real, 0.0)
-    return out
+    return _ml_deriv(a, b, 0, z)
 
 
-def mittag_leffler_deriv(a: float, b: float, j: int, z: complex) -> complex:
-    """j-th z-derivative of E_{a,b} at z.
+def mittag_leffler_deriv(a: float, b: float, j: int, z):
+    """j-th z-derivative of E_{a,b} at z (a number or an array, as in ``mittag_leffler``).
 
     Uses the termwise-differentiated series when safe; otherwise the
     contour scheme applied to the equivalent Prabhakar function
@@ -443,36 +497,9 @@ def mittag_leffler_deriv(a: float, b: float, j: int, z: complex) -> complex:
         raise ParameterError(f"Mittag-Leffler index a must be positive, got {a}")
     if j < 0:
         raise ParameterError("derivative order must be nonnegative")
-    if j == 0:
-        return mittag_leffler(a, b, z)
     if j > 9:
         raise CapabilityError("Mittag-Leffler derivative order capped at 9")
-    z = complex(z)
-    _check_ml_saturation(a, z)
-    if a <= 1.0:
-        out = _ml_a_le_1(a, b, j, z)
-    else:
-        val, ok = _series_prabhakar(a, a * j + b, j + 1, z)
-        if ok:
-            out = math.factorial(j) * val
-        elif j <= 2:
-            # differentiate the index-splitting identity
-            m, pts = _duplication_points(a, z)
-            am = a / m
-            if j == 1:
-                out = sum(_ml_a_le_1(am, b, 1, p) * p / (m * z) for p in pts) / m
-            else:
-                out = 0.0j
-                for p in pts:
-                    d1 = _ml_a_le_1(am, b, 1, p)
-                    d2 = _ml_a_le_1(am, b, 2, p)
-                    out += d2 * (p / (m * z)) ** 2 + d1 * p * (1.0 / m) * (1.0 / m - 1.0) / z ** 2
-                out /= m
-        else:
-            raise CapabilityError("derivative order > 2 for a > 1 is not supported")
-    if z.imag == 0.0:
-        out = complex(out.real, 0.0)
-    return out
+    return _ml_deriv(a, b, j, z)
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,35 @@ class TestVerifyIdentity:
         assert rep.relative_errors[0] <= 1e-9
         assert rep.passed
 
+    def test_programming_error_propagates(self):
+        from scalekit.catalog import w_brownian
+        from scalekit.gtsc import ScaleFunction
+
+        w = w_brownian(math.sqrt(2.0), 0.0, 0.0)
+
+        def broken(x):
+            raise TypeError("bad call")
+
+        bad = ScaleFunction(q=0.0, phi_q=w.phi_q, route="stub", eval_fn=broken)
+        with pytest.raises(TypeError):
+            verify_laplace_identity(bad, w.psi, [1.0])
+
+    def test_numerical_failure_becomes_flag(self):
+        from scalekit.catalog import w_brownian
+        from scalekit.errors import NumericalError
+        from scalekit.gtsc import ScaleFunction
+
+        w = w_brownian(math.sqrt(2.0), 0.0, 0.0)
+
+        def failing(x):
+            raise NumericalError("quadrature stagnated")
+
+        bad = ScaleFunction(q=0.0, phi_q=w.phi_q, route="stub", eval_fn=failing)
+        rep = verify_laplace_identity(bad, w.psi, [1.0, 2.0])
+        assert rep.relative_errors == (math.inf, math.inf)
+        assert len(rep.flags) == 2 and "quadrature stagnated" in rep.flags[0]
+        assert not rep.passed
+
     def test_theta_below_phi_rejected(self):
         w = w_ig(1.0, 1.0, 1.0)
         with pytest.raises(ParameterError):

@@ -4,6 +4,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from scalekit.cli import CASES, main
@@ -84,6 +85,25 @@ class TestFigures:
             assert len(text.splitlines()) == 1 + 2 * 21
             assert "\r" not in text
 
+    def test_values_match_pointwise_eval(self, tmp_path):
+        from fractions import Fraction
+
+        from scalekit.gtsc import w_rational
+        from scalekit.polyfrac import RationalAlpha
+
+        assert main(["figures", "--q", "1", "--alphas", "1/3,3/4",
+                     "--out", str(tmp_path), "--points", "31"]) == 0
+        xs = np.linspace(0.0, 5.0, 31)    # the grid the CSV was written from
+        for label, case in CASES.items():
+            rows = (tmp_path / f"case_{label}_q1.csv").read_text().strip().splitlines()[1:]
+            assert len(rows) == 2 * xs.size
+            for frac, block in zip((Fraction(1, 3), Fraction(3, 4)), (rows[:31], rows[31:])):
+                scale = w_rational(case.params(float(frac)),
+                                   RationalAlpha(frac.numerator, frac.denominator), 1.0)
+                for x, row in zip(xs, block):
+                    got = float(row.split(",")[2])
+                    assert got == pytest.approx(scale.eval(float(x)), rel=1e-11, abs=1e-300)
+
     def test_case_b_tail_approaches_inverse_kappa(self, tmp_path):
         assert main(["figures", "--q", "0", "--alphas", "1/2",
                      "--out", str(tmp_path), "--x-max", "50",
@@ -149,6 +169,17 @@ class TestApps:
         rep = json.loads(out)
         assert rep["a_star"] > 0.0
         assert rep["Wq_prime_at_a_star"] > 0.0
+
+    def test_barrier_without_minimizer_exits_1(self, monkeypatch):
+        from scalekit import cli
+        from scalekit.gtsc import ScaleFunction
+
+        stub = ScaleFunction(q=1.0, phi_q=0.0, route="stub",
+                             eval_fn=lambda x: 1.0 - math.exp(-x),
+                             deriv_fn=lambda x: math.exp(-x))
+        monkeypatch.setattr(cli, "_build_scale", lambda args: stub)
+        code, _ = run_cli(["apps", "--compute", "barrier", "--q", "1"])
+        assert code == 1
 
     def test_ruin_cl(self):
         code, out = run_cli(["apps", "--compute", "ruin", "--model",

@@ -9,7 +9,7 @@ from scalekit.catalog import w_brownian, w_cramer_lundberg
 from scalekit.errors import NotApplicableError, ParameterError
 from scalekit.fluctuation import (ExitProblem, dividend_barrier, dividend_value,
                                   mpi1_workload, ruin_probability, two_sided_exit, z_q)
-from scalekit.gtsc import GtscParams, w_ig, w_rational
+from scalekit.gtsc import GtscParams, ScaleFunction, w_ig, w_rational
 from scalekit.polyfrac import RationalAlpha
 
 
@@ -148,6 +148,13 @@ class TestDividends:
         xs = np.linspace(0.0, a + 3.0, 50)
         vals = [dividend_value(w, a, float(x)) for x in xs]
         assert all(b >= a2 - 1e-12 for a2, b in zip(vals, vals[1:]))
+
+    def test_no_minimizer_on_grid_not_applicable(self):
+        # W' = e^{-x} keeps decreasing over the whole search grid
+        w = ScaleFunction(q=1.0, phi_q=0.0, route="stub", eval_fn=lambda x: 1.0 - math.exp(-x),
+                          deriv_fn=lambda x: math.exp(-x))
+        with pytest.raises(NotApplicableError):
+            dividend_barrier(w)
 
     def test_q_zero_rejected(self):
         w = w_brownian(1.0, 0.0, 0.0)

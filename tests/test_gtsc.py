@@ -153,6 +153,37 @@ class TestRationalRoute:
         assert rep.max_rel_err <= 1e-6
 
 
+class TestArrayEvaluation:
+    @pytest.mark.parametrize("case", "ABCDEF")
+    @pytest.mark.parametrize("frac,q", [((1, 3), 1.0), ((3, 4), 0.0), ((-1, 2), 1.0)])
+    def test_array_matches_points(self, case, frac, q):
+        from scalekit.cli import CASES
+        from scalekit.polyfrac import build_fq, roots_with_multiplicity
+
+        alpha = RationalAlpha(*frac)
+        params = CASES[case].params(frac[0] / frac[1])
+        w = w_rational(params, alpha, q)
+        # a grid that crosses the switch between the small-x series and the
+        # partial-fraction sum, plus the body of the curve, zero and x < 0
+        roots, _ = roots_with_multiplicity(build_fq(params, alpha, q))
+        x_switch = (0.45 / max(abs(r) for r in roots)) ** alpha.n
+        xs = np.concatenate([[-1.0, 0.0], x_switch * np.geomspace(0.05, 20.0, 25),
+                             np.linspace(0.5, 10.0, 12)])
+        got_w, got_d = w.eval(xs), w.eval_deriv(xs)
+        for x, gw, gd in zip(xs, got_w, got_d):
+            ref_w = w.eval(float(x))
+            assert abs(gw - ref_w) <= 1e-12 * abs(ref_w)
+            if x > 0.0:
+                ref_d = w.eval_deriv(float(x))
+                assert abs(gd - ref_d) <= 1e-12 * abs(ref_d)
+        assert got_w[0] == 0.0 and got_d[0] == 0.0
+        assert w.eval(xs.reshape(3, -1)).shape == (3, 13)
+        with pytest.raises(ParameterError):
+            w.eval(np.array([1.0, np.nan]))
+        with pytest.raises(ParameterError):
+            w.eval_deriv(math.nan)
+
+
 class TestClosedForms:
     def test_reduction_case(self):
         # kappa = -c*Gamma(-a)*gamma^a: W(x) = (1/kappa) * P(a, gamma x)-form

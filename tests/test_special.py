@@ -13,7 +13,8 @@ from scalekit.errors import ParameterError, SaturationError
 from scalekit.special import (MLParams, erfc_c, erfcx_scaled, eta,
                               fransen_transform, mittag_leffler,
                               mittag_leffler_deriv, reg_lower_gamma, upper_gamma)
-from scalekit.special import _lower_gamma_series, _upper_gamma_cf
+from scalekit.special import (_lower_gamma_series, _mp_series, _series_block,
+                              _series_table, _upper_gamma_cf)
 
 # frozen oracle values (mpmath series / quadrature at >= 40 digits)
 E_HALF_HALF_AT_1 = 5.5731696643100397533        # E_{1/2,1/2}(1), 400-term series
@@ -107,6 +108,62 @@ class TestMittagLeffler:
             got, _ = quad(f, 0.0, x_hi, limit=400, points=[1e-6, 0.1])
             ref = 1.0 / (theta ** a - r) ** (j + 1)
             assert got == pytest.approx(ref, rel=1e-8)
+
+
+# per a: a real z beyond the series radius 5 that the series still accepts
+# (none for a = 1/4, where e^{z^4} leaves double range first), and a z inside
+# the radius whose series the cancellation guard rejects
+FAR_REAL = {0.25: None, 1.0 / 3.0: 5.5, 0.5: 9.0}
+GUARD_REJECTED = 2.6 * cmath.exp(2.6j)
+
+
+class TestBlockSeries:
+    @pytest.mark.parametrize("a", [0.25, 1.0 / 3.0, 0.5])
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_block_matches_one_point_and_mpmath(self, a, j):
+        zs = [0.0, 0.9, 1.2 * cmath.exp(2.0j), -1.5 + 0.6j, GUARD_REJECTED]
+        if FAR_REAL[a] is not None:
+            zs.append(FAR_REAL[a])
+        zs = np.array(zs, dtype=complex)
+        bp = a * j + a
+        _, ok = _series_block(a, bp, j + 1, zs)
+        assert ok[0] and not ok[4]
+        if FAR_REAL[a] is not None:
+            assert ok[5]
+        block = mittag_leffler_deriv(a, a, j, zs)
+        assert block.shape == zs.shape
+        for z, got in zip(zs, block):
+            one = mittag_leffler_deriv(a, a, j, np.array([z]))[0]
+            assert abs(got - one) <= 1e-12 * max(1.0, abs(one))
+            assert mittag_leffler_deriv(a, a, j, complex(z)) == one
+            ref = math.factorial(j) * _mp_series(a, bp, j + 1, complex(z))
+            assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_duplication_above_one(self, j):
+        # a > 1: rows the series rejects go through the index-splitting identity
+        a, b = 1.5, 1.0
+        zs = np.array([-20.0, -9.0 + 3.0j, 2.0], dtype=complex)
+        _, ok = _series_block(a, a * j + b, j + 1, zs)
+        assert not ok[0]
+        block = mittag_leffler_deriv(a, b, j, zs)
+        for z, got in zip(zs, block):
+            ref = math.factorial(j) * _mp_series(a, a * j + b, j + 1, complex(z))
+            assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
+            one = mittag_leffler_deriv(a, b, j, complex(z))
+            assert abs(one - got) <= 1e-12 * max(1.0, abs(got))
+
+    def test_shape_and_real_axis(self):
+        zs = np.array([[0.5, -2.0], [1.0 + 1.0j, 3.0]])
+        got = mittag_leffler(0.5, 1.0, zs)
+        assert got.shape == (2, 2)
+        assert got[0, 1].imag == 0.0 and got[1, 1].imag == 0.0
+        with pytest.raises(SaturationError):
+            mittag_leffler(0.25, 1.0, np.array([1.0, 50.0]))
+
+    def test_coefficient_cache_bounded(self):
+        maxsize = _series_table.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 256
 
 
 class TestErfcFamily:
