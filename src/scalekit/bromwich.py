@@ -1,18 +1,22 @@
 """Numerical Laplace inversion of 1/(psi(theta) - q) and the transform verifier.
 
-Two contours are provided:
+W^(q)(x) = (1/2 pi i) Int e^{sx} ds / (psi(s) - q) along a contour that leaves
+every zero of psi - q and the branch cut of psi on its left.  Two contours:
 
-* shifted-line (reference mode): W(x) = (e^{rx}/pi) * Int_0^inf
-  [Re F(u) cos(xu) - Im F(u) sin(xu)] du with F(u) = 1/(psi(r+iu) - q).
-  The Fourier tail is handled by QUADPACK's oscillatory integrator with
-  Euler-type extrapolation, which converges for the slow algebraic decay
-  |F| ~ u^{-(alpha+1)} of tempered-stable exponents, including the
-  principal-value (conditionally convergent) cases.
-
-* talbot: the cotangent contour applied in tempering-shifted coordinates
-  s = theta + gamma, so that the branch cut of (gamma + theta)^alpha maps
-  onto (-inf, 0] and the windmill wraps it.  The contour scale is enlarged
-  until every zero of psi - q is enclosed.
+* hyperbola (default): the hyperbolic contour of J.A.C. Weideman and
+  L.N. Trefethen, Math. Comp. 76 (2007) 1341-1356, with the optimised
+  w(t) = 2.246 N (1 - sin(1.1721 - 0.3443 i t)) of Trefethen, Weideman and
+  Schmelzer, BIT 46 (2006) 653-670: nodes s = sigma + w(t)/x with
+  sigma = Phi(q) + 1/x, N = 32 midpoints on (-pi, pi), the upper half
+  evaluated in one array call of psi.  N = 24 gives the error estimate; N
+  stays fixed because round-off grows like e^{0.176 N}.  An argument-principle
+  count certifies that no zero of psi - q lies right of the hyperbola (where
+  its weight e^{Re w} exceeds e^{-25}); otherwise InversionError is raised.
+* shifted-line (reference oracle): W(x) = (e^{rx}/pi) * Int_0^inf
+  [Re F(u) cos(xu) - Im F(u) sin(xu)] du with F(u) = 1/(psi(r+iu) - q), by
+  QUADPACK's oscillatory integrator with Euler-type extrapolation, which
+  converges for the slow decay |F| ~ u^{-(alpha+1)} of tempered-stable
+  exponents, including the principal-value (conditionally convergent) cases.
 
 ``verify_laplace_identity`` integrates W forward on graded panels with an
 exponential-tail correction and reports relative errors against
@@ -43,19 +47,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InversionConfig:
-    contour: str = "shifted-line"            # or "talbot"
-    r: Optional[float] = None                # abscissa; default Phi(q)+max(1, Phi(q)/2)
-    truncation: float = 1e7                  # cap on the line-contour frequency range
-    nodes: int = 64
-    integrability: str = "auto"              # lebesgue | principal-value | auto
+    contour: str = "hyperbola"               # or "shifted-line" (reference oracle)
+    r: Optional[float] = None                # line only: abscissa; default Phi(q)+max(1, Phi(q)/2)
+    integrability: str = "auto"              # line only: lebesgue | principal-value | auto
 
     def __post_init__(self):
-        if self.contour not in ("shifted-line", "talbot"):
-            raise ParameterError("contour must be 'shifted-line' or 'talbot'")
+        if self.contour not in ("hyperbola", "shifted-line"):
+            raise ParameterError("contour must be 'hyperbola' or 'shifted-line'")
         if self.integrability not in ("auto", "lebesgue", "principal-value"):
             raise ParameterError("integrability must be auto, lebesgue or principal-value")
-        if self.nodes < 64:
-            raise ParameterError("nodes must be at least 64")
 
 
 def classify_integrability(psi: LaplaceExponent, q: float, probe_r: float) -> str:
@@ -78,17 +78,92 @@ def invert(psi: LaplaceExponent, q: float, x: float,
         raise ParameterError("q must be nonnegative")
     cfg = cfg or InversionConfig()
     phi_q = big_phi(psi, q)
+    if cfg.contour == "hyperbola":
+        return _invert_hyperbola(psi, q, x, phi_q + 1.0 / x)
+
     r = cfg.r if cfg.r is not None else phi_q + max(1.0, 0.5 * phi_q)
     if r <= phi_q:
         raise ParameterError("abscissa r must exceed Phi(q)")
-
     mode = cfg.integrability
     if mode == "auto":
         mode = classify_integrability(psi, q, r)
+    return _invert_line(psi, q, x, r, phi_q, mode)
 
-    if cfg.contour == "talbot":
-        return _invert_talbot(psi, q, x, phi_q, cfg)
-    return _invert_line(psi, q, x, r, phi_q, mode, cfg)
+
+# ---------------------------------------------------------------------------
+# hyperbolic contour
+# ---------------------------------------------------------------------------
+
+_CUTOFF = 25.0          # zeros with Re w < -25 weigh below e^-25 and are not counted
+_HEIGHT = 1e4           # nor are zeros above Im w = 1e4
+_MAX_STEP = math.pi / 3.0
+_MAX_PATH = 4096
+
+
+def _upper_nodes(n: int):
+    """w and w' at the upper midpoint nodes of the optimised hyperbola for n."""
+    arg = 1.1721 - 0.3443j * (np.arange(n // 2) + 0.5) * (2.0 * math.pi / n)
+    return 2.246 * n * (1.0 - np.sin(arg)), 0.3443j * 2.246 * n * np.cos(arg)
+
+
+_W_MAIN, _DW_MAIN = _upper_nodes(32)
+_W_CHECK, _DW_CHECK = _upper_nodes(24)
+# closed path around the region right of the main hyperbola, upper half only
+# (psi(conj s) = conj psi(s)): from the vertex along the nodes to Re w = -_CUTOFF,
+# up that line to _HEIGHT, across, and down the vertical through the vertex
+_MU = 2.246 * 32
+_VERTEX = _MU * (1.0 - math.sin(1.1721))
+_CUT_IM = _MU * math.cos(1.1721) * math.sqrt(((1.0 + _CUTOFF / _MU) / math.sin(1.1721)) ** 2 - 1.0)
+_PATH = np.concatenate([[_VERTEX], _W_MAIN[_W_MAIN.real > -_CUTOFF],
+                        -_CUTOFF + 1j * np.geomspace(_CUT_IM, _HEIGHT, 24),
+                        np.linspace(-_CUTOFF, _VERTEX, 8)[1:] + 1j * _HEIGHT,
+                        _VERTEX + 1j * np.append(np.geomspace(_HEIGHT, 1.0, 30)[1:], 0.0)])
+_W_ALL = np.concatenate([_W_MAIN, _W_CHECK, _PATH])
+
+
+def _psi_minus_q(psi, q, s) -> np.ndarray:
+    with np.errstate(all="ignore"):
+        g = np.asarray(psi.eval(s), dtype=complex) - q
+    if not np.all(np.isfinite(g)) or np.any(g == 0):
+        raise InversionError("psi - q is not finite and nonzero on the hyperbolic contour; "
+                             "use the shifted-line contour")
+    return g
+
+
+def _zero_count(psi, q, x, sigma, path, g) -> int:
+    """Winding number of psi - q around ``path``, bisecting coarse steps."""
+    while path.size <= _MAX_PATH:
+        steps = np.angle(g[1:] / g[:-1])
+        coarse = np.abs(steps) > _MAX_STEP
+        if not coarse.any():
+            return round(float(steps.sum()) / (2.0 * math.pi))
+        at = np.flatnonzero(coarse)
+        mid = 0.5 * (path[at] + path[at + 1])
+        path = np.insert(path, at + 1, mid)
+        g = np.insert(g, at + 1, _psi_minus_q(psi, q, sigma + mid / x))
+    raise InversionError("could not resolve the zero count of psi - q around the "
+                         "hyperbolic contour; use the shifted-line contour")
+
+
+def _invert_hyperbola(psi, q, x, sigma) -> tuple[float, float]:
+    if sigma * x > 700.0:
+        raise InversionError("W^(q)(x) overflows double precision at this x")
+    g = _psi_minus_q(psi, q, sigma + _W_ALL / x)
+    n1, n2 = _W_MAIN.size, _W_CHECK.size
+    terms = np.exp(_W_MAIN) * _DW_MAIN / g[:n1]
+    check = np.exp(_W_CHECK) * _DW_CHECK / g[n1:n1 + n2]
+    scale = 2.0 * math.exp(sigma * x) / x
+    value = scale * float(np.sum(terms.imag)) / (2 * n1)
+    err = max(abs(value - scale * float(np.sum(check.imag)) / (2 * n2)),
+              np.finfo(float).eps * scale * float(np.sum(np.abs(terms))) / (2 * n1))
+    if _zero_count(psi, q, x, sigma, _PATH, g[n1 + n2:]) != 0:
+        raise InversionError("psi - q has a zero right of the hyperbolic contour; "
+                             "use the shifted-line contour", best_value=value,
+                             error_estimate=math.inf)
+    if not (math.isfinite(value) and err <= 1e-5 * (1.0 + abs(value))):
+        raise InversionError("hyperbolic-contour inversion error estimate above tolerance",
+                             best_value=value, error_estimate=err)
+    return value, err
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +190,7 @@ def _line_pass(psi, q, x, r, mode) -> tuple[float, float]:
     return scale * (vc - vs), scale * (abs(ec) + abs(es))
 
 
-def _invert_line(psi, q, x, r, phi_q, mode, cfg) -> tuple[float, float]:
+def _invert_line(psi, q, x, r, phi_q, mode) -> tuple[float, float]:
     # the exp(r x) prefactor amplifies the quadrature error, so for large x
     # the abscissa moves toward Phi(q) along a ladder until the estimate
     # meets tolerance; two passes also cross-validate each other
@@ -140,59 +215,6 @@ def _invert_line(psi, q, x, r, phi_q, mode, cfg) -> tuple[float, float]:
         raise InversionError("line-contour inversion error estimate above tolerance",
                              best_value=value, error_estimate=err)
     return value, err
-
-
-# ---------------------------------------------------------------------------
-# shifted fixed-Talbot contour
-# ---------------------------------------------------------------------------
-
-def _singularity_radius(psi, q, shift, phi_q) -> float:
-    """Radius (in shifted coordinates) enclosing every zero of psi - q."""
-    R = 2.0 * (phi_q + shift + 1.0)
-    for _ in range(40):
-        ang = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-        s = R * np.exp(1j * ang)
-        vals = np.array([abs(complex(psi.eval(sv - shift)) - q) for sv in s])
-        if vals.min() > 2.0 * (1.0 + q):
-            return R
-        R *= 1.7
-    raise InversionError("could not bound the zero set of psi - q for the talbot contour")
-
-
-def _invert_talbot(psi, q, x, phi_q, cfg) -> tuple[float, float]:
-    # Double-precision fixed Talbot: the contour scale r_t = 2M/(5x) amplifies
-    # round-off by exp(r_t x) = exp(2M/5), so M is capped; when enclosing the
-    # zero set of psi - q would need a larger scale, the mode is refused in
-    # favour of the shifted line.
-    shift = max(0.0, -psi.domain_edge) if math.isfinite(psi.domain_edge) else 0.0
-    R = _singularity_radius(psi, q, shift, phi_q)
-    m_need = int(math.ceil(2.5 * x * 1.25 * R))
-    M = max(24, m_need)
-    if 2.0 * M / 5.0 > 42.0:
-        raise InversionError(
-            "talbot mode outside its double-precision envelope for this (psi, x); "
-            "use the shifted-line contour")
-
-    def talbot_sum(M: int) -> float:
-        r_t = 2.0 * M / (5.0 * x)
-        theta = (np.arange(1, M) * math.pi) / M
-        cot = 1.0 / np.tan(theta)
-        s = r_t * theta * (cot + 1j)
-        sigma = theta + (theta * cot - 1.0) * cot
-        g = np.array([1.0 / (complex(psi.eval(sv - shift)) - q) for sv in s])
-        terms = np.exp(x * s) * g * (1.0 + 1j * sigma)
-        total = 0.5 * math.exp(r_t * x) / (complex(psi.eval(r_t - shift)) - q) + terms.sum()
-        return float(np.real(total)) * r_t / M * math.exp(-shift * x)
-
-    v1 = talbot_sum(M)
-    v2 = talbot_sum(M + max(8, M // 3))
-    err = abs(v1 - v2)
-    floor = 5e-16 * math.exp(2.0 * M / 5.0) * (1.0 + abs(v2))
-    err = max(err, floor)
-    if err > 1e-5 * (1.0 + abs(v2)):
-        raise InversionError("talbot inversion failed to converge",
-                             best_value=v2, error_estimate=err)
-    return v2, err
 
 
 # ---------------------------------------------------------------------------

@@ -316,7 +316,7 @@ def w_abate_whitt(lam: float, mu: float) -> ScaleFunction:
             return pref * (1.0 - rho / (nu1 - nu2) * (nu1 * e1 - nu2 * e2))
 
     def psi_eval(theta):
-        rt = np.sqrt(complex(theta))
+        rt = np.sqrt(theta + 0j)
         return theta - lam * theta / ((mu + rt) * (1.0 + rt))
 
     def psi_deriv(theta: float) -> float:
@@ -384,9 +384,17 @@ def w_pssmp(beta: float, conditioned: bool) -> ScaleFunction:
 
 
 def _gamma_ratio(t, beta, lgb):
-    """Gamma(t + beta) / (Gamma(t) Gamma(beta)), entire in t via rgamma."""
-    t = complex(t)
-    return complex(np.exp(sps.loggamma(t + beta) - lgb) * sps.rgamma(t))
+    """Gamma(t + beta) / (Gamma(t) Gamma(beta)), entire in t via rgamma.
+
+    For |t| >= 100, where Gamma(t + beta) overflows, the log-gamma difference
+    is used instead.
+    """
+    t = np.asarray(t, dtype=complex)
+    lg = sps.loggamma(t + beta) - lgb
+    with np.errstate(all="ignore"):
+        out = np.where(np.abs(t) < 100.0, np.exp(lg) * sps.rgamma(t),
+                       np.exp(lg - sps.loggamma(t)))
+    return complex(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

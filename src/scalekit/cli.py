@@ -8,8 +8,6 @@ Subcommands:
 * ``apps``    -- applied quantities (ruin, exit, Z^(q), barrier, value, workload).
 
 Exit codes: 0 success, 1 failed verification check, 2 invalid parameters.
-The environment variable SCALEKIT_THREADS caps internal parallelism (the
-current implementation is single-threaded, so any positive cap is honored).
 """
 
 from __future__ import annotations
@@ -62,15 +60,6 @@ CASES = {
     "E": CaseSpec("E", kappa=1.0, varphi=0.0, zeta=1.0),
     "F": CaseSpec("F", kappa=0.0, varphi=1.0, zeta=1.0),
 }
-
-
-def thread_cap() -> int:
-    """Upper bound on worker threads from SCALEKIT_THREADS (>= 1)."""
-    raw = os.environ.get("SCALEKIT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return max(1, os.cpu_count() or 1)
 
 
 def _parse_alpha(text: str) -> Fraction:
@@ -226,11 +215,9 @@ def cmd_verify(args) -> int:
 
     if "routes" in suites and args.model == "gtsc":
         xs = np.linspace(0.05, 10.0, 25)
-        worst = 0.0
-        for x in xs:
-            ref, _ = invert(psi, scale.q, float(x))
-            got = scale.eval(float(x))
-            worst = max(worst, abs(got - ref) / max(abs(ref), 1e-300))
+        got = scale.eval(xs)
+        ref = np.array([invert(psi, scale.q, float(x))[0] for x in xs])
+        worst = float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-300)))
         checks.append(_check(f"route_agreement[{scale.route} vs bromwich]",
                              "pointwise agreement", worst, 1e-6))
 

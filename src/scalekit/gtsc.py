@@ -162,14 +162,17 @@ class GtscParams:
 
 
 def _cpow(base, expo):
-    if isinstance(base, complex):
-        return base ** expo
-    if base < 0:
+    # principal branch; ndarrays (complex contour nodes) go through numpy
+    if isinstance(base, np.ndarray):
+        return np.power(base.astype(complex), expo)
+    if isinstance(base, complex) or base < 0:
         return complex(base) ** expo
     return base ** expo
 
 
 def _clog(v):
+    if isinstance(v, np.ndarray):
+        return np.log(v.astype(complex))
     return cmath.log(v) if isinstance(v, complex) else math.log(v)
 
 

@@ -43,8 +43,8 @@ __all__ = [
 class LaplaceExponent:
     """Evaluable Laplace exponent psi with derivative and analyticity edge.
 
-    ``eval`` accepts real or complex arguments (analytic off
-    (-inf, domain_edge]); ``deriv`` is psi' on the real axis.
+    ``eval`` accepts real or complex numbers and complex ndarrays
+    (analytic off (-inf, domain_edge]); ``deriv`` is psi' on the real axis.
     """
 
     eval: Callable[[complex], complex]

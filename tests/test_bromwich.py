@@ -7,14 +7,16 @@ import pytest
 
 from scalekit.bromwich import (InversionConfig, classify_integrability, invert,
                                laplace_transform_numeric, verify_laplace_identity)
-from scalekit.bromwich import _invert_talbot, _singularity_radius
-from scalekit.errors import ParameterError
+from scalekit.catalog import build_catalog_entry, w_brownian, w_stable
+from scalekit.cli import CASES
+from scalekit.errors import InversionError, ParameterError
 from scalekit.gtsc import GtscParams, ig_params, w_ig, w_rational
 from scalekit.levy import LaplaceExponent, big_phi
 from scalekit.polyfrac import RationalAlpha
 
 SINH_1 = 1.1752011936438014569
 W_IG_AT_1 = 1.424660216656229247
+LINE = InversionConfig(contour="shifted-line")
 
 
 def quadratic_psi():
@@ -24,23 +26,24 @@ def quadratic_psi():
 
 class TestInvert:
     def test_sinh_line(self):
-        v, e = invert(quadratic_psi(), 1.0, 1.0)
+        v, e = invert(quadratic_psi(), 1.0, 1.0, LINE)
         assert v == pytest.approx(SINH_1, rel=1e-9)
         assert e < 1e-7
 
     def test_sinh_talbot(self):
-        v, e = invert(quadratic_psi(), 1.0, 1.0, InversionConfig(contour="talbot"))
+        # fixed Talbot was retired; the hyperbola (default) takes its place
+        v, e = invert(quadratic_psi(), 1.0, 1.0)
         assert v == pytest.approx(SINH_1, rel=1e-9)
 
     def test_ig_reference(self):
         psi = ig_params(1.0, 1.0).exponent()
-        v, _ = invert(psi, 0.0, 1.0)
+        v, _ = invert(psi, 0.0, 1.0, LINE)
         assert v == pytest.approx(W_IG_AT_1, rel=1e-6)
 
     def test_contour_invariance(self):
         psi = ig_params(1.0, 1.0).exponent()
-        v1, e1 = invert(psi, 0.5, 2.0, InversionConfig(r=1.2))
-        v2, e2 = invert(psi, 0.5, 2.0, InversionConfig(r=2.2))
+        v1, e1 = invert(psi, 0.5, 2.0, InversionConfig(contour="shifted-line", r=1.2))
+        v2, e2 = invert(psi, 0.5, 2.0, InversionConfig(contour="shifted-line", r=2.2))
         assert abs(v1 - v2) <= 5.0 * (e1 + e2) + 1e-9 * abs(v1)
 
     def test_principal_value_classification(self):
@@ -55,7 +58,7 @@ class TestInvert:
         # alpha = -1/2 ladder: the rational route cross-checks the PV inversion
         params = GtscParams(alpha=-0.5, gamma=1.0, c=1.0, kappa=1.0)
         w = w_rational(params, RationalAlpha(-1, 2), 0.0)
-        v, _ = invert(params.exponent(), 0.0, 1.5)
+        v, _ = invert(params.exponent(), 0.0, 1.5, LINE)
         assert v == pytest.approx(w.eval(1.5), rel=1e-6)
 
     def test_irrational_alpha_validated_by_identity(self):
@@ -88,67 +91,139 @@ class TestInvert:
         with pytest.raises(ParameterError):
             invert(quadratic_psi(), -1.0, 1.0)
         with pytest.raises(ParameterError):
-            invert(quadratic_psi(), 1.0, 1.0, InversionConfig(r=0.5))
+            invert(quadratic_psi(), 1.0, 1.0, InversionConfig(contour="shifted-line", r=0.5))
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             InversionConfig(contour="circle")
-        with pytest.raises(ParameterError):
-            InversionConfig(nodes=16)
 
 
 class TestTalbot:
+    """The former fixed-Talbot tests, re-pointed to the hyperbolic contour."""
+
     def test_node_doubling_convergence(self):
-        # for zeta > 0 the quadrature error estimate collapses fast in M
+        # for zeta > 0 the midpoint-rule error on the hyperbola collapses fast in N
         params = GtscParams(alpha=0.5, gamma=1.0, c=1.0, zeta=1.0)
         psi = params.exponent()
         w = w_rational(params, RationalAlpha(1, 2), 0.0)
-        v, e = invert(psi, 0.0, 1.0, InversionConfig(contour="talbot"))
+        v, e = invert(psi, 0.0, 1.0)
         assert v == pytest.approx(w.eval(1.0), rel=1e-8)
 
-        shift = 1.0
-        R = _singularity_radius(psi, 0.0, shift, 0.0)
-
-        def talbot_at(M):
-            r_t = 2.0 * M / 5.0
-            theta = (np.arange(1, M) * math.pi) / M
-            cot = 1.0 / np.tan(theta)
-            s = r_t * theta * (cot + 1j)
-            sigma = theta + (theta * cot - 1.0) * cot
-            g = np.array([1.0 / complex(psi.eval(sv - shift)) for sv in s])
-            terms = np.exp(s) * g * (1.0 + 1j * sigma)
-            tot = 0.5 * math.exp(r_t) / complex(psi.eval(r_t - shift)) + terms.sum()
-            return float(np.real(tot)) * r_t / M * math.exp(-shift)
+        def hyperbola_at(n, x=1.0):
+            sigma = big_phi(psi, 0.0) + 1.0 / x
+            theta = -math.pi + (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+            arg = 1.1721 - 0.3443j * theta
+            z = 2.246 * n * (1.0 - np.sin(arg))
+            dz = 0.3443j * 2.246 * n * np.cos(arg)
+            g = np.array([1.0 / complex(psi.eval(sigma + zk / x)) for zk in z])
+            total = np.sum(np.exp(z) * g * dz) / (1j * n * x)
+            return float(np.real(total)) * math.exp(sigma * x)
 
         ref = w.eval(1.0)
-        errs = [abs(talbot_at(M) - ref) for M in (6, 12, 24)]
+        errs = [abs(hyperbola_at(n) - ref) for n in (8, 16, 32)]
         floor = 1e-13 * (1.0 + abs(ref))
         assert errs[1] <= max(errs[0] / 4.0, floor)
         assert errs[2] <= max(errs[1] / 4.0, floor)
 
     def test_envelope_refusal(self):
-        # huge x pushes the required contour scale past the double-precision
-        # envelope; the mode must refuse rather than silently degrade
-        from scalekit.errors import InversionError
+        # a zero pair of psi - q right of the hyperbola would be missed by its
+        # sum; the contour must refuse rather than silently degrade, while
+        # the shifted line still sees every residue
+        def psi_eval(s):
+            return s * ((s + 1.0) ** 2 + 1600.0) / 1601.0
 
-        params = GtscParams(alpha=0.5, gamma=1.0, c=1.0)
+        def psi_deriv(s):
+            return (((s + 1.0) ** 2 + 1600.0) + 2.0 * s * (s + 1.0)) / 1601.0
+
+        psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv,
+                              domain_edge=-math.inf, drift_at_zero=1.0)
+        x = 1.0
         with pytest.raises(InversionError):
-            _invert_talbot(params.exponent(), 0.0, 200.0, 0.0,
-                           InversionConfig(contour="talbot"))
+            invert(psi, 0.0, x)
+        s1 = -1.0 + 40.0j
+        exact = 1.0 + 2.0 * (np.exp(s1 * x) / psi_deriv(s1)).real
+        assert invert(psi, 0.0, x, LINE)[0] == pytest.approx(exact, rel=1e-7)
 
 
 class TestRealness:
     def test_imaginary_residue_negligible(self):
         # structural: the line integrand combines cos/sin parts of a real
-        # transform, so the output is real by construction; check the talbot
-        # path too via a complex-pole case (q > q0)
+        # transform, so the output is real by construction; check the
+        # hyperbola too via a complex-pole case (q > q0)
         psi = ig_params(1.0, 1.0).exponent()
         q = 1.2
         w = w_ig(1.0, 1.0, q)
-        v, _ = invert(psi, q, 1.0)
+        v, _ = invert(psi, q, 1.0, LINE)
         assert v == pytest.approx(w.eval(1.0), rel=1e-7)
-        v2, _ = invert(psi, q, 1.0, InversionConfig(contour="talbot"))
+        v2, _ = invert(psi, q, 1.0)
         assert v2 == pytest.approx(w.eval(1.0), rel=1e-6)
+
+
+HYP_ALPHAS = (1 / 4, 1 / 3, 1 / 2, 2 / 3, 3 / 4, -1 / 3, -2 / 3, 1 / math.sqrt(2.0))
+HYP_XS = (0.05, 0.5, 2.0, 10.0)
+
+
+class TestHyperbola:
+    def test_agrees_with_shifted_line(self):
+        configs = [(case.params(a), q) for case in CASES.values()
+                   for a in HYP_ALPHAS for q in (0.0, 1.0)]
+        configs += [(CASES["A"].params(0.0), q) for q in (0.0, 1.0)]
+        worst = 0.0
+        for params, q in configs:
+            psi = params.exponent()
+            for x in HYP_XS:
+                v, _ = invert(psi, q, x)
+                ref, _ = invert(psi, q, x, LINE)
+                worst = max(worst, abs(v - ref) / abs(ref))
+        assert worst <= 1e-9
+
+    def test_ig_and_principal_value_references(self):
+        # the references of test_ig_reference and test_principal_value_case_inverts,
+        # which check the shifted line, applied to the hyperbola
+        psi = ig_params(1.0, 1.0).exponent()
+        assert invert(psi, 0.0, 1.0)[0] == pytest.approx(W_IG_AT_1, rel=1e-6)
+        params = GtscParams(alpha=-0.5, gamma=1.0, c=1.0, kappa=1.0)
+        w = w_rational(params, RationalAlpha(-1, 2), 0.0)
+        assert invert(params.exponent(), 0.0, 1.5)[0] == pytest.approx(w.eval(1.5), rel=1e-6)
+
+    @pytest.mark.parametrize("scale", [
+        w_brownian(1.0, 0.5, 0.0), w_brownian(1.0, 0.5, 1.0), w_stable(1.5, 0.0),
+        w_stable(1.5, 1.0), build_catalog_entry("stable_drift").scale,
+        build_catalog_entry("cramer_lundberg").scale,
+        build_catalog_entry("abate_whitt").scale,
+    ], ids=["brownian", "brownian_q1", "stable", "stable_q1", "stable_drift",
+            "cramer_lundberg", "abate_whitt"])
+    def test_closed_forms(self, scale):
+        for x in HYP_XS:
+            v, _ = invert(scale.psi, scale.q, x)
+            assert v == pytest.approx(scale.eval(x), rel=1e-10)
+
+    @pytest.mark.parametrize("family,x", [("fixed_jumps", 0.3), ("fixed_jumps", 4.0),
+                                          ("pssmp_conditioned", 0.3)])
+    def test_uncertified_raises_or_is_exact(self, family, x):
+        # fixed_jumps: psi - q has infinitely many complex zeros, some right of
+        # the hyperbola; pssmp: Gamma(s + beta) overflows past |s| ~ 143, which
+        # the outer nodes reach at x = 0.3
+        scale = build_catalog_entry(family).scale
+        try:
+            v, _ = invert(scale.psi, scale.q, x)
+        except InversionError:
+            return
+        assert v == pytest.approx(scale.eval(x), rel=1e-9)
+
+    def test_one_array_call_of_psi(self):
+        params = GtscParams(alpha=0.5, gamma=1.0, c=1.0, zeta=1.0)
+        inner = params.exponent()
+        calls = []
+
+        def counted(theta):
+            calls.append(np.ndim(theta))
+            return inner.eval(theta)
+
+        psi = LaplaceExponent(eval=counted, deriv=inner.deriv, domain_edge=inner.domain_edge,
+                              drift_at_zero=inner.drift_at_zero)
+        invert(psi, 0.0, 1.0)
+        assert sum(1 for d in calls if d > 0) == 1
 
 
 class TestVerifyIdentity:

@@ -170,6 +170,26 @@ class TestPssmp:
         w = w_pssmp(1.5, True)
         assert mean_drift(w.psi) == pytest.approx(1.0, rel=1e-6)
 
+    def test_exponent_far_from_origin(self):
+        # Gamma(t + beta) overflows past |t| ~ 143; the ratio must not
+        import mpmath
+
+        psi = w_pssmp(1.5, True).psi
+        for t in (150.0 + 30.0j, -80.0 + 170.0j, 99.0 + 1.0j, 101.0 + 1.0j):
+            ref = complex(mpmath.gamma(t + 1.5) / (mpmath.gamma(t) * mpmath.gamma(1.5)))
+            assert complex(psi.eval(t)) == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("family", ["brownian", "stable", "stable_drift", "cramer_lundberg",
+                                    "fixed_jumps", "abate_whitt", "pssmp_drift_down",
+                                    "pssmp_conditioned"])
+def test_exponent_accepts_complex_arrays(family):
+    psi = build_catalog_entry(family).psi
+    s = np.array([2.0 + 0.5j, 0.3 + 5.0j, -0.5 - 3.0j, 40.0 + 120.0j])
+    got = psi.eval(s)
+    ref = np.array([complex(psi.eval(complex(z))) for z in s])
+    assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+
 
 class TestIdentityAcrossCatalog:
     @pytest.mark.parametrize("family", sorted(["brownian", "stable", "stable_drift",

@@ -193,11 +193,3 @@ class TestParser:
     def test_unknown_case(self):
         code, _ = run_cli(["apps", "--compute", "ruin", "--case", "Z"])
         assert code == 2
-
-    def test_thread_cap_env(self, monkeypatch):
-        from scalekit.cli import thread_cap
-
-        monkeypatch.setenv("SCALEKIT_THREADS", "3")
-        assert thread_cap() == 3
-        monkeypatch.setenv("SCALEKIT_THREADS", "0")
-        assert thread_cap() == 1

@@ -38,6 +38,17 @@ class TestParams:
             GtscParams(alpha=0.5, gamma=1.0, c=0.0)
         GtscParams(alpha=-1.0, gamma=1.0, c=1.0)   # boundary allowed
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, -0.5, 1.0 / math.sqrt(2.0)])
+    def test_exponent_accepts_complex_arrays(self, alpha):
+        params = GtscParams(alpha=alpha, gamma=1.0, c=1.0, zeta=0.5, varphi=0.5)
+        psi = params.exponent()
+        s = np.array([2.0 + 0.0j, 0.3 + 5.0j, -4.0 - 1e-3j, -30.0 + 200.0j, 1e4j])
+        got = psi.eval(s)
+        assert got.shape == s.shape
+        ref = np.array([complex(psi.eval(complex(z))) for z in s])
+        assert np.allclose(got, ref, rtol=1e-14, atol=0.0)
+        assert complex(psi.eval(2.0)) == pytest.approx(ref[0], rel=1e-14)
+
 
 class TestInverseGaussian:
     def test_q0_value(self):
