@@ -247,7 +247,7 @@ def cmd_verify(args) -> int:
         else:
             raise ParameterError("the mc suite currently targets --model gtsc")
         cfg = SimConfig(n_paths=args.paths, dt=args.dt, seed=args.seed)
-        est = simulate_exit(triple, x0, a0, cfg)
+        est = simulate_exit(triple, x0, a0, cfg, q=args.q)
         target = scale.eval(x0) / scale.eval(a0)
         dev = abs(est.p_hat - target) / max(est.stderr, 1e-12)
         checks.append(_check(f"mc_exit[x={x0},a={a0}]", target, dev, 3.0))

@@ -7,6 +7,16 @@ crossings of the continuous part between grid points get the
 Brownian-bridge correction; purely jump-driven (zero-variance) models are
 simulated event-by-event, which is exact.
 
+The grid engine steps all live paths at once.  Each path carries a jump
+clock, the time of its next jump above the cutoff; a path whose clock falls
+in a step takes a jump at the end of that step and its clock moves on by an
+Exp(rate) wait, so the number of jumps per step is Poisson(rate dt) and
+independent across steps.  Jump sizes are drawn in bulk into a pool and
+taken in order.  The bridge probability is only evaluated for paths within
+reach of a barrier; for the others it is below e^-40 (see ``_BRIDGE_CUT``).
+With ``q > 0`` an upward exit at time t has weight e^{-q t}; the grid engine
+takes t as the end of the exit step.
+
 Jump components are read from ``LevyTriple.jump_components``:
 
 * ("tempered_power", c, a, gamma)  -- density c u^{-a-1} e^{-gamma u};
@@ -25,11 +35,21 @@ import numpy as np
 from scipy import special as sps
 from scipy.integrate import quad
 
-from .errors import NotApplicableError, ParameterError
+from .errors import NotApplicableError, NumericalError, ParameterError
 from .levy import LevyTriple
 from .special import upper_gamma
 
 __all__ = ["SimConfig", "ExitEstimate", "simulate_exit", "simulate_ruin"]
+
+
+# jump sizes per bulk draw of the grid engine's pool (128 kB of float64)
+_POOL_SIZE = 1 << 14
+# The bridge crossing probability of a step from distance d1 to d2 off a
+# barrier is p = exp(-2 d1 d2 / var_dt).  Beyond 2 d1 d2 / var_dt = 40,
+# p < e^-40 < 2^-53, and a uniform draw from rng.random() (a multiple of
+# 2^-53) falls below p only when it is exactly 0; skipping those paths
+# changes a decision with probability at most 2^-53 per path-step.
+_BRIDGE_CUT = 40.0
 
 
 @dataclass(frozen=True)
@@ -181,6 +201,61 @@ class _JumpModel:
         return out
 
 
+class _SizePool:
+    """Jump sizes drawn _POOL_SIZE at a time and handed out in draw order.
+
+    The sizes are iid, so taking them in order from a bulk draw has the law
+    of drawing them one step at a time.
+    """
+
+    def __init__(self, jumps: _JumpModel, rng: np.random.Generator):
+        self.jumps, self.rng = jumps, rng
+        self.buf, self.at = np.empty(0), 0
+
+    def take(self, n: int) -> np.ndarray:
+        if self.at + n > self.buf.size:
+            fresh = self.jumps.sample(self.rng, max(_POOL_SIZE, n))
+            self.buf, self.at = np.concatenate([self.buf[self.at:], fresh]), 0
+        self.at += n
+        return self.buf[self.at - n:self.at]
+
+
+class _Exits:
+    """Exit counts, and at q > 0 the sums of e^{-q t} and e^{-2 q t} over
+    the exit times t of the paths that leave upward."""
+
+    def __init__(self, q: float):
+        self.q = q
+        self.up = self.down = 0
+        self.w1 = self.w2 = 0.0
+
+    def add(self, n_up: int, n_down: int, t_up=0.0) -> None:
+        """``t_up``: the common exit time of the n_up upward exits, or one per exit."""
+        self.up += n_up
+        self.down += n_down
+        if self.q > 0 and n_up:
+            w = np.broadcast_to(np.exp(-self.q * np.asarray(t_up)), (n_up,))
+            self.w1 += float(w.sum())
+            self.w2 += float(np.square(w).sum())
+
+    def estimate(self, censored: int, cfg: SimConfig) -> ExitEstimate:
+        n = self.up + self.down
+        if n == 0:
+            raise NumericalError(f"all {cfg.n_paths} paths censored at the horizon "
+                                 f"{cfg.horizon}; no exit to estimate from")
+        if censored > 0.01 * cfg.n_paths:
+            warnings.warn(f"{censored} of {cfg.n_paths} paths censored at the horizon; "
+                          "estimates may be unreliable", stacklevel=4)
+        if self.q == 0.0:
+            p = self.up / n
+            se = math.sqrt(p * (1.0 - p) / n)
+        else:
+            # sample standard error of the weights (0 for a downward exit)
+            p = self.w1 / n
+            se = math.sqrt(max(self.w2 / n - p * p, 0.0) / max(n - 1, 1))
+        return ExitEstimate(p_hat=p, stderr=se, n_censored=censored)
+
+
 def _mean_of_triple(triple: LevyTriple) -> float:
     """E X_1 = -a + int_{(-inf,-1)} x Pi(dx) (Levy-Khintchine location)."""
     tail_int, _ = quad(triple.pi_tail, 1.0, np.inf, limit=200)
@@ -203,7 +278,7 @@ def _check_cutoff(triple: LevyTriple, cfg: SimConfig) -> None:
             "halved; the Gaussian approximation may be coarse", stacklevel=3)
 
 
-def _run_exit(triple: LevyTriple, x: float, a: float, cfg: SimConfig,
+def _run_exit(triple: LevyTriple, x: float, a: float, q: float, cfg: SimConfig,
               rng: np.random.Generator) -> ExitEstimate:
     jumps = _JumpModel(triple, cfg.small_jump_cutoff)
     mean_x1 = _mean_of_triple(triple)
@@ -214,113 +289,122 @@ def _run_exit(triple: LevyTriple, x: float, a: float, cfg: SimConfig,
     drift = mean_x1 + jumps.moment1
 
     if sigma_tot == 0.0 and jumps.rate > 0:
-        return _run_exit_event_driven(jumps, drift, x, a, cfg, rng)
+        return _run_exit_event_driven(jumps, drift, x, a, q, cfg, rng)
 
-    n = cfg.n_paths
     dt = cfg.dt
+    shift = drift * dt
     sq = sigma_tot * math.sqrt(dt)
-    pos = np.full(n, float(x))
-    up = 0
-    down = 0
-    censored = 0
-    steps = int(math.ceil(cfg.horizon / dt))
-    lam_dt = jumps.rate * dt
     var_dt = sigma_tot ** 2 * dt
-    for _ in range(steps):
+    # a bridge candidate has d1 d2 < cut, so min(d1, d2) < reach
+    cut = 0.5 * _BRIDGE_CUT * var_dt
+    reach = math.sqrt(cut)
+    pos = np.full(cfg.n_paths, float(x))
+    jumpy = jumps.rate > 0
+    if jumpy:
+        pool = _SizePool(jumps, rng)
+        mean_wait = 1.0 / jumps.rate
+        clock = mean_wait * rng.standard_exponential(cfg.n_paths)
+    exits = _Exits(q)
+    for i in range(int(math.ceil(cfg.horizon / dt))):
         k = pos.size
         if k == 0:
             break
-        new = pos + drift * dt + sq * rng.standard_normal(k)
-        hit_up = new >= a
-        hit_down = new <= 0.0
-        mid = ~(hit_up | hit_down)
-        if var_dt > 0 and mid.any():
-            pm = pos[mid]
-            nm = new[mid]
-            p_lo = np.exp(-2.0 * pm * nm / var_dt)
-            p_hi = np.exp(-2.0 * (a - pm) * (a - nm) / var_dt)
-            u = rng.random(pm.size)
-            bridge_lo = u < p_lo
-            bridge_hi = (~bridge_lo) & (rng.random(pm.size) < p_hi)
-            tmp_down = np.zeros(k, dtype=bool)
-            tmp_up = np.zeros(k, dtype=bool)
-            tmp_down[np.flatnonzero(mid)[bridge_lo]] = True
-            tmp_up[np.flatnonzero(mid)[bridge_hi]] = True
-            hit_down |= tmp_down
-            hit_up |= tmp_up
-        # jumps land at the end of the step (downward only)
-        alive = ~(hit_up | hit_down)
-        if lam_dt > 0 and alive.any():
-            nj = rng.poisson(lam_dt, int(alive.sum()))
-            tot = int(nj.sum())
-            if tot:
-                sizes = jumps.sample(rng, tot)
-                add = np.zeros(nj.size)
-                np.add.at(add, np.repeat(np.arange(nj.size), nj), sizes)
-                idx = np.flatnonzero(alive)
-                new[idx] -= add
-                just_down = np.zeros(k, dtype=bool)
-                just_down[idx[new[idx] <= 0.0]] = True
-                hit_down |= just_down
-        up += int(hit_up.sum())
-        down += int((hit_down & ~hit_up).sum())
-        pos = new[~(hit_up | hit_down)]
-    censored = pos.size
-    n_eff = up + down
-    if censored > 0.01 * cfg.n_paths:
-        warnings.warn(f"{censored} of {cfg.n_paths} paths censored at the horizon; "
-                      "estimates may be unreliable", stacklevel=3)
-    p = up / n_eff if n_eff else math.nan
-    se = math.sqrt(p * (1.0 - p) / n_eff) if n_eff else math.nan
-    return ExitEstimate(p_hat=p, stderr=se, n_censored=censored)
+        t1 = (i + 1) * dt
+        new = pos + shift + sq * rng.standard_normal(k)
+        # only paths that end outside (0, a) or have a bridge probability
+        # above e^-40 can leave in this step by their continuous part
+        edge = ((np.minimum(pos, new) <= reach)
+                | (np.maximum(pos, new) >= a - reach)).nonzero()[0]
+        pe, ne = pos[edge], new[edge]
+        up_e = ne >= a
+        down_e = ne <= 0.0
+        if var_dt > 0:
+            d_lo, d_hi = pe * ne, (a - pe) * (a - ne)
+            near = (~(up_e | down_e) & (np.minimum(d_lo, d_hi) < cut)).nonzero()[0]
+            if near.size:
+                bridge_lo = rng.random(near.size) < np.exp(-2.0 * d_lo[near] / var_dt)
+                bridge_hi = ~bridge_lo & (rng.random(near.size)
+                                          < np.exp(-2.0 * d_hi[near] / var_dt))
+                down_e[near[bridge_lo]] = True
+                up_e[near[bridge_hi]] = True
+        ups, downs = edge[up_e], edge[down_e]
+        ruined = np.empty(0, dtype=np.intp)
+        if jumpy:
+            # jumps land at the end of the step (downward only): every path
+            # whose clock falls in this step jumps and its clock moves on
+            due = (clock <= t1).nonzero()[0]
+            hit = due
+            while hit.size:
+                new[hit] -= pool.take(hit.size)
+                clock[hit] += mean_wait * rng.standard_exponential(hit.size)
+                hit = hit[clock[hit] <= t1]
+            ruined = due[new[due] <= 0.0]
+        if ups.size or downs.size or ruined.size:
+            gone = np.zeros(k, dtype=bool)
+            gone[ups] = gone[downs] = gone[ruined] = True
+            # ups and downs are disjoint; a path ruined by a jump after it
+            # left upward counts as up
+            exits.add(ups.size, int(np.count_nonzero(gone)) - ups.size, t1)
+            keep = ~gone
+            pos = new[keep]
+            if jumpy:
+                clock = clock[keep]
+        else:
+            pos = new
+    return exits.estimate(pos.size, cfg)
 
 
 def _run_exit_event_driven(jumps: _JumpModel, drift: float, x: float, a: float,
-                           cfg: SimConfig, rng: np.random.Generator) -> ExitEstimate:
+                           q: float, cfg: SimConfig,
+                           rng: np.random.Generator) -> ExitEstimate:
     """Exact simulation for drift + compound Poisson (no Gaussian part)."""
     if drift <= 0:
         raise NotApplicableError("event-driven engine expects positive drift")
-    n = cfg.n_paths
-    pos = np.full(n, float(x))
-    t = np.zeros(n)
-    up = 0
-    down = 0
-    for _ in range(100_000):
-        k = pos.size
-        if k == 0:
-            break
-        waits = rng.exponential(1.0 / jumps.rate, size=k)
+    pos = np.full(cfg.n_paths, float(x))
+    t = np.zeros(cfg.n_paths)
+    exits = _Exits(q)
+    censored = 0
+    # a path that stays for another pass has its t moved on by an Exp(rate)
+    # wait, and one whose next event comes after the horizon is censored,
+    # so the loop ends
+    while pos.size:
+        waits = rng.exponential(1.0 / jumps.rate, size=pos.size)
         t_up = (a - pos) / drift
         reach_up = t_up <= waits
-        up += int(reach_up.sum())
-        pos = pos[~reach_up] + drift * waits[~reach_up]
-        t = t[~reach_up] + waits[~reach_up]
+        t += np.minimum(t_up, waits, out=t_up)      # the time of the next event
+        late = t > cfg.horizon
+        up = reach_up & ~late
+        exits.add(int(up.sum()), 0, t[up] if q else 0.0)
+        censored += int(late.sum())
+        on = ~(reach_up | late)
+        pos = pos[on] + drift * waits[on]
+        t = t[on]
         pos -= jumps.sample(rng, pos.size)
         ruin = pos <= 0.0
-        down += int(ruin.sum())
-        keep = (~ruin) & (t <= cfg.horizon)
-        pos, t = pos[keep], t[keep]
-    censored = pos.size
-    n_eff = up + down
-    p = up / n_eff if n_eff else math.nan
-    se = math.sqrt(p * (1.0 - p) / n_eff) if n_eff else math.nan
-    if censored > 0.01 * cfg.n_paths:
-        warnings.warn(f"{censored} paths censored at the horizon", stacklevel=3)
-    return ExitEstimate(p_hat=p, stderr=se, n_censored=censored)
+        exits.add(0, int(ruin.sum()))
+        pos, t = pos[~ruin], t[~ruin]
+    return exits.estimate(censored, cfg)
 
 
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
-def simulate_exit(triple: LevyTriple, x: float, a: float,
-                  cfg: SimConfig) -> ExitEstimate:
-    """Estimate P_x(reach a before 0) with the binomial standard error."""
+def simulate_exit(triple: LevyTriple, x: float, a: float, cfg: SimConfig,
+                  q: float = 0.0) -> ExitEstimate:
+    """Estimate E_x[e^{-q tau_a^+}; tau_a^+ < tau_0^-] over the paths that exit.
+
+    At q = 0 this is P_x(reach a before 0) with the binomial standard error;
+    at q > 0 the stderr is the sample standard error of the path weights.
+    Raises ``NumericalError`` when every path is censored at the horizon.
+    """
     if not 0.0 <= x <= a:
         raise ParameterError("need 0 <= x <= a")
+    if not q >= 0.0 or not math.isfinite(q):
+        raise ParameterError("need a finite q >= 0")
     _check_cutoff(triple, cfg)
     rng = np.random.default_rng(cfg.seed)
-    return _run_exit(triple, x, a, cfg, rng)
+    return _run_exit(triple, x, a, q, cfg, rng)
 
 
 def simulate_ruin(triple: LevyTriple, x: float, cfg: SimConfig,

@@ -147,6 +147,16 @@ class TestVerify:
         assert rep["checks"][-1]["achieved"] <= 3.0
         assert code == 0
 
+    def test_readme_all_suites_at_q1(self):
+        # the mc check simulates the discounted exit E_x[e^{-q tau}; up first],
+        # the quantity W^(q)(x)/W^(q)(a) it is compared with
+        code, out = run_cli(["verify", "--suite", "all", "--model", "gtsc",
+                             "--alpha", "1/4", "--q", "1"])
+        rep = json.loads(out)
+        assert rep["checks"][-1]["name"].startswith("mc_exit")
+        assert rep["checks"][-1]["achieved"] <= 3.0
+        assert code == 0
+
 
 class TestApps:
     def test_exit_brownian(self):

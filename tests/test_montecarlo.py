@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from scalekit.errors import NotApplicableError, ParameterError
+from scalekit.errors import NotApplicableError, NumericalError, ParameterError
 from scalekit.gtsc import GtscParams, w_rational
 from scalekit.levy import LevyTriple
 from scalekit.montecarlo import (SimConfig, _ComponentSampler, simulate_exit,
@@ -18,14 +18,27 @@ BROWNIAN = LevyTriple(a=0.0, sigma=1.0, pi_tail=lambda x: 0.0,
                       pi_density=lambda x: 0.0)
 
 
-def cl_triple(ccoef=2.0, lam=1.0, mu=1.0):
+def cl_triple(ccoef=2.0, lam=1.0, mu=1.0, sigma=0.0):
     # E X_1 = ccoef - lam/mu; the location a makes the mean come out right
     mean = ccoef - lam / mu
     a = -(mean + lam * math.exp(-mu) * (1.0 + 1.0 / mu))
-    return LevyTriple(a=a, sigma=0.0,
+    return LevyTriple(a=a, sigma=sigma,
                       pi_tail=lambda x: lam * math.exp(-mu * x),
                       pi_density=lambda x: lam * mu * math.exp(-mu * x),
                       jump_components=(("exponential", lam, mu),))
+
+
+def exp_claims_w(ccoef, lam, mu, sigma, q):
+    """W^(q) of c t + sigma B_t minus Exp(mu) claims at rate lam.
+
+    psi(theta) = c theta + sigma^2 theta^2 / 2 - lam theta / (mu + theta), and
+    W^(q)(x) = sum_i e^{theta_i x} / psi'(theta_i) over the roots of
+    (psi(theta) - q)(mu + theta), a polynomial of degree 3 (2 when sigma = 0).
+    """
+    s2 = sigma ** 2
+    roots = np.roots([0.5 * s2, ccoef + 0.5 * s2 * mu, ccoef * mu - q - lam, -q * mu])
+    dpsi = ccoef + s2 * roots - lam * mu / (mu + roots) ** 2
+    return lambda x: float(np.sum(np.exp(roots * x) / dpsi).real)
 
 
 class TestConfig:
@@ -68,6 +81,19 @@ class TestReproducibility:
         e3 = simulate_exit(BROWNIAN, 0.5, 1.0,
                            SimConfig(n_paths=2000, dt=1e-3, horizon=50.0, seed=43))
         assert e3.p_hat != e1.p_hat
+        # a jump model: jump clocks and the size pool follow the seed too
+        triple, _ = GtscParams(alpha=0.5, gamma=1.0, c=1.0).parent_triple()
+        cfg = SimConfig(n_paths=1000, dt=1e-3, small_jump_cutoff=0.02,
+                        horizon=50.0, seed=42)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            j1 = simulate_exit(triple, 1.0, 2.0, cfg, q=0.5)
+            j2 = simulate_exit(triple, 1.0, 2.0, cfg, q=0.5)
+            j3 = simulate_exit(triple, 1.0, 2.0,
+                               SimConfig(n_paths=1000, dt=1e-3, small_jump_cutoff=0.02,
+                                         horizon=50.0, seed=43), q=0.5)
+        assert (j1.p_hat, j1.stderr, j1.n_censored) == (j2.p_hat, j2.stderr, j2.n_censored)
+        assert j3.p_hat != j1.p_hat
 
 
 class TestBrownianBenchmark:
@@ -99,6 +125,20 @@ class TestBrownianBenchmark:
         est = simulate_ruin(tri, 1.0, cfg, a_upper=12.0)
         assert abs(est.p_hat - math.exp(-2.0 * 0.5 * 1.0)) <= 3.5 * est.stderr
 
+    @pytest.mark.parametrize("x, seed", [(0.02, 101), (0.98, 102)])
+    def test_exit_near_a_barrier(self, x, seed):
+        # zero drift: P_x(up first) = x/a exactly.  Started 0.02 off a barrier
+        # with sqrt(dt) = 0.03, most paths leave between grid points, so this
+        # is the bridge correction and its e^-40 cut at work
+        cfg = SimConfig(n_paths=40_000, dt=1e-3, horizon=50.0, seed=seed)
+        est = simulate_exit(BROWNIAN, x, 1.0, cfg)
+        assert est.n_censored == 0
+        assert abs(est.p_hat - x) <= 3.5 * est.stderr
+
+    def test_all_censored_raises(self):
+        with pytest.raises(NumericalError, match="censored"):
+            simulate_exit(BROWNIAN, 0.5, 1.0, SimConfig(n_paths=100, horizon=1e-3))
+
 
 class TestCompoundPoisson:
     def test_cl_ruin_exact_engine(self):
@@ -111,6 +151,48 @@ class TestCompoundPoisson:
         tri = cl_triple(ccoef=0.5, lam=1.0, mu=1.0)
         with pytest.raises(NotApplicableError):
             simulate_ruin(tri, 1.0, SimConfig(n_paths=100))
+
+    def test_brownian_plus_exponential_jumps(self):
+        # sigma = 1 with Exp(beta) claims at rate lam: jump clocks on the grid engine
+        cfg = SimConfig(n_paths=20_000, dt=1e-3, horizon=50.0, seed=211)
+        est = simulate_exit(cl_triple(1.5, 2.0, 2.0, sigma=1.0), 0.5, 1.0, cfg)
+        target = exp_claims_w(1.5, 2.0, 2.0, 1.0, 0.0)
+        assert est.n_censored == 0
+        assert abs(est.p_hat - target(0.5) / target(1.0)) <= 3.5 * est.stderr
+
+    def test_event_driven_past_100k_passes(self):
+        # 5e4 tiny fixed jumps per unit time against a drift of 1: the paths
+        # climb from 0.5 to 1.7 in about 2.4 time units, i.e. 1.2e5 jumps each
+        lam, size = 5e4, 1e-5
+        tri = LevyTriple(a=-0.5, sigma=0.0,
+                         pi_tail=lambda x: lam if x < size else 0.0,
+                         jump_components=(("fixed", lam, size),))
+        cfg = SimConfig(n_paths=4, small_jump_cutoff=1e-6, horizon=10.0, seed=5)
+        est = simulate_exit(tri, 0.5, 1.7, cfg)
+        assert (est.p_hat, est.n_censored) == (1.0, 0)
+
+    def test_event_driven_all_censored_raises(self):
+        with pytest.raises(NumericalError, match="censored"):
+            simulate_exit(cl_triple(), 0.5, 1.0, SimConfig(n_paths=100, horizon=1e-9))
+
+
+class TestDiscounted:
+    def test_brownian_laplace_transform(self):
+        # zero-drift BM: E_x[e^{-q tau}; up first] = sinh(x r) / sinh(a r), r = sqrt(2q)
+        q, r = 1.0, math.sqrt(2.0)
+        cfg = SimConfig(n_paths=20_000, dt=1e-3, horizon=50.0, seed=307)
+        est = simulate_exit(BROWNIAN, 0.5, 1.0, cfg, q=q)
+        assert abs(est.p_hat - math.sinh(0.5 * r) / math.sinh(r)) <= 3.5 * est.stderr
+
+    def test_event_driven_discounted(self):
+        cfg = SimConfig(n_paths=40_000, horizon=200.0, seed=311)
+        est = simulate_exit(cl_triple(), 0.5, 1.0, cfg, q=1.0)
+        w = exp_claims_w(2.0, 1.0, 1.0, 0.0, 1.0)
+        assert abs(est.p_hat - w(0.5) / w(1.0)) <= 3.5 * est.stderr
+
+    def test_q_validated(self):
+        with pytest.raises(ParameterError):
+            simulate_exit(BROWNIAN, 0.5, 1.0, SimConfig(n_paths=10), q=-1.0)
 
 
 class TestGtscBenchmark:
