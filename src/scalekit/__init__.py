@@ -9,7 +9,7 @@ against the defining transform identity and Monte Carlo path simulation.
 from .bromwich import (IdentityReport, InversionConfig, invert,
                        laplace_transform_numeric, verify_laplace_identity)
 from .catalog import (CORRECTIONS, CatalogEntry, build_catalog_entry,
-                      catalog_families, w_abate_whitt, w_brownian,
+                      catalog_families, family_parameters, w_abate_whitt, w_brownian,
                       w_cramer_lundberg, w_fixed_jumps, w_pssmp, w_stable,
                       w_stable_drift)
 from .errors import (CapabilityError, ConditioningError, InversionError,
@@ -17,17 +17,18 @@ from .errors import (CapabilityError, ConditioningError, InversionError,
                      SaturationError, ScalekitError)
 from .fluctuation import (ExitProblem, dividend_barrier, dividend_value,
                           mpi1_workload, ruin_probability, two_sided_exit, z_q)
-from .gtsc import (GtscParams, InfinityAsymptote, ScaleFunction, ZeroAsymptote,
+from .gtsc import (GtscParams, InfinityAsymptote, ZeroAsymptote,
                    asymptote_infinity, asymptote_zero, ig_params,
-                   ig_q0_threshold, w0_closed, w0_closed_scale, w_gamma_case,
-                   w_gamma_case_dual, w_gamma_scale, w_ig, w_rational)
+                   ig_q0_threshold, scale_function, w0_closed, w0_closed_scale,
+                   w_gamma_case, w_gamma_case_dual, w_gamma_scale, w_ig, w_rational)
 from .levy import (LadderParams, LaplaceExponent, LevyTriple, PathVariation,
                    VariationReport, big_phi, build_parent, classify_variation,
                    levy_khintchine_exponent, mean_drift)
 from .montecarlo import ExitEstimate, SimConfig, simulate_exit, simulate_ruin
 from .polyfrac import (PartialFraction, RationalAlpha, build_fq,
                        partial_fractions, roots_with_multiplicity)
-from .special import (MLParams, erfc_c, erfcx_scaled, eta, fransen_transform,
+from .scale import ScaleFunction
+from .special import (erfc_c, erfcx_scaled, eta, fransen_transform,
                       mittag_leffler, mittag_leffler_deriv, reg_lower_gamma,
                       upper_gamma)
 

@@ -236,8 +236,10 @@ class IdentityReport:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
-def _panel_integral(f_vals: np.ndarray, lo: float, hi: float) -> float:
-    return 0.5 * (hi - lo) * float(np.dot(_GL_WEIGHTS, f_vals))
+def gauss_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
+    """int_lo^hi f by the 24-node Gauss-Legendre rule; f takes the array of nodes."""
+    mid = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GL_NODES
+    return 0.5 * (hi - lo) * float(np.dot(_GL_WEIGHTS, f(mid)))
 
 
 def _panels(x_max: float, kinks: Sequence[float] = ()) -> list[tuple[float, float]]:
@@ -271,11 +273,13 @@ def laplace_transform_numeric(w: Callable[[float], float], theta: float,
     if rate <= 0:
         raise ParameterError("transform quadrature requires theta > Phi(q)")
     x_max = max(45.0 / rate, 10.0)
+
+    def integrand(x: np.ndarray) -> np.ndarray:
+        return np.array([w(float(xx)) for xx in x]) * np.exp(-theta * x)
+
     total = 0.0
     for lo, hi in _panels(x_max, kinks):
-        mid = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GL_NODES
-        vals = np.array([w(float(xx)) for xx in mid]) * np.exp(-theta * mid)
-        total += _panel_integral(vals, lo, hi)
+        total += gauss_panel(integrand, lo, hi)
     # exponential tail correction with its own size as the uncertainty proxy
     wX = w(x_max)
     tail = wX * math.exp(-theta * x_max) / rate
@@ -284,12 +288,9 @@ def laplace_transform_numeric(w: Callable[[float], float], theta: float,
         # extend until the correction is negligible
         x2 = x_max
         while abs(tail) > rel_tol * abs(total) and x2 < 60.0 * max(1.0, 1.0 / rate):
-            lo, hi = x2, x2 * 1.25
-            mid = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GL_NODES
-            vals = np.array([w(float(xx)) for xx in mid]) * np.exp(-theta * mid)
             total -= tail
-            total += _panel_integral(vals, lo, hi)
-            x2 = hi
+            total += gauss_panel(integrand, x2, x2 * 1.25)
+            x2 *= 1.25
             wX = w(x2)
             tail = wX * math.exp(-theta * x2) / rate
             total += tail

@@ -27,8 +27,8 @@ import numpy as np
 from scipy import special as sps
 
 from .errors import ParameterError
-from .gtsc import ScaleFunction
-from .levy import LaplaceExponent
+from .levy import LaplaceExponent, one_sided_derivative
+from .scale import ScaleFunction
 from .special import mittag_leffler, mittag_leffler_deriv
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "w_abate_whitt",
     "w_pssmp",
     "catalog_families",
+    "family_parameters",
     "build_catalog_entry",
 ]
 
@@ -68,6 +69,8 @@ def w_brownian(sigma: float, mu: float, q: float = 0.0) -> ScaleFunction:
     """W^(q) for psi(theta) = sigma^2 theta^2 / 2 + mu theta."""
     if sigma <= 0:
         raise ParameterError("sigma must be positive")
+    if q < 0:
+        raise ParameterError("q must be nonnegative")
     s2 = sigma * sigma
     disc = mu * mu + 2.0 * q * s2
     rt = math.sqrt(disc)
@@ -109,6 +112,8 @@ def w_stable(beta: float, q: float = 0.0) -> ScaleFunction:
     """
     if not 1.0 < beta <= 2.0:
         raise ParameterError("stable index beta must lie in (1, 2]")
+    if q < 0:
+        raise ParameterError("q must be nonnegative")
 
     def eval_fn(x: float) -> float:
         if x == 0.0:
@@ -116,6 +121,8 @@ def w_stable(beta: float, q: float = 0.0) -> ScaleFunction:
         return beta * x ** (beta - 1.0) * mittag_leffler_deriv(beta, 1.0, 1, q * x ** beta).real
 
     def deriv_fn(x: float) -> float:
+        if x == 0.0 and beta < 2.0:
+            return math.inf
         z = q * x ** beta
         d1 = mittag_leffler_deriv(beta, 1.0, 1, z).real
         d2 = mittag_leffler_deriv(beta, 1.0, 2, z).real
@@ -150,6 +157,8 @@ def w_stable_drift(beta: float, c: float) -> ScaleFunction:
         return (1.0 - mittag_leffler(bm1, 1.0, -c * x ** bm1).real) / c
 
     def deriv_fn(x: float) -> float:
+        if x == 0.0:
+            return math.inf
         z = -c * x ** bm1
         return bm1 * x ** (bm1 - 1.0) * mittag_leffler_deriv(bm1, 1.0, 1, z).real
 
@@ -351,6 +360,8 @@ def w_pssmp(beta: float, conditioned: bool) -> ScaleFunction:
             return (-math.expm1(-x)) ** (beta - 1.0)
 
         def deriv_fn(x: float) -> float:
+            if x == 0.0:
+                return math.inf
             return (beta - 1.0) * (-math.expm1(-x)) ** (beta - 2.0) * math.exp(-x)
 
         def psi_eval(theta):
@@ -363,6 +374,8 @@ def w_pssmp(beta: float, conditioned: bool) -> ScaleFunction:
             return (-math.expm1(-x)) ** (beta - 1.0) * math.exp(x)
 
         def deriv_fn(x: float) -> float:
+            if x == 0.0:
+                return math.inf
             em = -math.expm1(-x)
             return math.exp(x) * em ** (beta - 2.0) * ((beta - 1.0) * math.exp(-x) + em)
 
@@ -372,13 +385,9 @@ def w_pssmp(beta: float, conditioned: bool) -> ScaleFunction:
         phi0 = 1.0
         drift0 = None   # psi'(0+) < 0; obtained by finite differences
 
-    def psi_deriv(theta: float) -> float:
-        h = 1e-6
-        f = [float(np.real(psi_eval(theta + k * h))) for k in range(5)]
-        return (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
-
-    psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv, domain_edge=-math.inf,
-                          descriptor="catalog-family", drift_at_zero=drift0)
+    psi = LaplaceExponent(eval=psi_eval, deriv=lambda th: one_sided_derivative(psi_eval, th),
+                          domain_edge=-math.inf, descriptor="catalog-family",
+                          drift_at_zero=drift0)
     return ScaleFunction(q=0.0, phi_q=phi0, route="catalog", eval_fn=eval_fn,
                          deriv_fn=deriv_fn, psi=psi, value_at_zero=0.0)
 
@@ -426,6 +435,11 @@ _BUILDERS: dict[str, Callable[..., ScaleFunction]] = {
 
 def catalog_families() -> list[str]:
     return sorted(_BUILDERS)
+
+
+def family_parameters(family: str) -> tuple[str, ...]:
+    """Names of the parameters ``build_catalog_entry`` takes for a family."""
+    return tuple(_DEFAULTS.get(family, ()))
 
 
 def build_catalog_entry(family: str, **overrides) -> CatalogEntry:

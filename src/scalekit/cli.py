@@ -23,15 +23,14 @@ from fractions import Fraction
 import numpy as np
 
 from .bromwich import invert, verify_laplace_identity
-from .catalog import build_catalog_entry, catalog_families
+from .catalog import build_catalog_entry, catalog_families, family_parameters
 from .errors import ParameterError, ScalekitError
 from .fluctuation import (ExitProblem, dividend_barrier, dividend_value,
                           mpi1_workload, ruin_probability, two_sided_exit, z_q)
-from .gtsc import (GtscParams, ScaleFunction, asymptote_infinity,
-                   w_gamma_scale, w_ig, w_rational, w0_closed_scale)
-from .levy import big_phi
+from .gtsc import GtscParams, asymptote_infinity, scale_function, w_rational
 from .montecarlo import SimConfig, simulate_exit
 from .polyfrac import RationalAlpha
+from .scale import ScaleFunction
 
 __all__ = ["main", "CaseSpec", "CASES"]
 
@@ -62,90 +61,32 @@ CASES = {
 }
 
 
-def _parse_alpha(text: str) -> Fraction:
-    return Fraction(text)
+def _parse_alpha(text: str) -> float:
+    try:
+        return float(Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ParameterError(f"alpha must be a fraction or a decimal, got {text!r}") from exc
 
 
 def _gtsc_from_args(args) -> GtscParams:
-    return GtscParams(alpha=float(_parse_alpha(args.alpha)), gamma=args.gamma,
+    return GtscParams(alpha=_parse_alpha(args.alpha), gamma=args.gamma,
                       c=args.c, zeta=args.zeta, kappa=args.kappa,
                       varphi=args.varphi)
 
 
 def _build_scale(args) -> ScaleFunction:
     model = args.model
-    q = args.q
     if model.startswith("catalog:"):
         family = model.split(":", 1)[1]
-        overrides = {}
-        if family in ("brownian",):
-            overrides = {"sigma": args.sigma, "mu": args.mu, "q": q}
-        elif family == "stable":
-            overrides = {"beta": args.beta, "q": q}
-        elif family == "stable_drift":
-            overrides = {"beta": args.beta, "c": args.c}
-        elif family == "cramer_lundberg":
-            overrides = {"ccoef": args.ccoef, "lam": args.lam, "mu": args.mu}
-        elif family == "fixed_jumps":
-            overrides = {"ccoef": args.ccoef, "lam": args.lam, "jump": args.jump}
-        elif family == "abate_whitt":
-            overrides = {"lam": args.lam, "mu": args.mu}
-        elif family.startswith("pssmp"):
-            overrides = {"beta": args.beta}
+        overrides = {name: getattr(args, name, None) for name in family_parameters(family)}
         entry = build_catalog_entry(family, **{k: v for k, v in overrides.items()
                                                if v is not None})
-        if q > 0 and entry.scale.q == 0.0 and family not in ("brownian", "stable"):
+        if entry.scale.q != args.q:
             raise ParameterError(f"family '{family}' provides the q = 0 scale function only")
         return entry.scale
     if model != "gtsc":
         raise ParameterError("model must be 'gtsc' or 'catalog:<family>'")
-    params = _gtsc_from_args(args)
-    return _route_scale(params, args.alpha, q, args.route)
-
-
-def _route_scale(params: GtscParams, alpha_text: str, q: float, route: str) -> ScaleFunction:
-    a = params.alpha
-    standing_ig = (a == 0.5 and params.kappa == 0.0 and params.varphi == 0.0
-                   and params.zeta == 0.0)
-    if route == "auto":
-        if standing_ig:
-            route = "ig"
-        elif a == 0.0:
-            route = "closed"
-        else:
-            try:
-                frac = _parse_alpha(alpha_text) if isinstance(alpha_text, str) \
-                    else Fraction(a).limit_denominator(10 ** 6)
-                route = "rational" if frac.denominator <= 12 else "bromwich"
-            except (ValueError, ZeroDivisionError):
-                route = "bromwich"
-    if route == "rational":
-        frac = _parse_alpha(alpha_text) if isinstance(alpha_text, str) else Fraction(a)
-        return w_rational(params, RationalAlpha(frac.numerator, frac.denominator), q)
-    if route == "ig":
-        if not standing_ig:
-            raise ParameterError("the ig route requires alpha=1/2 and kappa=varphi=zeta=0")
-        gamma_ig = math.sqrt(2.0 * params.gamma)
-        delta = params.c * math.sqrt(2.0 * math.pi)
-        return w_ig(delta, gamma_ig, q)
-    if route == "closed":
-        if a == 0.0:
-            if q != 0.0 or params.kappa or params.zeta or params.varphi:
-                raise ParameterError("alpha = 0 supports only q=0, kappa=zeta=varphi=0")
-            return w_gamma_scale(params.c, params.gamma)
-        if q != 0.0 or params.zeta != 0.0:
-            raise ParameterError("the closed route requires q = 0 and zeta = 0")
-        return w0_closed_scale(params)
-    if route == "bromwich":
-        psi = params.exponent()
-        phi_q = big_phi(psi, q)
-
-        def eval_fn(x: float) -> float:
-            return invert(psi, q, x)[0] if x > 0 else 0.0
-
-        return ScaleFunction(q=q, phi_q=phi_q, route="bromwich", eval_fn=eval_fn,
-                             psi=psi, value_at_zero=None)
-    raise ParameterError(f"unknown route '{route}'")
+    return scale_function(_gtsc_from_args(args), args.q, args.route)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from .bromwich import gauss_panel
 from .errors import NotApplicableError, ParameterError
-from .gtsc import ScaleFunction
 from .levy import LaplaceExponent, mean_drift
+from .scale import ScaleFunction
 
 __all__ = [
     "ExitProblem",
@@ -82,9 +83,6 @@ def mpi1_workload(scale: ScaleFunction, psi: LaplaceExponent):
 # integrated scale function
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-
-
 def z_q(scale: ScaleFunction, x: float) -> float:
     """Z^(q)(x) = 1 + q int_0^x W^(q)(y) dy."""
     if x <= 0 or scale.q == 0.0:
@@ -96,12 +94,8 @@ def z_q(scale: ScaleFunction, x: float) -> float:
         edges.append(e)
         e *= 2.0
     edges.append(x)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi <= lo:
-            continue
-        mid = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GL_NODES
-        total += 0.5 * (hi - lo) * float(np.dot(_GL_WEIGHTS, scale.eval(mid)))
+    total = sum(gauss_panel(scale.eval, lo, hi)
+                for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo)
     return 1.0 + scale.q * total
 
 

@@ -9,7 +9,7 @@ subordinator with drift: exponent
 and the parent process has psi(theta) = (theta - varphi) * phi(theta) with
 kappa*varphi = 0.
 
-Evaluation routes for W^(q):
+Evaluation routes for W^(q) (``scale_function`` picks one, or Bromwich inversion):
 
 * ``w_rational``   -- alpha = m/n: partial fractions of z^{m_-}/f_q(z) and
   tilted Mittag-Leffler derivatives; near zero the equivalent convergent
@@ -29,21 +29,24 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 from scipy import special as sps
 from scipy.integrate import quad
 
+from .bromwich import invert
 from .errors import CapabilityError, NumericalError, ParameterError
 from .levy import LadderParams, LaplaceExponent, big_phi
 from .polyfrac import RationalAlpha, build_fq, partial_fractions, roots_with_multiplicity
+from .scale import ScaleFunction
 from .special import (erfcx_scaled, fransen_transform, mittag_leffler,
-                      mittag_leffler_deriv, reg_lower_gamma, upper_gamma)
+                      mittag_leffler_deriv, reg_lower_gamma, series_reciprocal, upper_gamma)
 
 __all__ = [
     "GtscParams",
-    "ScaleFunction",
+    "scale_function",
     "ZeroAsymptote",
     "InfinityAsymptote",
     "w_rational",
@@ -177,80 +180,6 @@ def _clog(v):
 
 
 # ---------------------------------------------------------------------------
-# the scale function object
-# ---------------------------------------------------------------------------
-
-class ScaleFunction:
-    """Evaluable q-scale function W^(q) with provenance.
-
-    ``eval`` returns W^(q)(x) (0 for x < 0, the right limit at 0);
-    ``eval_deriv`` the derivative on (0, inf).  Both take a number or an
-    array.  A route that supplies ``pair_fn(x, deriv)`` -- W, and W' when
-    deriv is set, on an array of x >= 0 -- has arrays evaluated by it in one
-    pass; other routes loop over the points.  Instances are immutable apart
-    from an internal memo of scalar values and safe to share.
-    """
-
-    def __init__(self, q: float, phi_q: float, route: str,
-                 eval_fn: Callable[[float], float],
-                 deriv_fn: Optional[Callable[[float], float]] = None,
-                 psi: Optional[LaplaceExponent] = None,
-                 value_at_zero: Optional[float] = None,
-                 pair_fn: Optional[Callable[[np.ndarray, bool], tuple]] = None):
-        self.q = q
-        self.phi_q = phi_q
-        self.route = route
-        self.psi = psi
-        self._eval_fn = eval_fn
-        self._deriv_fn = deriv_fn
-        self._value_at_zero = value_at_zero
-        self._pair_fn = pair_fn
-        self._memo: dict[float, float] = {}
-
-    def _array_pair(self, x, deriv: bool):
-        x = np.asarray(x, dtype=float)
-        w = np.zeros(x.shape)
-        wp = np.zeros(x.shape)
-        on = ~(x < 0.0)             # NaN goes on to the route, which rejects it
-        w[on], d = self._pair_fn(x[on], deriv)
-        if deriv:
-            wp[on] = d
-        return w, wp
-
-    def eval(self, x):
-        if np.ndim(x) > 0:
-            if self._pair_fn is not None:
-                return self._array_pair(x, False)[0]
-            return np.array([self.eval(float(v)) for v in np.asarray(x).ravel()]).reshape(np.shape(x))
-        x = float(x)
-        if x < 0.0:
-            return 0.0
-        if x == 0.0 and self._value_at_zero is not None:
-            return self._value_at_zero
-        got = self._memo.get(x)
-        if got is None:
-            got = self._eval_fn(x)
-            if len(self._memo) < 200_000:
-                self._memo[x] = got
-        return got
-
-    __call__ = eval
-
-    def eval_deriv(self, x):
-        if np.ndim(x) > 0:
-            if self._pair_fn is not None:
-                return self._array_pair(x, True)[1]
-            return np.array([self.eval_deriv(float(v)) for v in np.asarray(x).ravel()]).reshape(np.shape(x))
-        x = float(x)
-        if x < 0.0:
-            return 0.0
-        if self._deriv_fn is not None:
-            return self._deriv_fn(x)
-        h = max(1e-6, 1e-7 * x)
-        return (self.eval(x + h) - self.eval(max(x - h, 0.0))) / (h + min(h, x))
-
-
-# ---------------------------------------------------------------------------
 # rational-alpha route
 # ---------------------------------------------------------------------------
 
@@ -367,8 +296,6 @@ def w_rational(params: GtscParams, alpha: Optional[RationalAlpha] = None,
 
 
 def _to_fraction(alpha: float):
-    from fractions import Fraction
-
     fr = Fraction(alpha).limit_denominator(1_000_000)
     if abs(float(fr) - alpha) > 1e-12:
         raise CapabilityError("alpha is not recognizably rational; use the bromwich route")
@@ -377,26 +304,11 @@ def _to_fraction(alpha: float):
 
 def _inverse_expansion(fq: np.ndarray, m_minus: int, nterms: int) -> np.ndarray:
     """Coefficients b with z^{m_-}/f_q(z) = sum_{i>=1} b_i z^{-i} for large z."""
-    coeffs = np.asarray(fq, dtype=float)
-    D = coeffs.size - 1
-    lead = coeffs[-1]
-    # e_j recursion for 1/(1 + sum_{l>=1} (d_l/d0) z^{-l}), d_l = c_{D-l}/lead
-    L = nterms
-    e = np.zeros(L)
-    e[0] = 1.0
-    dd = np.zeros(min(D, L - 1) + 1)
-    for l in range(1, dd.size):
-        dd[l] = coeffs[D - l] / lead
-    for j in range(1, L):
-        acc = 0.0
-        for l in range(1, min(j, dd.size - 1) + 1):
-            acc += dd[l] * e[j - l]
-        e[j] = -acc
-    b = np.zeros(L + D - m_minus + 1)
-    for j in range(L):
-        i = D - m_minus + j
-        if i < b.size:
-            b[i] = e[j] / lead
+    # 1/f_q(z) = z^{-D}/lead * sum_j e_j z^{-j}, e the reciprocal of the reversed, monic f_q
+    D = fq.size - 1
+    e = series_reciprocal((fq[::-1] / fq[-1]).tolist(), nterms)
+    b = np.zeros(nterms + D - m_minus + 1)
+    b[D - m_minus:D - m_minus + nterms] = np.asarray(e) / fq[-1]
     return b
 
 
@@ -686,3 +598,60 @@ def asymptote_infinity(params: GtscParams, q: float = 0.0) -> InfinityAsymptote:
         return InfinityAsymptote(regime="exponential", constant=1.0 / denom, rate=varphi)
     slope = 1.0 / params.ladder_exponent_deriv(0.0)
     return InfinityAsymptote(regime="linear", constant=slope, rate=0.0)
+
+
+# ---------------------------------------------------------------------------
+# route selection
+# ---------------------------------------------------------------------------
+
+def scale_function(params: GtscParams, q: float = 0.0, route: str = "auto") -> ScaleFunction:
+    """W^(q) of a GTSC parameter set by the named route.
+
+    ``auto`` takes the first that applies: the IG erfc forms (alpha = 1/2,
+    kappa = zeta = varphi = 0), the gamma ladder (alpha = 0,
+    q = kappa = zeta = varphi = 0), the rational Mittag-Leffler route
+    (alpha = m/n with 0 < |m| < n <= 12), and Bromwich inversion otherwise.
+    ``rational``, ``closed``, ``ig`` and ``bromwich`` name a route directly
+    and raise ParameterError where it does not apply (CapabilityError for
+    ``rational`` with n > 12).
+    """
+    a = params.alpha
+    plain = params.kappa == 0.0 and params.varphi == 0.0 and params.zeta == 0.0
+    standing_ig = a == 0.5 and plain
+    if route == "auto":
+        if standing_ig:
+            route = "ig"
+        elif a == 0.0 and q == 0.0 and plain:
+            route = "closed"
+        elif _small_rational(a):
+            route = "rational"
+        else:
+            route = "bromwich"
+    if route == "rational":
+        return w_rational(params, None, q)
+    if route == "ig":
+        if not standing_ig:
+            raise ParameterError("the ig route requires alpha=1/2 and kappa=varphi=zeta=0")
+        return w_ig(params.c * math.sqrt(2.0 * math.pi), math.sqrt(2.0 * params.gamma), q)
+    if route == "closed":
+        if a == 0.0:
+            if q != 0.0 or not plain:
+                raise ParameterError("alpha = 0 supports only q=0, kappa=zeta=varphi=0")
+            return w_gamma_scale(params.c, params.gamma)
+        if q != 0.0 or params.zeta != 0.0:
+            raise ParameterError("the closed route requires q = 0 and zeta = 0")
+        return w0_closed_scale(params)
+    if route == "bromwich":
+        psi = params.exponent()
+        return ScaleFunction(q=q, phi_q=big_phi(psi, q), route="bromwich", psi=psi,
+                             eval_fn=lambda x: invert(psi, q, x)[0] if x > 0 else 0.0)
+    raise ParameterError(f"unknown route '{route}'")
+
+
+def _small_rational(alpha: float) -> bool:
+    """alpha = m/n with 0 < |m| < n <= 12, the domain of the rational route."""
+    try:
+        frac = _to_fraction(alpha)
+    except CapabilityError:
+        return False
+    return 0 < abs(frac.numerator) < frac.denominator <= 12

@@ -168,15 +168,19 @@ def big_phi(psi: LaplaceExponent, q: float) -> float:
 def mean_drift(psi: LaplaceExponent) -> float:
     """psi'(0+), the mean of X_1.
 
-    Closed form when the family provides one, otherwise a one-sided
-    four-point finite difference with step 1e-6 (avoids cancellation at the
-    domain edge).
+    Closed form when the family provides one, otherwise
+    ``one_sided_derivative`` at 0, which stays right of the domain edge.
     """
     if psi.drift_at_zero is not None:
         return psi.drift_at_zero
+    return one_sided_derivative(psi.eval, 0.0)
+
+
+def one_sided_derivative(f, theta: float) -> float:
+    """Re f'(theta) by the five-point forward difference, step 1e-6 (none left of theta)."""
     h = 1e-6
-    f = [float(np.real(psi.eval(k * h))) for k in range(5)]
-    return (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
+    v = [float(np.real(f(theta + k * h))) for k in range(5)]
+    return (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / (12.0 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +215,7 @@ def build_parent(ladder: LadderParams, varphi: float) -> tuple[LevyTriple, Lapla
         drift0 = float(np.real(phi_l(0.0))) - varphi * phi_d(0.0)
     else:
         def psi_deriv(theta: float) -> float:
-            h = 1e-6
-            f = [float(np.real(psi_eval(theta + k * h))) for k in range(5)]
-            return (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
+            return one_sided_derivative(psi_eval, theta)
 
         drift0 = None
 

@@ -27,6 +27,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy import special as sps
 
 from .errors import ConditioningError, NumericalError, ParameterError
+from .special import series_product, series_reciprocal
 
 __all__ = [
     "RationalAlpha",
@@ -85,7 +86,6 @@ class PartialFraction:
     coeffs: tuple            # coeffs[k][j] = A_kj, j = 0..mult_k-1
     poly: tuple              # ascending coefficients of f_q
     m_minus: int
-    largest_real_root_index: int = 0
 
     def reconstruct(self, z: complex) -> complex:
         out = 0.0j
@@ -126,25 +126,13 @@ def build_fq(params, alpha: RationalAlpha, q: float) -> np.ndarray:
     fq = np.asarray(np.trim_zeros(fq, "b"), dtype=float)
 
     # the defining identity pins the construction down
-    psi = _psi_from_params(params)
+    psi = params.exponent().eval
     for z in (0.57, 1.31, 2.03):
         lhs = npoly.polyval(z, fq)
         rhs = z ** m_minus * (psi(z ** n - gamma) - q)
         if abs(lhs - rhs) > 1e-9 * (1.0 + abs(rhs)):
             raise NumericalError("f_q identity check failed; inconsistent parameters")
     return fq
-
-
-def _psi_from_params(params):
-    gamma, c, zeta = params.gamma, params.c, params.zeta
-    kappa, varphi, alpha = params.kappa, params.varphi, params.alpha
-    ga = sps.gamma(-alpha)
-
-    def psi(theta):
-        phi_l = kappa + zeta * theta + c * ga * (gamma ** alpha - (gamma + theta) ** alpha)
-        return (theta - varphi) * phi_l
-
-    return psi
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +351,13 @@ def partial_fractions(poly, m_minus: int, roots=None, mults=None) -> PartialFrac
         # deflate the cluster and expand locally
         h = coeffs.copy()
         for _ in range(mu):
-            h = _synthetic_division(h, r)
+            h = _divide_once(h, r)[1]       # the remainder is near zero
         order = int(mu)
         h_taylor = _taylor_coeffs(h, r, order)
-        num_taylor = np.array([_binom(m_minus, i) * r ** (m_minus - i) if i <= m_minus else 0.0
+        num_taylor = np.array([math.comb(m_minus, i) * r ** (m_minus - i) if i <= m_minus else 0.0
                                for i in range(order)], dtype=complex)
-        inv_h = _series_reciprocal(h_taylor, order)
-        c = _series_product(num_taylor, inv_h, order)
+        inv_h = series_reciprocal(h_taylor, order)
+        c = series_product(num_taylor, inv_h, order)
         rows.append(tuple(c[mu - 1 - j] for j in range(mu)))
 
     pf = PartialFraction(roots=tuple(roots), multiplicities=tuple(int(m) for m in mults),
@@ -414,12 +402,6 @@ def _divide_once(coeffs: np.ndarray, r: complex):
     return rem, q
 
 
-def _synthetic_division(coeffs: np.ndarray, r: complex) -> np.ndarray:
-    """Quotient by (z - r), discarding the (near-zero) remainder."""
-    _, q = _divide_once(np.asarray(coeffs, dtype=complex), r)
-    return q
-
-
 def _taylor_coeffs(coeffs: np.ndarray, r: complex, order: int) -> np.ndarray:
     """First ``order`` Taylor coefficients of the polynomial at z = r."""
     work = np.asarray(coeffs, dtype=complex).copy()
@@ -431,28 +413,3 @@ def _taylor_coeffs(coeffs: np.ndarray, r: complex, order: int) -> np.ndarray:
             break
     return out
 
-
-def _series_reciprocal(u: np.ndarray, order: int) -> np.ndarray:
-    if u[0] == 0:
-        raise ConditioningError("deflated polynomial vanishes at the cluster center")
-    out = np.zeros(order, dtype=complex)
-    out[0] = 1.0 / u[0]
-    for i in range(1, order):
-        acc = 0.0j
-        for j in range(1, min(i, u.size - 1) + 1):
-            acc += u[j] * out[i - j]
-        out[i] = -acc / u[0]
-    return out
-
-
-def _series_product(u: np.ndarray, v: np.ndarray, order: int) -> np.ndarray:
-    out = np.zeros(order, dtype=complex)
-    for i in range(order):
-        for j in range(order - i):
-            if i < u.size and j < v.size:
-                out[i + j] += u[i] * v[j]
-    return out
-
-
-def _binom(nn: int, kk: int) -> float:
-    return float(math.comb(nn, kk)) if 0 <= kk <= nn else 0.0

@@ -24,16 +24,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import special as sps
 
-from .errors import CapabilityError, NumericalError, ParameterError, SaturationError
+from .errors import (CapabilityError, ConditioningError, NumericalError, ParameterError,
+                     SaturationError)
 
 __all__ = [
-    "MLParams",
     "mittag_leffler",
     "mittag_leffler_deriv",
     "erfc_c",
@@ -49,21 +48,6 @@ _SERIES_GUARD = 1.0e3          # max |term| / |sum| tolerated before rejecting
 _SERIES_KMAX = 120_000
 _SERIES_CHUNK = 512            # series terms per block pass
 _N_CAP = 1200                  # max quadrature nodes per contour half
-
-
-@dataclass(frozen=True)
-class MLParams:
-    """Parameters of a Mittag-Leffler evaluation request."""
-
-    a: float
-    b: float
-    deriv_order: int = 0
-
-    def __post_init__(self):
-        if not self.a > 0:
-            raise ParameterError(f"Mittag-Leffler index a must be positive, got {self.a}")
-        if self.deriv_order < 0:
-            raise ParameterError("derivative order must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +226,17 @@ def _residue_at_pole(a: float, bp: float, g: int, z: complex, s: complex) -> com
     # h^g
     hg = [1.0 + 0.0j] + [0.0j] * (G - 1)
     for _ in range(g):
-        hg = _series_mul(hg, h, G)
-    inv_hg = _series_inv(hg, G)
+        hg = series_product(hg, h, G)
+    inv_hg = series_reciprocal(hg, G)
     w = a * g - bp
     spow = [binom(w, i) * s ** (w - i) for i in range(G)]
     expser = [cmath.exp(s) / math.factorial(i) for i in range(G)]
-    prod = _series_mul(_series_mul(expser, spow, G), inv_hg, G)
+    prod = series_product(series_product(expser, spow, G), inv_hg, G)
     return prod[G - 1]
 
 
-def _series_mul(u, v, order):
+def series_product(u, v, order):
+    """First ``order`` coefficients of the product of two power series."""
     out = [0.0j] * order
     for i in range(order):
         if u[i] == 0:
@@ -261,13 +246,14 @@ def _series_mul(u, v, order):
     return out
 
 
-def _series_inv(u, order):
+def series_reciprocal(u, order):
+    """First ``order`` coefficients of 1/u for a power series u (u[0] != 0, may be short)."""
     if u[0] == 0:
-        raise NumericalError("series inversion with vanishing leading coefficient")
-    out = [1.0 / u[0]] + [0.0j] * (order - 1)
+        raise ConditioningError("series reciprocal with vanishing leading coefficient")
+    out = [1.0 / u[0]] + [0.0] * (order - 1)
     for i in range(1, order):
-        acc = 0.0j
-        for j in range(1, i + 1):
+        acc = 0.0
+        for j in range(1, min(i, len(u) - 1) + 1):
             acc += u[j] * out[i - j]
         out[i] = -acc / u[0]
     return out

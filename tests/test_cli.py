@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from scalekit.catalog import catalog_families
 from scalekit.cli import CASES, main
 
 
@@ -45,6 +46,24 @@ class TestEval:
         code, _ = run_cli(["eval", "--model", "gtsc", "--kappa", "1",
                            "--varphi", "1"])
         assert code == 2
+
+    @pytest.mark.parametrize("family", catalog_families())
+    def test_catalog_default_grid(self, family):
+        # the default grid starts at x = 0, where W'(0+) may be infinite
+        code, out = run_cli(["eval", "--model", f"catalog:{family}"])
+        assert code == 0
+        rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+        assert len(rows) == 101
+        assert all(math.isfinite(float(row[1])) for row in rows)
+
+    def test_alpha_zero_q1_auto_matches_bromwich(self):
+        common = ["--alpha", "0", "--q", "1", "--x-min", "0.5", "--x-max", "2",
+                  "--points", "3"]
+        code_a, out_a = run_cli(["eval"] + common)
+        code_b, out_b = run_cli(["eval", "--route", "bromwich"] + common)
+        assert code_a == 0 and code_b == 0
+        assert out_a == out_b
+        assert all(math.isfinite(float(ln.split(",")[1])) for ln in out_a.splitlines()[1:])
 
     def test_rational_route_selected(self):
         code, out = run_cli(["eval", "--model", "gtsc", "--alpha", "1/3",
@@ -202,4 +221,18 @@ class TestApps:
 class TestParser:
     def test_unknown_case(self):
         code, _ = run_cli(["apps", "--compute", "ruin", "--case", "Z"])
+        assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--alpha", "abc"],
+        ["--alpha", "1/0"],
+        ["--alpha", "1e400"],
+        ["--model", "catalog:brownian", "--q", "-1"],
+        ["--model", "catalog:stable", "--q", "-1"],
+        ["--model", "catalog:cramer_lundberg", "--q", "-1"],
+        ["--model", "catalog:cramer_lundberg", "--q", "1"],
+        ["--model", "catalog:nope"],
+    ])
+    def test_outside_input_exits_2(self, argv):
+        code, _ = run_cli(["eval", "--points", "3"] + argv)
         assert code == 2

@@ -9,7 +9,7 @@ from scipy import special as sps
 from scalekit.bromwich import verify_laplace_identity
 from scalekit.errors import ParameterError
 from scalekit.gtsc import (GtscParams, asymptote_infinity, asymptote_zero,
-                           ig_params, ig_q0_threshold, w0_closed,
+                           ig_params, ig_q0_threshold, scale_function, w0_closed,
                            w0_closed_scale, w_gamma_case, w_gamma_case_dual,
                            w_gamma_scale, w_ig, w_rational)
 from scalekit.polyfrac import RationalAlpha
@@ -353,3 +353,40 @@ class TestShape:
         flips = np.flatnonzero(np.diff(nz) != 0)
         assert len(flips) == 1
         assert nz[0] < 0 and nz[-1] > 0   # concave then convex
+
+
+class TestRouteSelection:
+    @pytest.mark.parametrize("alpha,extra,q,route", [
+        (0.5, {}, 0.0, "ig"),
+        (0.5, {}, 1.0, "ig"),
+        (0.5, {"kappa": 1.0}, 0.0, "rational-ML"),
+        (0.0, {}, 0.0, "gamma-case"),
+        (0.0, {}, 1.0, "bromwich"),
+        (0.0, {"kappa": 1.0}, 0.0, "bromwich"),
+        (0.0, {"zeta": 1.0}, 0.0, "bromwich"),
+        (0.0, {"varphi": 1.0}, 0.0, "bromwich"),
+        (1.0 / 3.0, {}, 1.0, "rational-ML"),
+        (-2.0 / 3.0, {"varphi": 1.0}, 0.0, "rational-ML"),
+        (5.0 / 12.0, {}, 0.0, "rational-ML"),
+        (1.0 / 13.0, {}, 0.0, "bromwich"),
+        (1.0 / math.sqrt(2.0), {}, 0.0, "bromwich"),
+        (-1.0, {}, 0.0, "bromwich"),
+    ])
+    def test_auto_route_table(self, alpha, extra, q, route):
+        params = GtscParams(alpha=alpha, gamma=1.0, c=1.0, **extra)
+        assert scale_function(params, q).route == route
+
+    @pytest.mark.parametrize("alpha,q,route", [
+        (0.0, 0.0, "rational"), (-1.0, 0.0, "rational"), (0.0, 1.0, "closed"),
+        (1.0 / 3.0, 1.0, "closed"), (1.0 / 3.0, 0.0, "ig"), (0.5, 0.0, "talbot"),
+    ])
+    def test_explicit_route_keeps_its_parameter_error(self, alpha, q, route):
+        with pytest.raises(ParameterError):
+            scale_function(GtscParams(alpha=alpha, gamma=1.0, c=1.0), q, route)
+
+    def test_alpha_minus_one_is_one_plus_x(self):
+        # psi(theta) = theta^2/(1 + theta) at c = gamma = 1, so W(x) = 1 + x
+        scale = scale_function(GtscParams(alpha=-1.0, gamma=1.0, c=1.0))
+        xs = np.array([0.05, 0.5, 1.0, 3.0, 10.0])
+        assert np.allclose(scale.eval(xs), 1.0 + xs, rtol=1e-8, atol=0.0)
+

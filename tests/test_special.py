@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from scipy import special as sps
 
 from scalekit.errors import ParameterError, SaturationError
-from scalekit.special import (MLParams, erfc_c, erfcx_scaled, eta,
-                              fransen_transform, mittag_leffler,
-                              mittag_leffler_deriv, reg_lower_gamma, upper_gamma)
+from scalekit.special import (erfc_c, erfcx_scaled, eta, fransen_transform,
+                              mittag_leffler, mittag_leffler_deriv, reg_lower_gamma,
+                              upper_gamma)
 from scalekit.special import (_lower_gamma_series, _mp_series, _series_block,
                               _series_table, _upper_gamma_cf)
 
@@ -87,7 +87,9 @@ class TestMittagLeffler:
         with pytest.raises(ParameterError):
             mittag_leffler(-0.5, 1.0, 1.0)
         with pytest.raises(ParameterError):
-            MLParams(a=0.0, b=1.0)
+            mittag_leffler_deriv(0.0, 1.0, 1, 1.0)
+        with pytest.raises(ParameterError):
+            mittag_leffler_deriv(0.5, 1.0, -1, 1.0)
 
     def test_transform_pair_normalization(self):
         # quadrature of (1/j!) x^{(j+1)a-1} E^{(j)}_{a,a}(r x^a) e^{-theta x}
