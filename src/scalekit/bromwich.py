@@ -49,13 +49,10 @@ __all__ = [
 class InversionConfig:
     contour: str = "hyperbola"               # or "shifted-line" (reference oracle)
     r: Optional[float] = None                # line only: abscissa; default Phi(q)+max(1, Phi(q)/2)
-    integrability: str = "auto"              # line only: lebesgue | principal-value | auto
 
     def __post_init__(self):
         if self.contour not in ("hyperbola", "shifted-line"):
             raise ParameterError("contour must be 'hyperbola' or 'shifted-line'")
-        if self.integrability not in ("auto", "lebesgue", "principal-value"):
-            raise ParameterError("integrability must be auto, lebesgue or principal-value")
 
 
 def classify_integrability(psi: LaplaceExponent, q: float, probe_r: float) -> str:
@@ -84,10 +81,7 @@ def invert(psi: LaplaceExponent, q: float, x: float,
     r = cfg.r if cfg.r is not None else phi_q + max(1.0, 0.5 * phi_q)
     if r <= phi_q:
         raise ParameterError("abscissa r must exceed Phi(q)")
-    mode = cfg.integrability
-    if mode == "auto":
-        mode = classify_integrability(psi, q, r)
-    return _invert_line(psi, q, x, r, phi_q, mode)
+    return _invert_line(psi, q, x, r, phi_q, classify_integrability(psi, q, r))
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +230,13 @@ class IdentityReport:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
+def _gauss_nodes(lo: float, hi: float) -> np.ndarray:
+    return 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GL_NODES
+
+
 def gauss_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
     """int_lo^hi f by the 24-node Gauss-Legendre rule; f takes the array of nodes."""
-    mid = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GL_NODES
-    return 0.5 * (hi - lo) * float(np.dot(_GL_WEIGHTS, f(mid)))
+    return 0.5 * (hi - lo) * float(np.dot(_GL_WEIGHTS, f(_gauss_nodes(lo, hi))))
 
 
 def _panels(x_max: float, kinks: Sequence[float] = ()) -> list[tuple[float, float]]:
@@ -261,57 +258,69 @@ def _panels(x_max: float, kinks: Sequence[float] = ()) -> list[tuple[float, floa
     return [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
-def laplace_transform_numeric(w: Callable[[float], float], theta: float,
-                              phi_q: float, kinks: Sequence[float] = (),
-                              rel_tol: float = 1e-8) -> float:
-    """int_0^inf exp(-theta x) w(x) dx by graded-panel quadrature.
+_TAIL_TOL = 1e-8     # the tail is extended until its correction is this small
 
-    Requires theta > phi_q; beyond the truncation point the integrand is
-    extended by the exponential profile w ~ w(X) e^{phi_q (x - X)}.
+
+def laplace_transform_numeric(w: Callable[[np.ndarray], np.ndarray], thetas: Sequence[float],
+                              phi_q: float, kinks: Sequence[float] = ()) -> list[float]:
+    """int_0^inf exp(-theta x) w(x) dx for each theta, by graded-panel quadrature.
+
+    w maps an array of x to W.  It is called once on the union of the panel
+    nodes of all thetas, which share their panels below the shortest
+    truncation point.  Requires theta > phi_q; beyond the truncation point
+    the integrand is extended by the exponential profile
+    w ~ w(X) e^{phi_q (x - X)}.
     """
-    rate = theta - phi_q
-    if rate <= 0:
+    rates = [theta - phi_q for theta in thetas]
+    if any(rate <= 0 for rate in rates):
         raise ParameterError("transform quadrature requires theta > Phi(q)")
-    x_max = max(45.0 / rate, 10.0)
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return np.array([w(float(xx)) for xx in x]) * np.exp(-theta * x)
-
-    total = 0.0
-    for lo, hi in _panels(x_max, kinks):
-        total += gauss_panel(integrand, lo, hi)
-    # exponential tail correction with its own size as the uncertainty proxy
-    wX = w(x_max)
-    tail = wX * math.exp(-theta * x_max) / rate
-    total += tail
-    if abs(tail) > rel_tol * abs(total):
+    x_maxes = [max(45.0 / rate, 10.0) for rate in rates]
+    panels = [_panels(x_max, kinks) for x_max in x_maxes]
+    nodes = [np.array([_gauss_nodes(lo, hi) for lo, hi in p]) for p in panels]
+    xs, back = np.unique(np.concatenate([n.ravel() for n in nodes] + [x_maxes]),
+                         return_inverse=True)
+    values = w(xs)[back]
+    out = []
+    start = 0
+    for theta, rate, x_max, w_max, p, n in zip(thetas, rates, x_maxes,
+                                               values[-len(x_maxes):], panels, nodes):
+        wn = values[start:start + n.size].reshape(n.shape)
+        start += n.size
+        total = 0.0
+        for (lo, hi), wi in zip(p, wn):
+            total += gauss_panel(lambda x, wi=wi: wi * np.exp(-theta * x), lo, hi)
+        # exponential tail correction with its own size as the uncertainty proxy
+        tail = float(w_max) * math.exp(-theta * x_max) / rate
+        total += tail
         # extend until the correction is negligible
         x2 = x_max
-        while abs(tail) > rel_tol * abs(total) and x2 < 60.0 * max(1.0, 1.0 / rate):
+        while abs(tail) > _TAIL_TOL * abs(total) and x2 < 60.0 * max(1.0, 1.0 / rate):
             total -= tail
-            total += gauss_panel(integrand, x2, x2 * 1.25)
+            total += gauss_panel(lambda x: w(x) * np.exp(-theta * x), x2, x2 * 1.25)
             x2 *= 1.25
-            wX = w(x2)
-            tail = wX * math.exp(-theta * x2) / rate
+            tail = float(w(np.array([x2]))[0]) * math.exp(-theta * x2) / rate
             total += tail
-    return total
+        out.append(total)
+    return out
 
 
 def verify_laplace_identity(scale, psi: LaplaceExponent, thetas: Sequence[float],
                             kinks: Sequence[float] = ()) -> IdentityReport:
-    """Relative errors of the forward quadrature of W against 1/(psi - q)."""
-    q = scale.q
-    errs = []
-    flags = []
+    """Relative errors of the forward quadrature of W against 1/(psi - q).
+
+    W is evaluated once for all thetas, so a ScalekitError raised there (a
+    quadrature stagnation, say) flags every theta and makes a partial report.
+    """
     for th in thetas:
         if th <= scale.phi_q:
             raise ParameterError(f"theta = {th} must exceed Phi(q) = {scale.phi_q}")
-        target = 1.0 / (float(np.real(psi.eval(th))) - q)
-        try:
-            got = laplace_transform_numeric(scale.eval, th, scale.phi_q, kinks=kinks)
-            errs.append(abs(got - target) / abs(target))
-        except ScalekitError as exc:   # quadrature stagnation -> partial report
-            errs.append(math.inf)
-            flags.append(f"theta={th}: {exc}")
+    try:
+        got = laplace_transform_numeric(scale.eval, thetas, scale.phi_q, kinks=kinks)
+    except ScalekitError as exc:   # quadrature stagnation -> partial report
+        return IdentityReport(thetas=tuple(thetas), relative_errors=(math.inf,) * len(thetas),
+                              max_rel_err=math.inf,
+                              flags=tuple(f"theta={th}: {exc}" for th in thetas))
+    errs = [abs(value - target) / abs(target) for value, target in
+            zip(got, [1.0 / (float(np.real(psi.eval(th))) - scale.q) for th in thetas])]
     return IdentityReport(thetas=tuple(thetas), relative_errors=tuple(errs),
-                          max_rel_err=max(errs), flags=tuple(flags))
+                          max_rel_err=max(errs))

@@ -28,7 +28,7 @@ from scipy import special as sps
 
 from .errors import ParameterError
 from .levy import LaplaceExponent, one_sided_derivative
-from .scale import ScaleFunction
+from .scale import ScaleFunction, pointwise_scale
 from .special import mittag_leffler, mittag_leffler_deriv
 
 __all__ = [
@@ -76,16 +76,16 @@ def w_brownian(sigma: float, mu: float, q: float = 0.0) -> ScaleFunction:
     rt = math.sqrt(disc)
 
     if rt == 0.0:
-        def eval_fn(x: float) -> float:
+        def value(x: float) -> float:
             return 2.0 * x / s2 * math.exp(-mu * x / s2)
 
-        def deriv_fn(x: float) -> float:
+        def deriv(x: float) -> float:
             return (2.0 / s2 - 2.0 * x * mu / s2 ** 2) * math.exp(-mu * x / s2)
     else:
-        def eval_fn(x: float) -> float:
+        def value(x: float) -> float:
             return 2.0 / rt * math.exp(-mu * x / s2) * math.sinh(x * rt / s2)
 
-        def deriv_fn(x: float) -> float:
+        def deriv(x: float) -> float:
             e = math.exp(-mu * x / s2)
             return (2.0 / s2) * e * (math.cosh(x * rt / s2)
                                      - (mu / rt) * math.sinh(x * rt / s2))
@@ -97,8 +97,7 @@ def w_brownian(sigma: float, mu: float, q: float = 0.0) -> ScaleFunction:
                           domain_edge=-math.inf, descriptor="catalog-family",
                           drift_at_zero=mu)
     phi_q = (-mu + rt) / s2
-    return ScaleFunction(q=q, phi_q=phi_q, route="catalog", eval_fn=eval_fn,
-                         deriv_fn=deriv_fn, psi=psi, value_at_zero=0.0)
+    return pointwise_scale(q, phi_q, "catalog", value, deriv, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +114,12 @@ def w_stable(beta: float, q: float = 0.0) -> ScaleFunction:
     if q < 0:
         raise ParameterError("q must be nonnegative")
 
-    def eval_fn(x: float) -> float:
+    def value(x: float) -> float:
         if x == 0.0:
             return 0.0
         return beta * x ** (beta - 1.0) * mittag_leffler_deriv(beta, 1.0, 1, q * x ** beta).real
 
-    def deriv_fn(x: float) -> float:
+    def deriv(x: float) -> float:
         if x == 0.0 and beta < 2.0:
             return math.inf
         z = q * x ** beta
@@ -135,8 +134,7 @@ def w_stable(beta: float, q: float = 0.0) -> ScaleFunction:
     psi = LaplaceExponent(eval=psi_eval,
                           deriv=lambda th: beta * th ** (beta - 1.0) if th > 0 else 0.0,
                           domain_edge=0.0, descriptor="catalog-family", drift_at_zero=0.0)
-    return ScaleFunction(q=q, phi_q=q ** (1.0 / beta), route="catalog",
-                         eval_fn=eval_fn, deriv_fn=deriv_fn, psi=psi, value_at_zero=0.0)
+    return pointwise_scale(q, q ** (1.0 / beta), "catalog", value, deriv, psi)
 
 
 def w_stable_drift(beta: float, c: float) -> ScaleFunction:
@@ -151,12 +149,12 @@ def w_stable_drift(beta: float, c: float) -> ScaleFunction:
         raise ParameterError("drift c must be positive")
     bm1 = beta - 1.0
 
-    def eval_fn(x: float) -> float:
+    def value(x: float) -> float:
         if x == 0.0:
             return 0.0
         return (1.0 - mittag_leffler(bm1, 1.0, -c * x ** bm1).real) / c
 
-    def deriv_fn(x: float) -> float:
+    def deriv(x: float) -> float:
         if x == 0.0:
             return math.inf
         z = -c * x ** bm1
@@ -168,8 +166,7 @@ def w_stable_drift(beta: float, c: float) -> ScaleFunction:
     psi = LaplaceExponent(eval=psi_eval,
                           deriv=lambda th: beta * th ** (beta - 1.0) + c if th > 0 else c,
                           domain_edge=0.0, descriptor="catalog-family", drift_at_zero=c)
-    return ScaleFunction(q=0.0, phi_q=0.0, route="catalog", eval_fn=eval_fn,
-                         deriv_fn=deriv_fn, psi=psi, value_at_zero=0.0)
+    return pointwise_scale(0.0, 0.0, "catalog", value, deriv, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +185,10 @@ def w_cramer_lundberg(ccoef: float, lam: float, mu: float) -> ScaleFunction:
         raise ParameterError("net drift must be positive: ccoef - lambda/mu > 0")
     rate = mu - lam / ccoef   # > 0 under the net-drift condition
 
-    def eval_fn(x: float) -> float:
+    def value(x: float) -> float:
         return (1.0 + lam / (ccoef * mu - lam) * (1.0 - math.exp(-rate * x))) / ccoef
 
-    def deriv_fn(x: float) -> float:
+    def deriv(x: float) -> float:
         return lam * rate / (ccoef * (ccoef * mu - lam)) * math.exp(-rate * x)
 
     def psi_eval(theta):
@@ -202,8 +199,7 @@ def w_cramer_lundberg(ccoef: float, lam: float, mu: float) -> ScaleFunction:
 
     psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv, domain_edge=-mu,
                           descriptor="catalog-family", drift_at_zero=ccoef - lam / mu)
-    return ScaleFunction(q=0.0, phi_q=0.0, route="catalog", eval_fn=eval_fn,
-                         deriv_fn=deriv_fn, psi=psi, value_at_zero=1.0 / ccoef)
+    return pointwise_scale(0.0, 0.0, "catalog", value, deriv, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +246,7 @@ def w_fixed_jumps(ccoef: float, lam: float, jump: float) -> ScaleFunction:
     else:
         theta2, psi_d_theta2, x_tail = None, None, math.inf
 
-    def eval_fn(x: float) -> float:
+    def value(x: float) -> float:
         if x >= x_tail:
             return 1.0 / drift0 + math.exp(theta2 * x) / psi_d_theta2
         vals, _ = _log_terms(x)
@@ -264,8 +260,7 @@ def w_fixed_jumps(ccoef: float, lam: float, jump: float) -> ScaleFunction:
 
     psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv, domain_edge=-math.inf,
                           descriptor="catalog-family", drift_at_zero=ccoef - lam * jump)
-    return ScaleFunction(q=0.0, phi_q=0.0, route="catalog", eval_fn=eval_fn,
-                         psi=psi, value_at_zero=1.0 / ccoef)
+    return pointwise_scale(0.0, 0.0, "catalog", value, psi=psi)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +305,7 @@ def w_abate_whitt(lam: float, mu: float) -> ScaleFunction:
     if abs(disc) < 1e-14 * half * half:
         nu = half
 
-        def eval_fn(x: float) -> float:
+        def value(x: float) -> float:
             u = nu * nu * x
             et = sps.erfcx(math.sqrt(u))
             lim = (1.0 - 2.0 * u) * et + 2.0 * math.sqrt(u / math.pi)
@@ -319,7 +314,7 @@ def w_abate_whitt(lam: float, mu: float) -> ScaleFunction:
         root = math.sqrt(disc)
         nu1, nu2 = half + root, half - root
 
-        def eval_fn(x: float) -> float:
+        def value(x: float) -> float:
             e1 = sps.erfcx(math.sqrt(x) * abs(nu2))
             e2 = sps.erfcx(math.sqrt(x) * abs(nu1))
             return pref * (1.0 - rho / (nu1 - nu2) * (nu1 * e1 - nu2 * e2))
@@ -335,8 +330,7 @@ def w_abate_whitt(lam: float, mu: float) -> ScaleFunction:
 
     psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv, domain_edge=0.0,
                           descriptor="catalog-family", drift_at_zero=1.0 - rho)
-    return ScaleFunction(q=0.0, phi_q=0.0, route="catalog", eval_fn=eval_fn,
-                         psi=psi, value_at_zero=1.0)
+    return pointwise_scale(0.0, 0.0, "catalog", value, psi=psi)
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +350,10 @@ def w_pssmp(beta: float, conditioned: bool) -> ScaleFunction:
     lgb = sps.gammaln(beta)
 
     if conditioned:
-        def eval_fn(x: float) -> float:
+        def value(x: float) -> float:
             return (-math.expm1(-x)) ** (beta - 1.0)
 
-        def deriv_fn(x: float) -> float:
+        def deriv(x: float) -> float:
             if x == 0.0:
                 return math.inf
             return (beta - 1.0) * (-math.expm1(-x)) ** (beta - 2.0) * math.exp(-x)
@@ -370,10 +364,10 @@ def w_pssmp(beta: float, conditioned: bool) -> ScaleFunction:
         phi0 = 0.0
         drift0 = 1.0
     else:
-        def eval_fn(x: float) -> float:
+        def value(x: float) -> float:
             return (-math.expm1(-x)) ** (beta - 1.0) * math.exp(x)
 
-        def deriv_fn(x: float) -> float:
+        def deriv(x: float) -> float:
             if x == 0.0:
                 return math.inf
             em = -math.expm1(-x)
@@ -388,8 +382,7 @@ def w_pssmp(beta: float, conditioned: bool) -> ScaleFunction:
     psi = LaplaceExponent(eval=psi_eval, deriv=lambda th: one_sided_derivative(psi_eval, th),
                           domain_edge=-math.inf, descriptor="catalog-family",
                           drift_at_zero=drift0)
-    return ScaleFunction(q=0.0, phi_q=phi0, route="catalog", eval_fn=eval_fn,
-                         deriv_fn=deriv_fn, psi=psi, value_at_zero=0.0)
+    return pointwise_scale(0.0, phi0, "catalog", value, deriv, psi)
 
 
 def _gamma_ratio(t, beta, lgb):

@@ -43,11 +43,9 @@ class CaseSpec:
     kappa: float
     varphi: float
     zeta: float
-    c: float = 1.0
-    gamma: float = 1.0
 
     def params(self, alpha: float) -> GtscParams:
-        return GtscParams(alpha=alpha, gamma=self.gamma, c=self.c,
+        return GtscParams(alpha=alpha, gamma=1.0, c=1.0,
                           zeta=self.zeta, kappa=self.kappa, varphi=self.varphi)
 
 
@@ -61,11 +59,17 @@ CASES = {
 }
 
 
-def _parse_alpha(text: str) -> float:
+def _parse_fraction(text: str) -> Fraction:
     try:
-        return float(Fraction(text))
+        frac = Fraction(text)
+        float(frac)                    # OverflowError beyond double range
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParameterError(f"alpha must be a fraction or a decimal, got {text!r}") from exc
+    return frac
+
+
+def _parse_alpha(text: str) -> float:
+    return float(_parse_fraction(text))
 
 
 def _gtsc_from_args(args) -> GtscParams:
@@ -113,7 +117,7 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_figures(args) -> int:
-    alphas = [Fraction(tok) for tok in args.alphas.split(",") if tok]
+    alphas = [_parse_fraction(tok) for tok in args.alphas.split(",") if tok]
     q = float(args.q)
     os.makedirs(args.out, exist_ok=True)
     xs = np.linspace(0.0, args.x_max, args.points)
@@ -315,7 +319,7 @@ def main(argv=None) -> int:
             print(f"error: unknown case '{args.case}'", file=sys.stderr)
             return 2
         args.kappa, args.varphi, args.zeta = case.kappa, case.varphi, case.zeta
-        args.c, args.gamma = case.c, case.gamma
+        args.c = args.gamma = 1.0
     try:
         return args.func(args)
     except ParameterError as exc:

@@ -40,7 +40,7 @@ from .bromwich import invert
 from .errors import CapabilityError, NumericalError, ParameterError
 from .levy import LadderParams, LaplaceExponent, big_phi
 from .polyfrac import RationalAlpha, build_fq, partial_fractions, roots_with_multiplicity
-from .scale import ScaleFunction
+from .scale import ScaleFunction, pointwise_scale
 from .special import (erfcx_scaled, fransen_transform, mittag_leffler,
                       mittag_leffler_deriv, reg_lower_gamma, series_reciprocal, upper_gamma)
 
@@ -270,7 +270,7 @@ def w_rational(params: GtscParams, alpha: Optional[RationalAlpha] = None,
         w = _real(total * ex, x)
         return w, (_real(dtotal * ex, x) - gamma * w if deriv else None)
 
-    def pair_fn(x: np.ndarray, deriv: bool):
+    def fused_pass(x: np.ndarray, deriv: bool):
         """W, and W' when deriv is set, on an array of x >= 0 in one pass."""
         if np.isnan(x).any():
             raise ParameterError("x must be a number, got NaN")
@@ -284,15 +284,9 @@ def w_rational(params: GtscParams, alpha: Optional[RationalAlpha] = None,
                     wp[sel] = d
         return w, wp
 
-    def eval_fn(x: float) -> float:
-        return float(pair_fn(np.array([x]), False)[0][0])
-
-    def deriv_fn(x: float) -> float:
-        return float(pair_fn(np.array([x]), True)[1][0])
-
     return ScaleFunction(q=q, phi_q=phi_q, route="rational-ML",
-                         eval_fn=eval_fn, deriv_fn=deriv_fn,
-                         psi=params.exponent(), value_at_zero=w0, pair_fn=pair_fn)
+                         w=lambda x: fused_pass(x, False)[0], dw=lambda x: fused_pass(x, True)[1],
+                         psi=params.exponent())
 
 
 def _to_fraction(alpha: float):
@@ -361,15 +355,8 @@ def w0_closed(params: GtscParams, x: float) -> float:
 def w0_closed_scale(params: GtscParams) -> ScaleFunction:
     """ScaleFunction wrapper around ``w0_closed`` (route 'closed-form')."""
     psi = params.exponent()
-    phi0 = big_phi(psi, 0.0)
-    a = params.alpha
-    if a < 0:
-        w0 = 1.0 / (params.kappa + params.c * sps.gamma(-a) * params.gamma ** a)
-    else:
-        w0 = 0.0
-    return ScaleFunction(q=0.0, phi_q=phi0, route="closed-form",
-                         eval_fn=lambda x: w0_closed(params, x),
-                         psi=psi, value_at_zero=w0)
+    return pointwise_scale(0.0, big_phi(psi, 0.0), "closed-form",
+                           lambda x: w0_closed(params, x), psi=psi)
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +404,7 @@ def w_ig(delta: float, gamma: float, q: float = 0.0) -> ScaleFunction:
             return (gamma / (2.0 * delta)) * sps.erfc(-gamma * math.sqrt(x / 2.0)) \
                 + math.exp(-0.5 * gamma ** 2 * x) / (delta * math.sqrt(2.0 * math.pi * x))
 
-        return ScaleFunction(q=0.0, phi_q=0.0, route="ig", eval_fn=value,
-                             deriv_fn=deriv, psi=params.exponent(), value_at_zero=0.0)
+        return pointwise_scale(0.0, 0.0, "ig", value, deriv, params.exponent())
 
     fq = build_fq(params, RationalAlpha(1, 2), q)
     roots, mults = roots_with_multiplicity(fq)
@@ -446,8 +432,7 @@ def w_ig(delta: float, gamma: float, q: float = 0.0) -> ScaleFunction:
             d2 = (value(x + h / 2) - value(max(x - h / 2, 0.0))) / h
             return (4.0 * d2 - d1) / 3.0
 
-        return ScaleFunction(q=q, phi_q=phi_q, route="ig", eval_fn=value,
-                             deriv_fn=deriv, psi=params.exponent(), value_at_zero=0.0)
+        return pointwise_scale(q, phi_q, "ig", value, deriv, params.exponent())
 
     der = np.polynomial.polynomial.polyder(np.asarray(fq))
     weights = []
@@ -461,7 +446,7 @@ def w_ig(delta: float, gamma: float, q: float = 0.0) -> ScaleFunction:
     wr_sum = complex(sum(w * r for w, r in zip(weights, ordered)))
 
     def value(x: float) -> float:
-        if x < 0.0:
+        if x <= 0.0:
             return 0.0
         sx = math.sqrt(x)
         total = 0.0j
@@ -481,8 +466,7 @@ def w_ig(delta: float, gamma: float, q: float = 0.0) -> ScaleFunction:
         total += wr_sum * math.exp(-c0 * x) / math.sqrt(math.pi * x)
         return total.real
 
-    return ScaleFunction(q=q, phi_q=phi_q, route="ig", eval_fn=value,
-                         deriv_fn=deriv, psi=params.exponent(), value_at_zero=0.0)
+    return pointwise_scale(q, phi_q, "ig", value, deriv, params.exponent())
 
 
 def _scaled_eta(s, u):
@@ -535,14 +519,13 @@ def w_gamma_scale(c: float, gamma: float) -> ScaleFunction:
     params = GtscParams(alpha=0.0, gamma=gamma, c=c)
     psi = params.exponent()
 
-    def deriv_fn(x: float) -> float:
+    def deriv(x: float) -> float:
         if x <= 0.0:
             return math.inf
         return fransen_transform(-math.log(gamma * x)) * math.exp(-gamma * x) / (c * x)
 
-    return ScaleFunction(q=0.0, phi_q=0.0, route="gamma-case",
-                         eval_fn=lambda x: w_gamma_case(c, gamma, x),
-                         deriv_fn=deriv_fn, psi=psi, value_at_zero=0.0)
+    return pointwise_scale(0.0, 0.0, "gamma-case", lambda x: w_gamma_case(c, gamma, x),
+                           deriv, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +560,8 @@ def asymptote_zero(params: GtscParams, q: float = 0.0) -> ZeroAsymptote:
         return ZeroAsymptote(w0=0.0, wprime0=math.inf, leading_term="W ~ o(x^eps) (gamma ladder)")
     A = kappa + c * sps.gamma(-a) * g ** a
     coef = c / A ** 2
-    return ZeroAsymptote(w0=1.0 / A, wprime0=math.inf,
+    # at alpha = -1 the x^{-alpha} term is linear: W = 1/A + (c/A^2) x + ...
+    return ZeroAsymptote(w0=1.0 / A, wprime0=coef if a == -1.0 else math.inf,
                          leading_term=f"W ~ {1.0 / A:.12g} + {coef / (-a):.12g} * x^{-a:g}")
 
 
@@ -643,8 +627,9 @@ def scale_function(params: GtscParams, q: float = 0.0, route: str = "auto") -> S
         return w0_closed_scale(params)
     if route == "bromwich":
         psi = params.exponent()
-        return ScaleFunction(q=q, phi_q=big_phi(psi, q), route="bromwich", psi=psi,
-                             eval_fn=lambda x: invert(psi, q, x)[0] if x > 0 else 0.0)
+        w0 = asymptote_zero(params, q).w0
+        return pointwise_scale(q, big_phi(psi, q), "bromwich",
+                               lambda x: invert(psi, q, x)[0] if x > 0 else w0, psi=psi)
     raise ParameterError(f"unknown route '{route}'")
 
 

@@ -8,74 +8,62 @@ import numpy as np
 
 from .levy import LaplaceExponent
 
-__all__ = ["ScaleFunction"]
+__all__ = ["ScaleFunction", "pointwise_scale"]
+
+_CHUNK = 64     # points per route call, which bounds the working set of array routes
 
 
 class ScaleFunction:
     """Evaluable q-scale function W^(q) with provenance.
 
-    ``eval`` returns W^(q)(x) (0 for x < 0, the right limit at 0);
-    ``eval_deriv`` the derivative on (0, inf).  Both take a number or an
-    array.  A route that supplies ``pair_fn(x, deriv)`` -- W, and W' when
-    deriv is set, on an array of x >= 0 -- has arrays evaluated by it in one
-    pass; other routes loop over the points.  Instances are immutable apart
-    from an internal memo of scalar values and safe to share.
+    ``w`` and ``dw`` map a 1-D array of x >= 0 to W and W' (W at 0 is the
+    route's right limit); without ``dw`` the derivative is a central
+    difference.  ``eval`` returns W^(q)(x) and ``eval_deriv`` W'; both are 0
+    for x < 0 and take a number (returning a float) or an array (returning
+    the input's shape).  Instances are immutable and safe to share.
     """
 
     def __init__(self, q: float, phi_q: float, route: str,
-                 eval_fn: Callable[[float], float],
-                 deriv_fn: Optional[Callable[[float], float]] = None,
-                 psi: Optional[LaplaceExponent] = None,
-                 value_at_zero: Optional[float] = None,
-                 pair_fn: Optional[Callable[[np.ndarray, bool], tuple]] = None):
+                 w: Callable[[np.ndarray], np.ndarray],
+                 dw: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                 psi: Optional[LaplaceExponent] = None):
         self.q = q
         self.phi_q = phi_q
         self.route = route
         self.psi = psi
-        self._eval_fn = eval_fn
-        self._deriv_fn = deriv_fn
-        self._value_at_zero = value_at_zero
-        self._pair_fn = pair_fn
-        self._memo: dict[float, float] = {}
+        self._w = w
+        self._dw = dw
 
-    def _array_pair(self, x, deriv: bool):
-        x = np.asarray(x, dtype=float)
-        w = np.zeros(x.shape)
-        wp = np.zeros(x.shape)
-        on = ~(x < 0.0)             # NaN goes on to the route, which rejects it
-        w[on], d = self._pair_fn(x[on], deriv)
-        if deriv:
-            wp[on] = d
-        return w, wp
+    def _central_difference(self, x: np.ndarray) -> np.ndarray:
+        h = np.maximum(1e-6, 1e-7 * x)
+        return (self._w(x + h) - self._w(np.maximum(x - h, 0.0))) / (h + np.minimum(h, x))
+
+    @staticmethod
+    def _apply(f, x):
+        xs = np.asarray(x, dtype=float)
+        flat = xs.ravel()
+        out = np.zeros(flat.shape)
+        on = np.flatnonzero(~(flat < 0.0))      # NaN goes on to the route, which rejects it
+        for i in range(0, on.size, _CHUNK):
+            at = on[i:i + _CHUNK]
+            out[at] = f(flat[at])
+        out = out.reshape(xs.shape)
+        return float(out) if out.ndim == 0 else out
 
     def eval(self, x):
-        if np.ndim(x) > 0:
-            if self._pair_fn is not None:
-                return self._array_pair(x, False)[0]
-            return np.array([self.eval(float(v)) for v in np.asarray(x).ravel()]).reshape(np.shape(x))
-        x = float(x)
-        if x < 0.0:
-            return 0.0
-        if x == 0.0 and self._value_at_zero is not None:
-            return self._value_at_zero
-        got = self._memo.get(x)
-        if got is None:
-            got = self._eval_fn(x)
-            if len(self._memo) < 200_000:
-                self._memo[x] = got
-        return got
+        return self._apply(self._w, x)
 
     __call__ = eval
 
     def eval_deriv(self, x):
-        if np.ndim(x) > 0:
-            if self._pair_fn is not None:
-                return self._array_pair(x, True)[1]
-            return np.array([self.eval_deriv(float(v)) for v in np.asarray(x).ravel()]).reshape(np.shape(x))
-        x = float(x)
-        if x < 0.0:
-            return 0.0
-        if self._deriv_fn is not None:
-            return self._deriv_fn(x)
-        h = max(1e-6, 1e-7 * x)
-        return (self.eval(x + h) - self.eval(max(x - h, 0.0))) / (h + min(h, x))
+        return self._apply(self._dw or self._central_difference, x)
+
+
+def pointwise_scale(q: float, phi_q: float, route: str, value: Callable[[float], float],
+                    deriv: Optional[Callable[[float], float]] = None,
+                    psi: Optional[LaplaceExponent] = None) -> ScaleFunction:
+    """ScaleFunction of a route that computes W (and W') one x at a time, by numpy's loop."""
+    def vec(f):
+        return np.vectorize(f, otypes=[float])
+
+    return ScaleFunction(q, phi_q, route, vec(value), None if deriv is None else vec(deriv), psi)

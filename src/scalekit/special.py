@@ -47,6 +47,8 @@ _SERIES_ATTEMPT_RADIUS = 5.0   # always try the series inside this disc
 _SERIES_GUARD = 1.0e3          # max |term| / |sum| tolerated before rejecting
 _SERIES_KMAX = 120_000
 _SERIES_CHUNK = 512            # series terms per block pass
+_SERIES_ROWS = 64              # arguments per block pass, which bounds its working set
+_LOG_TOL = math.log(1e-14)     # contour accuracy target
 _N_CAP = 1200                  # max quadrature nodes per contour half
 
 
@@ -120,7 +122,7 @@ def _series_block(a: float, bp: float, g: int, z: np.ndarray):
 # optimal parabolic contour (inverse Laplace transform at t=1)
 # ---------------------------------------------------------------------------
 
-def _param_bounded(phi0: float, phi1: float, q: float, log_eps: float):
+def _param_bounded(phi0: float, phi1: float, q: float, log_tol: float):
     """Contour parameters for integration between singularity levels phi0 < phi1.
 
     phi0 is the level of the inner singularity (the branch point at the
@@ -128,9 +130,9 @@ def _param_bounded(phi0: float, phi1: float, q: float, log_eps: float):
     pole with strength q.  Returns (mu, h, N) or None if not admissible.
     """
     fac = 1.01
-    f_max = math.exp(log_eps - _LOG_MACH_EPS)
+    f_max = math.exp(log_tol - _LOG_MACH_EPS)
     sq_a = math.sqrt(phi0)
-    threshold = 2.0 * math.sqrt(log_eps - _LOG_MACH_EPS)
+    threshold = 2.0 * math.sqrt(log_tol - _LOG_MACH_EPS)
     sq_b = min(math.sqrt(phi1), threshold - sq_a)
     if not sq_b > sq_a + 1e-12:
         return None
@@ -147,24 +149,24 @@ def _param_bounded(phi0: float, phi1: float, q: float, log_eps: float):
         sq_bar_b = (2.0 * sq_b - fq * sq_a) / (2.0 + fq)
         if not sq_bar_b > sq_bar_a:
             return None
-    log_eps_eff = log_eps - math.log(f_bar)
-    w = -(sq_bar_b ** 2) / log_eps_eff
+    log_tol_eff = log_tol - math.log(f_bar)
+    w = -(sq_bar_b ** 2) / log_tol_eff
     denom = (1.0 + w) * sq_bar_a + sq_bar_b
     mu = (denom / (2.0 + w)) ** 2
     if mu <= 0.0:
         return None
-    h = -2.0 * math.pi / log_eps_eff * (sq_bar_b - sq_bar_a) / denom
-    N = int(math.ceil(math.sqrt(1.0 - log_eps_eff / mu) / h))
+    h = -2.0 * math.pi / log_tol_eff * (sq_bar_b - sq_bar_a) / denom
+    N = int(math.ceil(math.sqrt(1.0 - log_tol_eff / mu) / h))
     return mu, h, max(N, 6)
 
 
-def _param_unbounded(phi: float, p: float, log_eps: float):
+def _param_unbounded(phi: float, p: float, log_tol: float):
     """Contour parameters for the region right of the outermost singularity."""
     sq_phi = math.sqrt(phi)
     phibar = phi * 1.01 if phi > 0 else 0.01
     for _ in range(40):
         sqbar = math.sqrt(phibar)
-        le_pt = log_eps / phibar
+        le_pt = log_tol / phibar
         N = int(math.ceil(phibar / math.pi * (1.0 - 1.5 * le_pt + math.sqrt(1.0 - 2.0 * le_pt))))
         N = max(N, 4)
         A = math.pi * N / phibar
@@ -180,15 +182,15 @@ def _param_unbounded(phi: float, p: float, log_eps: float):
     if h <= 0 or mu <= 0:
         return None
     # keep exp(mu) within the round-off budget
-    threshold = log_eps - _LOG_MACH_EPS
+    threshold = log_tol - _LOG_MACH_EPS
     if mu > threshold:
         Q = 0.0 if p < 1e-14 else 5.0 ** (-1.0 / p) * math.sqrt(mu)
         phibar = (Q + sq_phi) ** 2
         if phibar < threshold:
-            w = math.sqrt(-_LOG_MACH_EPS / (-_LOG_MACH_EPS + log_eps))
+            w = math.sqrt(-_LOG_MACH_EPS / (-_LOG_MACH_EPS + log_tol))
             u = math.sqrt(-phibar / _LOG_MACH_EPS)
             mu = threshold
-            N = int(math.ceil(-w * log_eps / (2.0 * math.pi * (u * w - 1.0))))
+            N = int(math.ceil(-w * log_tol / (2.0 * math.pi * (u * w - 1.0))))
             if N <= 0:
                 return None
             h = w / N
@@ -269,7 +271,7 @@ def _contour_sum(a: float, bp: float, g: int, z: complex, mu: float, h: float, N
     return complex(h * vals.sum() / (2j * math.pi))
 
 
-def _contour_prabhakar(a: float, bp: float, g: int, z: complex, log_eps: float = math.log(1e-14)):
+def _contour_prabhakar(a: float, bp: float, g: int, z: complex):
     """Prabhakar Mittag-Leffler by contour inversion; returns (value, err_estimate).
 
     Raises NumericalError when no admissible contour reaches the target.
@@ -283,27 +285,27 @@ def _contour_prabhakar(a: float, bp: float, g: int, z: complex, log_eps: float =
             entries.append((phi, s, False))
     entries.sort(key=lambda e: e[0])
 
-    current_log_eps = log_eps
+    current_log_tol = _LOG_TOL
     for _ in range(6):
         candidates = []
         levels = [e[0] for e in entries] + [math.inf]
         for j in range(len(entries)):
-            if levels[j] >= (current_log_eps - _LOG_MACH_EPS):
+            if levels[j] >= (current_log_tol - _LOG_MACH_EPS):
                 continue
             if j + 1 < len(entries):
                 if levels[j + 1] <= levels[j] + 1e-14:
                     continue
                 if entries[j][2] and p0 > 1e-14:
                     continue  # bounded-region formulas assume a regular inner edge
-                prm = _param_bounded(levels[j], levels[j + 1], g, current_log_eps)
+                prm = _param_bounded(levels[j], levels[j + 1], g, current_log_tol)
             else:
                 strength = p0 if entries[j][2] else g
-                prm = _param_unbounded(levels[j], strength, current_log_eps)
+                prm = _param_unbounded(levels[j], strength, current_log_tol)
             if prm is not None and prm[2] <= _N_CAP:
                 candidates.append((prm[2], j, prm))
         if candidates:
             break
-        current_log_eps += math.log(10.0)
+        current_log_tol += math.log(10.0)
     else:
         raise NumericalError("no admissible contour for Mittag-Leffler evaluation")
     if not candidates:
@@ -377,10 +379,12 @@ def _ml_block(a: float, bp: float, g: int, z: np.ndarray) -> np.ndarray:
             steps = int(math.ceil((bp - (a + 1.0)) / a))
             corr = sum(sps.rgamma(bp - i * a) * zb ** (-i) for i in range(1, steps + 1))
             out[~todo] = (_ml_block(a, bp - steps * a, 1, zb) - corr * zb ** steps) / zb ** steps
-    attempt = todo & ((np.abs(z) <= _SERIES_ATTEMPT_RADIUS) | ((z.imag == 0.0) & (z.real >= 0.0)))
-    val, ok = _series_block(a, bp, g, z[attempt])
-    out[attempt] = val
-    todo[np.flatnonzero(attempt)[ok]] = False
+    attempt = np.flatnonzero(todo & ((np.abs(z) <= _SERIES_ATTEMPT_RADIUS)
+                                     | ((z.imag == 0.0) & (z.real >= 0.0))))
+    for i in range(0, attempt.size, _SERIES_ROWS):
+        rows = attempt[i:i + _SERIES_ROWS]
+        out[rows], ok = _series_block(a, bp, g, z[rows])
+        todo[rows[ok]] = False
     for i in np.flatnonzero(todo):
         out[i] = _ml_pointwise(a, bp, g, complex(z[i]))
     return out
@@ -397,20 +401,9 @@ def _ml_pointwise(a: float, bp: float, g: int, z: complex) -> complex:
     return _mp_series(a, bp, g, z)
 
 
-@lru_cache(maxsize=400_000)
-def _ml_core(a: float, bp: float, g: int, z: complex) -> complex:
-    """One-point ``_ml_block``, memoised for repeated scalar requests."""
-    return complex(_ml_block(a, bp, g, np.array([z], dtype=complex))[0])
-
-
 def _ml_a_le_1(a: float, b: float, j: int, z: np.ndarray) -> np.ndarray:
-    """j! E^{j+1}_{a, a j + b}(z), the j-th derivative of E_{a,b}, for 0 < a <= 1.
-
-    A single point goes through the memoised ``_ml_core``.
-    """
-    bp = a * j + b
-    val = [_ml_core(a, bp, j + 1, complex(z[0]))] if z.size == 1 else _ml_block(a, bp, j + 1, z)
-    return math.factorial(j) * np.asarray(val)
+    """j! E^{j+1}_{a, a j + b}(z), the j-th derivative of E_{a,b}, for 0 < a <= 1."""
+    return math.factorial(j) * _ml_block(a, a * j + b, j + 1, z)
 
 
 def _check_ml_saturation(a: float, z: np.ndarray) -> None:

@@ -82,7 +82,7 @@ class TestInvert:
             return invert(psi, 0.0, x)[0]
 
         theta = phi0 + 1.0
-        got = laplace_transform_numeric(w, theta, phi0)
+        got, = laplace_transform_numeric(np.vectorize(w, otypes=[float]), [theta], phi0)
         assert got == pytest.approx(1.0 / (float(np.real(psi.eval(theta)))), rel=1e-6)
 
     def test_preconditions(self):
@@ -244,7 +244,7 @@ class TestVerifyIdentity:
         def broken(x):
             raise TypeError("bad call")
 
-        bad = ScaleFunction(q=0.0, phi_q=w.phi_q, route="stub", eval_fn=broken)
+        bad = ScaleFunction(q=0.0, phi_q=w.phi_q, route="stub", w=broken)
         with pytest.raises(TypeError):
             verify_laplace_identity(bad, w.psi, [1.0])
 
@@ -258,7 +258,7 @@ class TestVerifyIdentity:
         def failing(x):
             raise NumericalError("quadrature stagnated")
 
-        bad = ScaleFunction(q=0.0, phi_q=w.phi_q, route="stub", eval_fn=failing)
+        bad = ScaleFunction(q=0.0, phi_q=w.phi_q, route="stub", w=failing)
         rep = verify_laplace_identity(bad, w.psi, [1.0, 2.0])
         assert rep.relative_errors == (math.inf, math.inf)
         assert len(rep.flags) == 2 and "quadrature stagnated" in rep.flags[0]

@@ -65,6 +65,14 @@ class TestEval:
         assert out_a == out_b
         assert all(math.isfinite(float(ln.split(",")[1])) for ln in out_a.splitlines()[1:])
 
+    def test_bromwich_starts_at_w0(self):
+        # alpha = -1, c = gamma = 1: W = 1 + x, so W(0+) = W'(0+) = 1
+        code, out = run_cli(["eval", "--alpha=-1", "--points", "3", "--x-max", "1"])
+        assert code == 0
+        x, w, wp, route, _ = out.splitlines()[1].split(",")
+        assert (float(x), float(w), route) == (0.0, 1.0, "bromwich")
+        assert float(wp) == pytest.approx(1.0, rel=1e-4)
+
     def test_rational_route_selected(self):
         code, out = run_cli(["eval", "--model", "gtsc", "--alpha", "1/3",
                              "--q", "1", "--x-max", "2", "--points", "3"])
@@ -122,6 +130,11 @@ class TestFigures:
                 for x, row in zip(xs, block):
                     got = float(row.split(",")[2])
                     assert got == pytest.approx(scale.eval(float(x)), rel=1e-11, abs=1e-300)
+
+    @pytest.mark.parametrize("alphas", ["abc", "1/0", "5/4"])
+    def test_bad_alphas_exit_2(self, tmp_path, alphas):
+        code, _ = run_cli(["figures", "--alphas", alphas, "--out", str(tmp_path)])
+        assert code == 2
 
     def test_case_b_tail_approaches_inverse_kappa(self, tmp_path):
         assert main(["figures", "--q", "0", "--alphas", "1/2",
@@ -204,8 +217,7 @@ class TestApps:
         from scalekit.gtsc import ScaleFunction
 
         stub = ScaleFunction(q=1.0, phi_q=0.0, route="stub",
-                             eval_fn=lambda x: 1.0 - math.exp(-x),
-                             deriv_fn=lambda x: math.exp(-x))
+                             w=lambda x: 1.0 - np.exp(-x), dw=lambda x: np.exp(-x))
         monkeypatch.setattr(cli, "_build_scale", lambda args: stub)
         code, _ = run_cli(["apps", "--compute", "barrier", "--q", "1"])
         assert code == 1

@@ -151,8 +151,8 @@ class TestDividends:
 
     def test_no_minimizer_on_grid_not_applicable(self):
         # W' = e^{-x} keeps decreasing over the whole search grid
-        w = ScaleFunction(q=1.0, phi_q=0.0, route="stub", eval_fn=lambda x: 1.0 - math.exp(-x),
-                          deriv_fn=lambda x: math.exp(-x))
+        w = ScaleFunction(q=1.0, phi_q=0.0, route="stub", w=lambda x: 1.0 - np.exp(-x),
+                          dw=lambda x: np.exp(-x))
         with pytest.raises(NotApplicableError):
             dividend_barrier(w)
 

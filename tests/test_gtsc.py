@@ -390,3 +390,92 @@ class TestRouteSelection:
         xs = np.array([0.05, 0.5, 1.0, 3.0, 10.0])
         assert np.allclose(scale.eval(xs), 1.0 + xs, rtol=1e-8, atol=0.0)
 
+
+
+def _one_path_scales():
+    from scalekit.catalog import build_catalog_entry, catalog_families
+
+    q0 = ig_q0_threshold(1.0, 1.0)
+    yield "rational", w_rational(GtscParams(alpha=1 / 3, gamma=1.0, c=1.0, kappa=1.0), None, 1.0)
+    yield "rational-negative", w_rational(GtscParams(alpha=-0.5, gamma=1.0, c=1.0), None, 0.0)
+    for q in (0.0, q0, 1.0):
+        yield f"ig-q{q:.3g}", w_ig(1.0, 1.0, q)
+    yield "closed", w0_closed_scale(GtscParams(alpha=-1 / 3, gamma=1.0, c=1.0))
+    yield "gamma", w_gamma_scale(1.0, 1.0)
+    yield "bromwich", scale_function(GtscParams(alpha=1 / math.sqrt(2.0), gamma=1.0, c=1.0),
+                                     1.0, "bromwich")
+    for family in catalog_families():
+        yield family, build_catalog_entry(family).scale
+
+
+class TestOnePath:
+    """Every route and catalog family evaluates numbers and arrays alike."""
+
+    @pytest.mark.parametrize("name,scale", list(_one_path_scales()),
+                             ids=[name for name, _ in _one_path_scales()])
+    def test_scalar_matches_array(self, name, scale):
+        xs = np.array([-1.0, 0.0, 0.3, 1.7])
+        for method in (scale.eval, scale.eval_deriv):
+            got = method(xs)
+            assert got.shape == xs.shape
+            for x, g in zip(xs, got):
+                one = method(float(x))
+                assert type(one) is float
+                assert one == g or abs(one - g) <= 1e-12 * abs(g), (name, x)
+            assert got[0] == 0.0
+            assert np.array_equal(method(xs.reshape(2, 2)), got.reshape(2, 2))
+            assert method(np.array([])).shape == (0,)
+
+    def test_rational_working_set_bounded(self):
+        import tracemalloc
+
+        w = w_rational(GtscParams(alpha=0.5, gamma=1.0, c=1.0), RationalAlpha(1, 2), 0.0)
+        xs = np.linspace(0.0, 10.0, 5000)
+        tracemalloc.start()
+        try:
+            w.eval(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_identity_asks_each_x_once(self):
+        from scalekit.catalog import w_brownian
+        from scalekit.scale import ScaleFunction
+
+        ref = w_brownian(1.0, 0.5, 1.0)
+        asked = []
+
+        def w(x):
+            asked.append(np.array(x))
+            return ref.eval(x)
+
+        scale = ScaleFunction(ref.q, ref.phi_q, "recording", w, psi=ref.psi)
+        rep = verify_laplace_identity(scale, ref.psi,
+                                      [ref.phi_q + off for off in (0.5, 1.0, 2.0, 5.0)])
+        xs = np.concatenate(asked)
+        assert rep.passed
+        assert np.unique(xs).size == xs.size
+
+
+class TestBromwichAtZero:
+    @pytest.mark.parametrize("alpha", [-0.5, -1.0])
+    def test_w0_from_asymptote(self, alpha):
+        params = GtscParams(alpha=alpha, gamma=1.0, c=1.0)
+        scale = scale_function(params, route="bromwich")
+        assert scale.eval(0.0) == asymptote_zero(params).w0 > 0.0
+
+    def test_w0_matches_rational_route(self):
+        params = GtscParams(alpha=-0.5, gamma=1.0, c=1.0)
+        got = scale_function(params, route="bromwich").eval(0.0)
+        assert got == pytest.approx(w_rational(params, None, 0.0).eval(0.0), rel=1e-12)
+        assert got == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-12)
+
+    @pytest.mark.parametrize("kappa,gamma,c,slope", [(0.5, 2.0, 1.5, 0.96), (0.0, 1.0, 1.0, 1.0)])
+    def test_alpha_minus_one_slope_at_zero(self, kappa, gamma, c, slope):
+        # W = 1/A + (c/A^2) x + ... with A = kappa + c/gamma
+        params = GtscParams(alpha=-1.0, gamma=gamma, c=c, kappa=kappa)
+        rep = asymptote_zero(params)
+        assert rep.wprime0 == pytest.approx(slope, rel=1e-12)
+        scale = scale_function(params, route="bromwich")
+        assert scale.eval_deriv(0.0) == pytest.approx(slope, rel=1e-4)

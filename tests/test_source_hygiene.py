@@ -1,10 +1,12 @@
-"""Source hygiene of the package: no unused import, no orphaned private name.
+"""Source hygiene of the package: no unused import, no orphaned private name, no dead knob.
 
 A stand-in for a linter: each module under src/scalekit is parsed with ``ast``.
 An import counts as used when its name is read in the module or listed in
 ``__all__``; ``__init__`` is exempt, because its imports are the package's
 public surface.  A private top-level name (one leading underscore) counts as
-used when any module of the package reads it.
+used when any module of the package reads it.  A knob -- a defaulted parameter
+or dataclass field -- counts as used when some call in src/, tests/ or
+perfbench/ passes it.
 """
 
 import ast
@@ -12,9 +14,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "scalekit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "scalekit"
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
          for path in sorted(SRC.glob("*.py"))}
+CALLERS = [ast.parse(path.read_text(), filename=str(path))
+           for folder in ("src", "tests", "perfbench")
+           for path in sorted((ROOT / folder).rglob("*.py"))]
 
 
 def _read_names(tree) -> set:
@@ -81,3 +87,59 @@ def test_no_orphaned_private_name():
                for name, line in _private_definitions(tree)
                if name not in read and name not in imported]
     assert not orphans, f"private names nothing references: {orphans}"
+
+
+def _knobs(tree) -> list:
+    """(callable name, knob, position or None, line) of every knob in a module.
+
+    A class's ``__init__`` is called by the class name; positions do not count
+    ``self``/``cls``; dataclass fields take the positions of their order.
+    """
+    methods, out = {}, []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        methods.update({id(f): node.name for f in node.body if isinstance(f, ast.FunctionDef)})
+        if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+            out += [(node.name, f.target.id, i, f.lineno)
+                    for i, f in enumerate(fields) if f.value is not None]
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        owner = methods.get(id(node))
+        name = owner if owner and node.name == "__init__" else node.name
+        params = node.args.posonlyargs + node.args.args
+        skip = int(owner is not None and bool(params) and params[0].arg in ("self", "cls"))
+        first = len(params) - len(node.args.defaults)
+        out += [(name, p.arg, i - skip, node.lineno)
+                for i, p in enumerate(params) if i >= first]
+        out += [(name, p.arg, None, node.lineno)
+                for p, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d is not None]
+    return out
+
+
+def _calls(trees) -> tuple:
+    """What calls pass, by callee name: keywords, most positionals, and 'everything'."""
+    keywords, positions, everything = set(), {}, set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in node.args) or \
+                    any(k.arg is None for k in node.keywords):
+                everything.add(name)
+            keywords |= {(name, k.arg) for k in node.keywords}
+            positions[name] = max(positions.get(name, 0), len(node.args))
+    return keywords, positions, everything
+
+
+def test_no_dead_knob():
+    keywords, positions, everything = _calls(CALLERS)
+    dead = [f"{module}:{line} {name}({knob})" for module, tree in TREES.items()
+            for name, knob, pos, line in _knobs(tree)
+            if name not in everything and (name, knob) not in keywords
+            and (pos is None or positions.get(name, 0) <= pos)]
+    assert not dead, f"knobs no call passes: {dead}"
