@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 failed verification check, 2 invalid parameters.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -102,12 +103,15 @@ def cmd_eval(args) -> int:
     xs = np.linspace(args.x_min, args.x_max, args.points)
     out = args.output or sys.stdout
     print("x,W,Wprime,route,q", file=out)
-    for x in xs:
-        w = scale.eval(float(x))
-        try:
-            wp = scale.eval_deriv(float(x))
-        except ScalekitError:
-            wp = math.nan
+    ws = scale.eval(xs)
+    try:
+        wps = scale.eval_deriv(xs)
+    except ScalekitError:      # point by point, so that only the rows whose W' fails print nan
+        wps = np.full(xs.shape, math.nan)
+        for i, x in enumerate(xs):
+            with contextlib.suppress(ScalekitError):
+                wps[i] = scale.eval_deriv(float(x))
+    for x, w, wp in zip(xs, ws, wps):
         print(f"{x:.12g},{w:.12g},{wp:.12g},{scale.route},{scale.q:.12g}", file=out)
     return 0
 

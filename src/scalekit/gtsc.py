@@ -16,12 +16,12 @@ Evaluation routes for W^(q) (``scale_function`` picks one, or Bromwich inversion
   power series (from the expansion of z^{m_-}/f_q at infinity) is used,
   which also yields W(0+) and W'(0+) exactly.
 * ``w0_closed``    -- q = 0, zeta = 0, alpha in (-1,1)\\{0}: single-integral
-  closed forms.
+  closed forms on fixed graded Gauss-Kronrod panels, and W' in closed form.
 * ``w_ig``         -- alpha = 1/2 inverse Gaussian ladder: erfc formulas,
   with the branch decided by the sign of q - q0, q0 = (16/27)*delta*gamma^3.
-* ``w_gamma_case`` -- alpha = 0, q = 0: reciprocal-gamma-transform density
-  integrated in log coordinates, cross-checkable against the
-  incomplete-gamma time integral.
+* ``w_gamma_case`` -- alpha = 0, q = 0: antiderivative of a Chebyshev interpolant
+  of the reciprocal-gamma-transform density in log coordinates, built once per
+  process; cross-checked against the incomplete-gamma time integral.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -37,10 +38,10 @@ from scipy import special as sps
 from scipy.integrate import quad
 
 from .bromwich import invert
-from .errors import CapabilityError, NumericalError, ParameterError
+from .errors import CapabilityError, NumericalError, ParameterError, SaturationError
 from .levy import LadderParams, LaplaceExponent, big_phi
 from .polyfrac import RationalAlpha, build_fq, partial_fractions, roots_with_multiplicity
-from .scale import ScaleFunction, pointwise_scale
+from .scale import ScaleFunction, on_nonnegative, pointwise_scale
 from .special import (erfcx_scaled, fransen_transform, mittag_leffler,
                       mittag_leffler_deriv, reg_lower_gamma, series_reciprocal, upper_gamma)
 
@@ -272,8 +273,6 @@ def w_rational(params: GtscParams, alpha: Optional[RationalAlpha] = None,
 
     def fused_pass(x: np.ndarray, deriv: bool):
         """W, and W' when deriv is set, on an array of x >= 0 in one pass."""
-        if np.isnan(x).any():
-            raise ParameterError("x must be a number, got NaN")
         w = np.full(x.shape, w0)
         wp = np.full(x.shape, wp0) if deriv else None
         for branch, sel in ((_series_pair, (x > 0.0) & (x <= x_switch)),
@@ -310,53 +309,75 @@ def _inverse_expansion(fq: np.ndarray, m_minus: int, nterms: int) -> np.ndarray:
 # closed forms for q=0, zeta=0, alpha in (-1,1)\{0}
 # ---------------------------------------------------------------------------
 
-def w0_closed(params: GtscParams, x: float) -> float:
-    """W(x) for q = 0, zeta = 0 through the single-integral closed form."""
-    if params.zeta != 0.0:
-        raise ParameterError("closed form requires zeta = 0 (wrong branch)")
-    a = params.alpha
-    if not (-1.0 < a < 1.0) or a == 0.0:
-        raise ParameterError("closed form requires alpha in (-1,1) excluding 0")
-    if x < 0.0:
-        return 0.0
-    g, c, kappa, varphi = params.gamma, params.c, params.kappa, params.varphi
-    cg = c * sps.gamma(-a)
+# Gauss-Kronrod 10/21-point pair on [-1, 1] (QUADPACK qk21): the Gauss points interlaced
+# with eleven more, and the Kronrod weights from the ends to the centre
+_G_X, _G_W = np.polynomial.legendre.leggauss(10)
+_K_X = np.array([0.99565716302580808, 0.93015749135570823, 0.78081772658641690,
+                 0.56275713466860468, 0.29439286270146020, 0.0])
+_GK_X = np.sort(np.r_[_G_X, _K_X, -_K_X[:-1]])
+_K_W = np.array([0.011694638867371874, 0.032558162307964727, 0.054755896574351996,
+                 0.075039674810919953, 0.093125454583697606, 0.10938715880229764,
+                 0.12349197626206585, 0.13470921731147333, 0.14277593857706008,
+                 0.14773910490133849, 0.14944555400291691])
+_GK_W = np.r_[_K_W, _K_W[-2::-1]]
 
-    if a > 0:
-        base = 0.0
-        pref = -math.exp(varphi * x) / cg
-        abar = a
-        lam = (kappa + cg * g ** a) / cg
-    else:
-        A = kappa + cg * g ** a
-        base = math.exp(varphi * x) / A
-        pref = cg * math.exp(varphi * x) / A ** 2
-        abar = -a
-        lam = cg / A
-    if x == 0.0:
-        return base if a < 0 else 0.0
 
-    def integrand(y: float) -> float:
-        e = mittag_leffler(abar, abar, lam * y ** abar).real
-        return math.exp(-(g + varphi) * y) * y ** (abar - 1.0) * e
+def _closed_panels(abar: float, lam: float, rate: float, x: float) -> np.ndarray:
+    """Edges in s on [0, 1]: graded in y = x s^{1/abar} (ratio 0.35) down to y_lo, where rate*y
+    and |lam| y^abar are small, then in s (five levels of 0.2), plus s* = 5/(|lam| x^abar)."""
+    y_lo = min(x, 0.1 / (rate + abs(lam) ** (1.0 / abar)))
+    body = 0.35 ** (abar * np.arange(math.ceil(math.log(x / y_lo) / math.log(1.0 / 0.35))))
+    s_star = min(1.0, 5.0 / (abs(lam) * x ** abar)) if lam != 0.0 else 1.0
+    return np.unique(np.r_[body, (y_lo / x) ** abar * 0.2 ** np.arange(6), 0.0, s_star])
 
-    pts = []
-    if lam != 0.0:
-        ystar = (5.0 / abs(lam)) ** (1.0 / abar)
-        if 0.0 < ystar < x:
-            pts.append(ystar)
-    val, est = quad(integrand, 0.0, x, points=pts or None, limit=300,
-                    epsabs=1e-12, epsrel=1e-11)
-    if abs(est) > 1e-9 * (1.0 + abs(val)):
-        raise NumericalError(f"closed-form quadrature error estimate {est:.2g} too large")
-    return base + pref * val
+
+def _closed_pass(params: GtscParams, x: np.ndarray, deriv: bool) -> np.ndarray:
+    """W, or W' when deriv is set, of the q = 0 closed form on an array of x >= 0.
+
+    W = e^{varphi x} (base + pref I(x)), I(x) = int_0^x e^{-(gamma+varphi) y} y^{abar-1}
+    E_{abar,abar}(lam y^abar) dy = (x^abar/abar) int_0^1 e^{-(gamma+varphi) x s^{1/abar}}
+    E_{abar,abar}(lam x^abar s) ds, s = (y/x)^abar, on fixed Gauss-Kronrod panels.
+    """
+    a, g, varphi = params.alpha, params.gamma, params.varphi
+    if params.zeta != 0.0 or not -1.0 < a < 1.0 or a == 0.0:
+        raise ParameterError("closed form requires zeta = 0 and alpha in (-1,1) excluding 0")
+    cg = params.c * sps.gamma(-a)
+    A = params.kappa + cg * g ** a
+    abar, lam, base, pref = (a, A / cg, 0.0, -1 / cg) if a > 0 else (-a, cg / A, 1 / A, cg / A / A)
+    xp = x[x > 0.0]
+    w = np.full(x.shape, base)
+    if xp.size and (not deriv or varphi != 0.0):
+        edges = [_closed_panels(abar, lam, g + varphi, xi) for xi in xp]
+        lo, hi = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
+        counts = [e.size - 1 for e in edges]
+        half = 0.5 * (hi - lo)
+        s = 0.5 * (hi + lo)[:, None] + half[:, None] * _GK_X
+        y = np.repeat(xp, counts)[:, None] * s ** (1.0 / abar)
+        f = np.exp(-(g + varphi) * y) * mittag_leffler(abar, abar, lam * y ** abar).real
+        kron, gauss = half * (f @ _GK_W), half * (f[:, 1::2] @ _G_W)
+        starts = np.cumsum(counts) - counts
+        val, est = xp ** abar / abar * np.add.reduceat(np.c_[kron, abs(kron - gauss)], starts).T
+        if (est > 1e-9 * (1.0 + np.abs(val))).any():
+            raise NumericalError(f"closed-form quadrature error estimate {est.max():.2g} too large")
+        w[x > 0.0] = np.exp(varphi * xp) * (base + pref * val)
+    if deriv:   # W' = varphi W + pref e^{-gamma x} x^{abar-1} E_{abar,abar}(lam x^abar)
+        ml = mittag_leffler(abar, abar, lam * xp ** abar).real
+        w[x > 0.0] = varphi * w[x > 0.0] + pref * np.exp(-g * xp) * xp ** (abar - 1.0) * ml
+        w[x == 0.0] = math.inf
+    return w
+
+
+def w0_closed(params: GtscParams, x):
+    """W(x) for q = 0, zeta = 0 through the single-integral closed form (x a number or array)."""
+    _closed_pass(params, np.zeros(1), False)     # ParameterError off the closed form's domain
+    return on_nonnegative(lambda xs: _closed_pass(params, xs, False), x)
 
 
 def w0_closed_scale(params: GtscParams) -> ScaleFunction:
-    """ScaleFunction wrapper around ``w0_closed`` (route 'closed-form')."""
+    """ScaleFunction of the closed form (route 'closed-form'), W' in closed form too."""
     psi = params.exponent()
-    return pointwise_scale(0.0, big_phi(psi, 0.0), "closed-form",
-                           lambda x: w0_closed(params, x), psi=psi)
+    return ScaleFunction(0.0, big_phi(psi, 0.0), "closed-form", lambda x: w0_closed(params, x),
+                         lambda x: _closed_pass(params, x, True), psi)
 
 
 # ---------------------------------------------------------------------------
@@ -480,28 +501,52 @@ def _scaled_eta(s, u):
 # gamma ladder (alpha = 0), q = 0
 # ---------------------------------------------------------------------------
 
-def w_gamma_case(c: float, gamma: float, x: float) -> float:
-    """W(x) for the gamma subordinator ladder (alpha=0, q=0, kappa=zeta=varphi=0).
+# panels in v = 1/(10 + t) for k(v) = h(t)/v^2, h(t) = e^{-e^{-t}} F(t), which tends to 1 as
+# t -> inf; t = -log(gamma x) >= -6.45 keeps F in floating-point range
+_LADDER_EDGES = np.array([0.0, 0.04, 0.08, 0.12, 0.18, 1.0 / 3.55])
 
-    Integrates the scale density W'(y) = (1/c) y^{-1} e^{-gamma y} F(-log(gamma y))
-    in the substitution y = e^{-t}/gamma, which removes the logarithmic
-    endpoint singularity at y = 0; F is the reciprocal-gamma transform.
-    """
-    if c <= 0 or gamma <= 0:
-        raise ParameterError("c and gamma must be positive")
-    if x <= 0.0:
-        return 0.0
-    t0 = -math.log(gamma * x)
 
-    def integrand(t: float) -> float:
-        return math.exp(-math.exp(-t)) * fransen_transform(t)
+@cache
+def _ladder_table():
+    """Per panel, Chebyshev coefficients of k and of G(t) = int_0^v k; built once per process."""
+    cheb = np.polynomial.chebyshev
 
-    val, est = quad(integrand, t0, np.inf, limit=300, epsabs=1e-11, epsrel=1e-10)
-    if abs(est) > 1e-7 * (1.0 + abs(val)):
-        raise NumericalError(
-            f"alpha=0 quadrature stagnated (estimate {est:.2g}); the integrand's "
-            "log-singularity split may need refinement")
-    return val / c
+    def k(v: float) -> float:      # h(t)/v^2 at t = 1/v - 10
+        return math.exp(-math.exp(10.0 - 1.0 / v)) * fransen_transform(1.0 / v - 10.0) / v ** 2
+
+    rows, left = [], 0.0
+    for lo, hi in zip(_LADDER_EDGES[:-1], _LADDER_EDGES[1:]):
+        coef = cheb.chebinterpolate(np.vectorize(lambda s: k(lo + 0.5 * (hi - lo) * (1.0 + s))), 31)
+        if abs(coef[-1]) > 1e-12 * np.abs(coef).max():
+            raise NumericalError(f"gamma-ladder interpolant did not converge on v in [{lo}, {hi}]")
+        rows.append((coef, cheb.chebint(coef, lbnd=-1, k=left, scl=0.5 * (hi - lo))))
+        left = cheb.chebval(1.0, rows[-1][1])
+    return rows
+
+
+def _gamma_ladder(c: float, gamma: float, x: np.ndarray, deriv: bool) -> np.ndarray:
+    """W = G(t)/c, or W' = h(t)/(c x) when deriv is set, with t = -log(gamma x), on x >= 0."""
+    pos = x > 0.0
+    out = np.full(x.shape, math.inf if deriv else 0.0)
+    t = -np.log(gamma * x[pos])
+    if (t < -6.45).any():
+        raise SaturationError("gamma-ladder W needs gamma*x <= e^6.45", float(-t.min()))
+    v = 1.0 / (10.0 + t)
+    row = np.searchsorted(_LADDER_EDGES, v) - 1
+    val = np.empty(v.shape)
+    for r in np.unique(row):
+        on, (lo, hi) = row == r, _LADDER_EDGES[r:r + 2]
+        val[on] = np.polynomial.chebyshev.chebval((2.0 * v[on] - lo - hi) / (hi - lo),
+                                                  _ladder_table()[r][0 if deriv else 1])
+    out[pos] = val * v ** 2 / (c * x[pos]) if deriv else val / c
+    return out
+
+
+def w_gamma_case(c: float, gamma: float, x):
+    """W(x) of the gamma subordinator ladder (alpha=0, q=0, kappa=zeta=varphi=0), x a number or
+    an array: G(-log(gamma x))/c, G(t) = int_t^inf e^{-e^{-t'}} F(t') dt', F reciprocal-gamma."""
+    GtscParams(alpha=0.0, gamma=gamma, c=c)     # raises ParameterError unless c, gamma > 0
+    return on_nonnegative(lambda xs: _gamma_ladder(c, gamma, xs, False), x)
 
 
 def w_gamma_case_dual(c: float, gamma: float, x: float) -> float:
@@ -516,16 +561,9 @@ def w_gamma_case_dual(c: float, gamma: float, x: float) -> float:
 
 
 def w_gamma_scale(c: float, gamma: float) -> ScaleFunction:
-    params = GtscParams(alpha=0.0, gamma=gamma, c=c)
-    psi = params.exponent()
-
-    def deriv(x: float) -> float:
-        if x <= 0.0:
-            return math.inf
-        return fransen_transform(-math.log(gamma * x)) * math.exp(-gamma * x) / (c * x)
-
-    return pointwise_scale(0.0, 0.0, "gamma-case", lambda x: w_gamma_case(c, gamma, x),
-                           deriv, psi)
+    return ScaleFunction(0.0, 0.0, "gamma-case", lambda x: w_gamma_case(c, gamma, x),
+                         lambda x: _gamma_ladder(c, gamma, x, True),
+                         GtscParams(alpha=0.0, gamma=gamma, c=c).exponent())
 
 
 # ---------------------------------------------------------------------------

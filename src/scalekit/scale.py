@@ -6,9 +6,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import ParameterError
 from .levy import LaplaceExponent
 
-__all__ = ["ScaleFunction", "pointwise_scale"]
+__all__ = ["ScaleFunction", "on_nonnegative", "pointwise_scale"]
 
 _CHUNK = 64     # points per route call, which bounds the working set of array routes
 
@@ -38,25 +39,28 @@ class ScaleFunction:
         h = np.maximum(1e-6, 1e-7 * x)
         return (self._w(x + h) - self._w(np.maximum(x - h, 0.0))) / (h + np.minimum(h, x))
 
-    @staticmethod
-    def _apply(f, x):
-        xs = np.asarray(x, dtype=float)
-        flat = xs.ravel()
-        out = np.zeros(flat.shape)
-        on = np.flatnonzero(~(flat < 0.0))      # NaN goes on to the route, which rejects it
-        for i in range(0, on.size, _CHUNK):
-            at = on[i:i + _CHUNK]
-            out[at] = f(flat[at])
-        out = out.reshape(xs.shape)
-        return float(out) if out.ndim == 0 else out
-
     def eval(self, x):
-        return self._apply(self._w, x)
+        return on_nonnegative(self._w, x)
 
     __call__ = eval
 
     def eval_deriv(self, x):
-        return self._apply(self._dw or self._central_difference, x)
+        return on_nonnegative(self._dw or self._central_difference, x)
+
+
+def on_nonnegative(f: Callable[[np.ndarray], np.ndarray], x):
+    """f, an array function of x >= 0, on a number (a float back) or an array; 0 for x < 0."""
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    if np.isnan(flat).any():
+        raise ParameterError("x must be a number, got NaN")
+    out = np.zeros(flat.shape)
+    on = np.flatnonzero(flat >= 0.0)
+    for i in range(0, on.size, _CHUNK):
+        at = on[i:i + _CHUNK]
+        out[at] = f(flat[at])
+    out = out.reshape(xs.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def pointwise_scale(q: float, phi_q: float, route: str, value: Callable[[float], float],

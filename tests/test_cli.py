@@ -73,6 +73,41 @@ class TestEval:
         assert (float(x), float(w), route) == (0.0, 1.0, "bromwich")
         assert float(wp) == pytest.approx(1.0, rel=1e-4)
 
+    @pytest.mark.parametrize("alpha", ["1/3", "-1/3"])
+    def test_closed_route_slope_infinite_at_zero(self, alpha):
+        code, out = run_cli(["eval", "--route", "closed", f"--alpha={alpha}",
+                             "--points", "3", "--x-max", "1"])
+        assert code == 0
+        rows = [ln.split(",") for ln in out.splitlines()[1:]]
+        assert float(rows[0][0]) == 0.0 and float(rows[0][2]) == math.inf
+        assert all(math.isfinite(float(row[2])) for row in rows[1:])
+
+    def test_columns_in_one_call_each(self, monkeypatch):
+        from scalekit import cli
+        from scalekit.errors import NumericalError
+        from scalekit.scale import ScaleFunction
+
+        calls = []
+
+        def w(x):
+            calls.append(("w", x.size))
+            return 2.0 * x
+
+        def dw(x):
+            calls.append(("dw", x.size))
+            if (x > 1.0).any():
+                raise NumericalError("no slope beyond 1")
+            return np.full(x.shape, 2.0)
+
+        monkeypatch.setattr(cli, "_build_scale", lambda args: ScaleFunction(0.0, 0.0, "stub", w, dw))
+        code, out = run_cli(["eval", "--x-max", "2", "--points", "5"])
+        assert code == 0
+        assert calls[:2] == [("w", 5), ("dw", 5)]
+        rows = [[float(v) for v in ln.split(",")[:3]] for ln in out.splitlines()[1:]]
+        assert [row[1] for row in rows] == [0.0, 1.0, 2.0, 3.0, 4.0]
+        slopes = [row[2] for row in rows]
+        assert slopes[:3] == [2.0, 2.0, 2.0] and all(math.isnan(v) for v in slopes[3:])
+
     def test_rational_route_selected(self):
         code, out = run_cli(["eval", "--model", "gtsc", "--alpha", "1/3",
                              "--q", "1", "--x-max", "2", "--points", "3"])

@@ -238,6 +238,102 @@ class TestClosedForms:
             w0_closed(params, 1.0)
 
 
+def _quad_closed(params, x):
+    """Oracle: the closed form by adaptive quadrature in y over the scalar Mittag-Leffler function."""
+    from scipy.integrate import quad
+
+    from scalekit.errors import NumericalError
+    from scalekit.special import mittag_leffler
+
+    a, g, c, kappa, varphi = params.alpha, params.gamma, params.c, params.kappa, params.varphi
+    cg = c * sps.gamma(-a)
+    if a > 0:
+        base, pref, abar, lam = 0.0, -math.exp(varphi * x) / cg, a, (kappa + cg * g ** a) / cg
+    else:
+        A = kappa + cg * g ** a
+        base, pref, abar, lam = math.exp(varphi * x) / A, cg * math.exp(varphi * x) / A ** 2, -a, cg / A
+
+    def integrand(y):
+        e = mittag_leffler(abar, abar, lam * y ** abar).real
+        return math.exp(-(g + varphi) * y) * y ** (abar - 1.0) * e
+
+    ystar = (5.0 / abs(lam)) ** (1.0 / abar)
+    val, est = quad(integrand, 0.0, x, points=[ystar] if ystar < x else None, limit=300,
+                    epsabs=1e-12, epsrel=1e-11)
+    if abs(est) > 1e-9 * (1.0 + abs(val)):
+        raise NumericalError(f"quadrature error estimate {est:.2g}")
+    return base + pref * val
+
+
+class TestClosedFormPanels:
+    """The fixed Gauss-Kronrod panels against adaptive quadrature and Bromwich inversion."""
+
+    XS = (0.01, 0.25, 2.6, 20.0)
+
+    @pytest.mark.parametrize("extra", [{}, {"kappa": 1.0}, {"varphi": 1.0}],
+                             ids=["plain", "kappa", "varphi"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("abar", [0.1, 0.25, 1.0 / math.pi, 0.5, 1.0 / math.sqrt(2.0), 0.9])
+    def test_matches_quad_and_bromwich(self, abar, sign, extra):
+        import warnings
+
+        from scalekit.bromwich import invert
+        from scalekit.errors import NumericalError
+
+        params = GtscParams(alpha=sign * abar, gamma=0.8, c=1.1, **extra)
+        got = w0_closed(params, np.array(self.XS))
+        for x, g in zip(self.XS, got):
+            # the block Mittag-Leffler series sums the terms its whole block needs,
+            # so a point's last bits can depend on its neighbours
+            one = w0_closed(params, x)
+            assert type(one) is float and one == pytest.approx(g, rel=1e-13)
+            ref = invert(params.exponent(), 0.0, x)[0]
+            assert abs(g - ref) <= 1e-9 * abs(ref), ("bromwich", x)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                if abar == 0.1 and extra:
+                    # adaptive quadrature stagnates here, or drifts ~1e-9 where it
+                    # does not raise, so Bromwich inversion alone is the reference
+                    if x == 0.25:
+                        with pytest.raises(NumericalError):
+                            _quad_closed(params, x)
+                    continue
+                oracle = _quad_closed(params, x)
+            assert abs(g - oracle) <= 1e-9 * abs(oracle), ("quad", x)
+
+    def test_gauss_kronrod_pair_exact(self):
+        from scalekit.gtsc import _G_W, _GK_W, _GK_X
+
+        for d in range(32):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert _GK_W @ _GK_X ** d == pytest.approx(exact, abs=1e-15), d
+            if d < 20:
+                assert _G_W @ _GK_X[1::2] ** d == pytest.approx(exact, abs=1e-15), d
+
+    def test_domain_checked_for_every_x(self):
+        params = GtscParams(alpha=0.5, gamma=1.0, c=1.0, zeta=1.0)
+        for x in (-1.0, np.array([-2.0, -1.0])):
+            with pytest.raises(ParameterError):
+                w0_closed(params, x)
+
+    @pytest.mark.parametrize("alpha,extra", [(1 / 3, {}), (-1 / 3, {}), (0.7, {"varphi": 1.0}),
+                                             (-0.25, {"kappa": 1.0}), (0.1, {"varphi": 1.0})])
+    def test_derivative_matches_richardson(self, alpha, extra):
+        scale = w0_closed_scale(GtscParams(alpha=alpha, gamma=0.8, c=1.1, **extra))
+        for x in (0.05, 0.7, 2.6, 9.0):
+            h = 1e-3 * x
+            d1 = (scale.eval(x + h) - scale.eval(x - h)) / (2.0 * h)
+            d2 = (scale.eval(x + h / 2) - scale.eval(x - h / 2)) / h
+            assert scale.eval_deriv(x) == pytest.approx((4.0 * d2 - d1) / 3.0, rel=1e-7)
+
+    @pytest.mark.parametrize("alpha", [1 / 3, -1 / 3, 0.9])
+    def test_derivative_infinite_at_zero(self, alpha):
+        params = GtscParams(alpha=alpha, gamma=1.0, c=1.0)
+        scale = w0_closed_scale(params)
+        assert scale.eval_deriv(0.0) == asymptote_zero(params).wprime0 == math.inf
+        assert scale.eval(0.0) == asymptote_zero(params).w0
+
+
 class TestGammaCase:
     def test_zero_at_origin(self):
         assert w_gamma_case(1.0, 1.0, 0.0) == 0.0
@@ -249,6 +345,33 @@ class TestGammaCase:
 
     def test_monotone(self):
         assert w_gamma_case(1.0, 1.0, 2.0) > w_gamma_case(1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("c,gamma", [(1.0, 1.0), (1.3, 0.7), (0.6, 2.0)])
+    def test_dual_route_agreement_grid(self, c, gamma):
+        xs = np.geomspace(1e-8, 600.0, 12) / gamma
+        got = w_gamma_case(c, gamma, xs)
+        for x, g in zip(xs, got):
+            one = w_gamma_case(c, gamma, float(x))
+            assert type(one) is float and one == g
+            assert g == pytest.approx(w_gamma_case_dual(c, gamma, float(x)), rel=1e-9)
+
+    def test_saturation_beyond_range(self):
+        from scalekit.errors import SaturationError
+
+        with pytest.raises(SaturationError):
+            w_gamma_case(1.0, 0.5, 1400.0)
+        with pytest.raises(SaturationError):
+            w_gamma_scale(1.0, 0.5).eval_deriv(np.array([1.0, 1400.0]))
+
+    def test_derivative_is_scale_density(self):
+        # W'(x) = h(t)/(c x) with t = -log(gamma x), against a Richardson difference of W
+        scale = w_gamma_scale(1.3, 0.7)
+        assert scale.eval_deriv(0.0) == math.inf
+        for x in (1e-4, 0.3, 4.0, 200.0):
+            h = 1e-3 * x
+            d1 = (scale.eval(x + h) - scale.eval(x - h)) / (2.0 * h)
+            d2 = (scale.eval(x + h / 2) - scale.eval(x - h / 2)) / h
+            assert scale.eval_deriv(x) == pytest.approx((4.0 * d2 - d1) / 3.0, rel=1e-7)
 
     def test_laplace_identity(self):
         w = w_gamma_scale(1.0, 1.0)

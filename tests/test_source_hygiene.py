@@ -1,4 +1,5 @@
-"""Source hygiene of the package: no unused import, no orphaned private name, no dead knob.
+"""Source hygiene of the package: no unused import, no orphaned private name, no dead knob,
+and no shared code between the gamma-ladder route and its oracle.
 
 A stand-in for a linter: each module under src/scalekit is parsed with ``ast``.
 An import counts as used when its name is read in the module or listed in
@@ -6,7 +7,8 @@ An import counts as used when its name is read in the module or listed in
 public surface.  A private top-level name (one leading underscore) counts as
 used when any module of the package reads it.  A knob -- a defaulted parameter
 or dataclass field -- counts as used when some call in src/, tests/ or
-perfbench/ passes it.
+perfbench/ passes it.  A function reaches every package function whose name it
+reads, and what those reach in turn.
 """
 
 import ast
@@ -143,3 +145,29 @@ def test_no_dead_knob():
             if name not in everything and (name, knob) not in keywords
             and (pos is None or positions.get(name, 0) <= pos)]
     assert not dead, f"knobs no call passes: {dead}"
+
+
+def _reach(start: str) -> set:
+    """Names of the package functions that ``start`` reaches through the names it reads."""
+    funcs = {}
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                funcs.setdefault(node.name, []).append(node)
+    seen, todo = set(), [start]
+    while todo:
+        name = todo.pop()
+        if name not in seen and name in funcs:
+            seen.add(name)
+            for node in funcs[name]:
+                todo += _read_names(node)
+    return seen
+
+
+def test_gamma_oracle_independent():
+    # the dual route checks the interpolated one; sharing F would make them agree by construction
+    shared = {"_ladder_table", "fransen_transform"}
+    assert shared <= _reach("w_gamma_case")
+    reached = _reach("w_gamma_case_dual")
+    assert "reg_lower_gamma" in reached
+    assert not reached & shared, f"w_gamma_case_dual reaches {sorted(reached & shared)}"

@@ -265,3 +265,15 @@ class TestFransenTransform:
     def test_saturation_guard(self):
         with pytest.raises(SaturationError):
             fransen_transform(-7.0)
+
+    def test_gamma_ladder_interpolant(self):
+        # the alpha = 0 route interpolates h(t) = e^{-e^{-t}} F(t) once per process;
+        # W'(x) = h(t)/(c x) at t = -log(gamma x) shows it between its nodes
+        from scalekit.gtsc import w_gamma_scale
+
+        c, gamma = 1.3, 0.7
+        ts = np.concatenate([np.linspace(-6.4, 23.9, 37), [24.5, 31.0, 77.0, 300.0, 700.0]])
+        xs = np.exp(-ts) / gamma
+        got = c * xs * w_gamma_scale(c, gamma).eval_deriv(xs) * np.exp(gamma * xs)
+        for x, g in zip(xs, got):
+            assert g == pytest.approx(fransen_transform(-math.log(gamma * x)), rel=1e-12)
