@@ -12,6 +12,8 @@ every zero of psi - q and the branch cut of psi on its left.  Two contours:
   stays fixed because round-off grows like e^{0.176 N}.  An argument-principle
   count certifies that no zero of psi - q lies right of the hyperbola (where
   its weight e^{Re w} exceeds e^{-25}); otherwise InversionError is raised.
+  The same node values times s give W' = L^-1[s/(psi(s) - q)] at x > 0, since
+  L[W'] = theta/(psi - q) - W(0+) and a constant inverts to 0 there.
 * shifted-line (reference oracle): W(x) = (e^{rx}/pi) * Int_0^inf
   [Re F(u) cos(xu) - Im F(u) sin(xu)] du with F(u) = 1/(psi(r+iu) - q), by
   QUADPACK's oscillatory integrator with Euler-type extrapolation, which
@@ -76,7 +78,7 @@ def invert(psi: LaplaceExponent, q: float, x: float,
     cfg = cfg or InversionConfig()
     phi_q = big_phi(psi, q)
     if cfg.contour == "hyperbola":
-        return _invert_hyperbola(psi, q, x, phi_q + 1.0 / x)
+        return _invert_hyperbola(psi, q, x, phi_q + 1.0 / x, False)
 
     r = cfg.r if cfg.r is not None else phi_q + max(1.0, 0.5 * phi_q)
     if r <= phi_q:
@@ -139,13 +141,17 @@ def _zero_count(psi, q, x, sigma, path, g) -> int:
                          "hyperbolic contour; use the shifted-line contour")
 
 
-def _invert_hyperbola(psi, q, x, sigma) -> tuple[float, float]:
+def _invert_hyperbola(psi, q, x, sigma, deriv: bool) -> tuple[float, float]:
+    """(W, error estimate) at x > 0, or (W', error estimate) when deriv is set."""
     if sigma * x > 700.0:
         raise InversionError("W^(q)(x) overflows double precision at this x")
-    g = _psi_minus_q(psi, q, sigma + _W_ALL / x)
+    s = sigma + _W_ALL / x
+    g = _psi_minus_q(psi, q, s)
     n1, n2 = _W_MAIN.size, _W_CHECK.size
     terms = np.exp(_W_MAIN) * _DW_MAIN / g[:n1]
     check = np.exp(_W_CHECK) * _DW_CHECK / g[n1:n1 + n2]
+    if deriv:
+        terms, check = terms * s[:n1], check * s[n1:n1 + n2]
     scale = 2.0 * math.exp(sigma * x) / x
     value = scale * float(np.sum(terms.imag)) / (2 * n1)
     err = max(abs(value - scale * float(np.sum(check.imag)) / (2 * n2)),

@@ -210,7 +210,12 @@ def w_fixed_jumps(ccoef: float, lam: float, jump: float) -> ScaleFunction:
     """q = 0 scale function of psi(theta) = c theta - lambda (1 - exp(-jump*theta)).
 
     W(x) = (1/c) sum_{n=0}^{floor(x/jump)} e^{-lam(jump n - x)/c} (lam/c)^n (jump n - x)^n / n!
-    (piecewise smooth with kinks at multiples of the jump size).
+    (piecewise smooth with kinks at multiples of the jump size) and
+    W'(x) = (lam/c)(W(x) - W(x - jump)), the inverse of theta/psi - 1/c, with W = 0 for x < 0.
+    The zeros of psi are theta_k = lam/c + W_k(-a e^{-a})/jump, a = lam jump/c, W_k the
+    branches of the Lambert W function: k = 0 gives 0, k = -1 the negative zero theta2 and
+    k = 1 the first complex pair.  Where that pair weighs below 1e-16 W(inf), the alternating
+    sum gives way to the two-pole tail W = 1/psi'(0+) + e^{theta2 x}/psi'(theta2).
     """
     if ccoef <= 0 or lam < 0 or jump <= 0:
         raise ParameterError("ccoef, jump must be positive and lambda nonnegative")
@@ -219,79 +224,58 @@ def w_fixed_jumps(ccoef: float, lam: float, jump: float) -> ScaleFunction:
     lc = lam / ccoef
     drift0 = ccoef - lam * jump
 
-    def _log_terms(x: float):
+    def psi_eval(theta):
+        return ccoef * theta - lam * (1.0 - np.exp(-jump * theta))
+
+    def psi_deriv(theta):
+        return ccoef - lam * jump * np.exp(-jump * theta)
+
+    x_tail = math.inf
+    if lam > 0:
+        a = lc * jump
+        theta2, theta1 = (lc + sps.lambertw(-a * math.exp(-a), k) / jump for k in (-1, 1))
+        theta2, psi_d_theta2 = theta2.real, float(psi_deriv(theta2.real))
+        # the pair weighs 2 |e^{theta1 x}/psi'(theta1)|, against W(inf) = 1/psi'(0+)
+        x_tail = math.log(2e16 * drift0 / abs(psi_deriv(theta1))) / -theta1.real
+
+    def value(x: float) -> float:
+        if x < 0.0:
+            return 0.0
+        if x >= x_tail:
+            return 1.0 / drift0 + math.exp(theta2 * x) / psi_d_theta2
         # floor with a snap so kink placement is deterministic at multiples
-        nmax = int(math.floor(x / jump + 1e-12))
-        n = np.arange(0, nmax + 1, dtype=float)
+        n = np.arange(0, int(math.floor(x / jump + 1e-12)) + 1, dtype=float)
         u = jump * n - x
-        # n-th term: e^{-lam u/c} (lam u / c)^n / n!, u <= 0
+        # n-th term: e^{-lam u/c} (lam u / c)^n / n!, u <= 0, so the signs alternate
         with np.errstate(divide="ignore", invalid="ignore"):
             logmag = -lc * u + n * np.log(np.abs(lc * u, where=n > 0, out=np.ones_like(u))) \
                 - sps.gammaln(n + 1.0)
         logmag[0] = lc * x
-        sign = np.where(n % 2 == 0, 1.0, -1.0)   # (u<0)^n alternates
-        vals = sign * np.exp(logmag)
+        vals = np.where(n % 2 == 0, 1.0, -1.0) * np.exp(logmag)
         vals[np.abs(u) < 1e-300] = np.where(n[np.abs(u) < 1e-300] > 0, 0.0, 1.0)
-        return vals, float(logmag.max())
-
-    # beyond the depth where the alternating sum cancels catastrophically, the
-    # tail is the exact two-pole form 1/psi'(0+) + e^{theta2 x}/psi'(theta2)
-    if lam > 0:
-        from scipy.optimize import brentq
-
-        theta2 = brentq(lambda th: ccoef * th - lam * (1.0 - math.exp(-jump * th)),
-                        -80.0 / jump, -1e-12, maxiter=200)
-        psi_d_theta2 = ccoef - lam * jump * math.exp(-jump * theta2)
-        x_tail = _fixed_jump_depth_limit(lc, jump)
-    else:
-        theta2, psi_d_theta2, x_tail = None, None, math.inf
-
-    def value(x: float) -> float:
-        if x >= x_tail:
-            return 1.0 / drift0 + math.exp(theta2 * x) / psi_d_theta2
-        vals, _ = _log_terms(x)
         return float(vals.sum()) / ccoef
 
-    def psi_eval(theta):
-        return ccoef * theta - lam * (1.0 - np.exp(-jump * theta))
-
-    def psi_deriv(theta: float) -> float:
-        return ccoef - lam * jump * math.exp(-jump * theta)
+    def deriv(x: float) -> float:
+        if x >= x_tail:
+            return theta2 * math.exp(theta2 * x) / psi_d_theta2
+        return lc * (value(x) - value(x - jump))
 
     psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv, domain_edge=-math.inf,
                           descriptor="catalog-family", drift_at_zero=ccoef - lam * jump)
-    return pointwise_scale(0.0, 0.0, "catalog", value, psi=psi)
+    return pointwise_scale(0.0, 0.0, "catalog", value, deriv, psi)
 
 
 # ---------------------------------------------------------------------------
 # 5. Unit drift minus heavy-tailed compound Poisson (erfc family)
 # ---------------------------------------------------------------------------
 
-def _fixed_jump_depth_limit(lc: float, jump: float) -> float:
-    """Largest x at which the alternating sum keeps ~9 significant digits."""
-    if lc == 0.0:
-        return math.inf
-    x = jump
-    while x < 4000.0 * jump:
-        n = np.arange(0, int(x / jump) + 1, dtype=float)
-        u = jump * n - x
-        with np.errstate(divide="ignore"):
-            logmag = -lc * u + n * np.log(np.maximum(np.abs(lc * u), 1e-300)) \
-                - sps.gammaln(n + 1.0)
-        logmag[0] = lc * x
-        if logmag.max() > 18.0:
-            return x
-        x += jump
-    return math.inf
-
-
 def w_abate_whitt(lam: float, mu: float) -> ScaleFunction:
     """q = 0 scale function for the unit-drift queueing family.
 
     psi(theta) = theta - lambda*theta/((mu + sqrt(theta))(1 + sqrt(theta))),
     W(x) = (1-lam/mu)^{-1} [1 - (lam/mu)/(nu1 - nu2) (nu1 eta(x nu2^2) - nu2 eta(x nu1^2))]
-    with eta(x) = e^x erfc(sqrt(x)).  Coalescing nu1 = nu2 is handled by the
-    limit formula.
+    with eta(x) = e^x erfc(sqrt(x)), and W' in closed form, W'(0) = lambda.
+    Coalescing nu1 = nu2 is handled by the limit formula.
     """
     if lam <= 0 or mu <= 0:
         raise ParameterError("lambda and mu must be positive")
@@ -310,14 +294,25 @@ def w_abate_whitt(lam: float, mu: float) -> ScaleFunction:
             et = sps.erfcx(math.sqrt(u))
             lim = (1.0 - 2.0 * u) * et + 2.0 * math.sqrt(u / math.pi)
             return pref * (1.0 - rho * lim)
+
+        def deriv(x: float) -> float:
+            u = nu * nu * x
+            return pref * rho * nu * nu * ((1.0 + 2.0 * u) * sps.erfcx(math.sqrt(u))
+                                           - 2.0 * math.sqrt(u / math.pi))
     else:
         root = math.sqrt(disc)
         nu1, nu2 = half + root, half - root
 
         def value(x: float) -> float:
-            e1 = sps.erfcx(math.sqrt(x) * abs(nu2))
-            e2 = sps.erfcx(math.sqrt(x) * abs(nu1))
+            e1 = sps.erfcx(math.sqrt(x) * nu2)
+            e2 = sps.erfcx(math.sqrt(x) * nu1)
             return pref * (1.0 - rho / (nu1 - nu2) * (nu1 * e1 - nu2 * e2))
+
+        def deriv(x: float) -> float:
+            # d/dx erfcx(nu sqrt x) = nu^2 erfcx(nu sqrt x) - nu/sqrt(pi x); 1/sqrt x cancels
+            e1 = sps.erfcx(math.sqrt(x) * nu2)
+            e2 = sps.erfcx(math.sqrt(x) * nu1)
+            return -pref * rho * nu1 * nu2 * (nu2 * e1 - nu1 * e2) / (nu1 - nu2)
 
     def psi_eval(theta):
         rt = np.sqrt(theta + 0j)
@@ -330,7 +325,7 @@ def w_abate_whitt(lam: float, mu: float) -> ScaleFunction:
 
     psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv, domain_edge=0.0,
                           descriptor="catalog-family", drift_at_zero=1.0 - rho)
-    return pointwise_scale(0.0, 0.0, "catalog", value, psi=psi)
+    return pointwise_scale(0.0, 0.0, "catalog", value, deriv, psi)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,13 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .bromwich import invert, verify_laplace_identity
+from .bromwich import InversionConfig, invert, verify_laplace_identity
 from .catalog import build_catalog_entry, catalog_families, family_parameters
 from .errors import ParameterError, ScalekitError
 from .fluctuation import (ExitProblem, dividend_barrier, dividend_value,
@@ -163,11 +164,15 @@ def cmd_verify(args) -> int:
                                  "1/(psi(theta)-q)", err, 1e-6))
 
     if "routes" in suites and args.model == "gtsc":
+        # the bromwich route is checked against the other contour, not against itself
+        line = scale.route == "bromwich"
+        contour = InversionConfig(contour="shifted-line") if line else None
         xs = np.linspace(0.05, 10.0, 25)
         got = scale.eval(xs)
-        ref = np.array([invert(psi, scale.q, float(x))[0] for x in xs])
+        ref = np.array([invert(psi, scale.q, float(x), contour)[0] for x in xs])
         worst = float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-300)))
-        checks.append(_check(f"route_agreement[{scale.route} vs bromwich]",
+        checks.append(_check(f"route_agreement[{scale.route} vs "
+                             f"{'shifted-line' if line else 'bromwich'}]",
                              "pointwise agreement", worst, 1e-6))
 
     if "asymptotics" in suites and args.model == "gtsc":
@@ -196,10 +201,14 @@ def cmd_verify(args) -> int:
         else:
             raise ParameterError("the mc suite currently targets --model gtsc")
         cfg = SimConfig(n_paths=args.paths, dt=args.dt, seed=args.seed)
-        est = simulate_exit(triple, x0, a0, cfg, q=args.q)
+        # the cutoff and censoring warnings go into the report: no CLI option acts on them
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = simulate_exit(triple, x0, a0, cfg, q=args.q)
         target = scale.eval(x0) / scale.eval(a0)
         dev = abs(est.p_hat - target) / max(est.stderr, 1e-12)
-        checks.append(_check(f"mc_exit[x={x0},a={a0}]", target, dev, 3.0))
+        checks.append({**_check(f"mc_exit[x={x0},a={a0}]", target, dev, 3.0),
+                       "notes": [str(w.message) for w in caught]})
 
     report = {"suite": args.suite, "model": args.model,
               "checks": checks, "pass": all(c["pass"] for c in checks)}

@@ -37,7 +37,7 @@ import numpy as np
 from scipy import special as sps
 from scipy.integrate import quad
 
-from .bromwich import invert
+from .bromwich import _invert_hyperbola, invert
 from .errors import CapabilityError, NumericalError, ParameterError, SaturationError
 from .levy import LadderParams, LaplaceExponent, big_phi
 from .polyfrac import RationalAlpha, build_fq, partial_fractions, roots_with_multiplicity
@@ -398,8 +398,8 @@ def w_ig(delta: float, gamma: float, q: float = 0.0) -> ScaleFunction:
     """W^(q) for the inverse Gaussian ladder, all in erfc closed forms.
 
     zeta = varphi = kappa = 0 throughout.  The q = q0 boundary (detected to
-    1e-9 relative) uses the double-root branch; derivative by complex-step
-    differentiation, which is exact for these entire expressions.
+    1e-9 relative) uses the double-root branch.  W' is in closed form on
+    every branch, with W'(0+) = inf.
     """
     if delta <= 0 or gamma <= 0:
         raise ParameterError("delta and gamma must be positive")
@@ -432,28 +432,20 @@ def w_ig(delta: float, gamma: float, q: float = 0.0) -> ScaleFunction:
     phi_q = float(roots[0].real) ** 2 - c0
 
     if abs(q - q0) <= 1e-9 * q0:
-        def value(x: float) -> float:
-            if x < 0.0:
-                return 0.0
+        def pair(x: float):
+            """W and W' at x > 0; W = (t1 + t2 - (15 + 2 gamma^2 x) e3)/(36 delta gamma)."""
             sx = math.sqrt(x)
             g2x = gamma ** 2 * x
             t1 = 6.0 * gamma * math.sqrt(2.0 / math.pi) * sx * math.exp(-0.5 * g2x)
             t2 = 15.0 * _scaled_eta((8.0 / 9.0) * g2x, -(5.0 * gamma / 3.0) * sx / math.sqrt(2.0))
-            t3 = math.exp(-(4.0 / 9.0) * g2x) * (15.0 + 2.0 * g2x) \
-                * sps.erfc((gamma / 3.0) * sx / math.sqrt(2.0))
-            return float(np.real(t1 + t2 - t3)) / (36.0 * delta * gamma)
+            e3 = math.exp(-(4.0 / 9.0) * g2x) * sps.erfc((gamma / 3.0) * sx / math.sqrt(2.0))
+            # t1' + t2' - t3', the e^{-gamma^2 x/2}/sqrt(x) parts of all three gathered
+            d = gamma ** 2 * (8.0 * t2 + (42.0 + 8.0 * g2x) * e3) / 9.0 + math.sqrt(2.0) * gamma \
+                * math.exp(-0.5 * g2x) * (18.0 - (8.0 / 3.0) * g2x) / math.sqrt(math.pi * x)
+            return np.real([t1 + t2 - (15.0 + 2.0 * g2x) * e3, d]) / (36.0 * delta * gamma)
 
-        def deriv(x: float) -> float:
-            # double-root branch is exercised on a measure-zero set; a
-            # Richardson-extrapolated central difference is plenty here
-            if x <= 0.0:
-                return math.inf
-            h = 1e-5 * (1.0 + x)
-            d1 = (value(x + h) - value(max(x - h, 0.0))) / (2.0 * h)
-            d2 = (value(x + h / 2) - value(max(x - h / 2, 0.0))) / h
-            return (4.0 * d2 - d1) / 3.0
-
-        return pointwise_scale(q, phi_q, "ig", value, deriv, params.exponent())
+        return pointwise_scale(q, phi_q, "ig", lambda x: pair(x)[0] if x > 0.0 else 0.0,
+                               lambda x: pair(x)[1] if x > 0.0 else math.inf, params.exponent())
 
     der = np.polynomial.polynomial.polyder(np.asarray(fq))
     weights = []
@@ -585,7 +577,7 @@ class InfinityAsymptote:
 
 
 def asymptote_zero(params: GtscParams, q: float = 0.0) -> ZeroAsymptote:
-    """Behaviour of W^(q) at 0+ (independent of q)."""
+    """Behaviour of W^(q) at 0+ (independent of q except W'(0+) at alpha = -1)."""
     a, g, c, zeta, kappa = params.alpha, params.gamma, params.c, params.zeta, params.kappa
     if zeta > 0:
         return ZeroAsymptote(w0=0.0, wprime0=1.0 / zeta, leading_term="W ~ x/zeta")
@@ -597,8 +589,9 @@ def asymptote_zero(params: GtscParams, q: float = 0.0) -> ZeroAsymptote:
     if a == 0.0:
         return ZeroAsymptote(w0=0.0, wprime0=math.inf, leading_term="W ~ o(x^eps) (gamma ladder)")
     A = kappa + c * sps.gamma(-a) * g ** a
-    coef = c / A ** 2
-    # at alpha = -1 the x^{-alpha} term is linear: W = 1/A + (c/A^2) x + ...
+    # at alpha = -1 the parent has bounded variation, drift A and jump mass
+    # m = c (varphi + gamma)/gamma, so W = 1/A + ((m + q)/A^2) x + ...
+    coef = (c * (params.varphi + g) / g + q) / A ** 2 if a == -1.0 else c / A ** 2
     return ZeroAsymptote(w0=1.0 / A, wprime0=coef if a == -1.0 else math.inf,
                          leading_term=f"W ~ {1.0 / A:.12g} + {coef / (-a):.12g} * x^{-a:g}")
 
@@ -665,9 +658,12 @@ def scale_function(params: GtscParams, q: float = 0.0, route: str = "auto") -> S
         return w0_closed_scale(params)
     if route == "bromwich":
         psi = params.exponent()
-        w0 = asymptote_zero(params, q).w0
-        return pointwise_scale(q, big_phi(psi, q), "bromwich",
-                               lambda x: invert(psi, q, x)[0] if x > 0 else w0, psi=psi)
+        phi_q = big_phi(psi, q)
+        zero = asymptote_zero(params, q)
+        return pointwise_scale(
+            q, phi_q, "bromwich", lambda x: invert(psi, q, x)[0] if x > 0 else zero.w0,
+            lambda x: _invert_hyperbola(psi, q, x, phi_q + 1.0 / x, True)[0] if x > 0
+            else zero.wprime0, psi)
     raise ParameterError(f"unknown route '{route}'")
 
 

@@ -17,16 +17,17 @@ _CHUNK = 64     # points per route call, which bounds the working set of array r
 class ScaleFunction:
     """Evaluable q-scale function W^(q) with provenance.
 
-    ``w`` and ``dw`` map a 1-D array of x >= 0 to W and W' (W at 0 is the
-    route's right limit); without ``dw`` the derivative is a central
-    difference.  ``eval`` returns W^(q)(x) and ``eval_deriv`` W'; both are 0
-    for x < 0 and take a number (returning a float) or an array (returning
-    the input's shape).  Instances are immutable and safe to share.
+    ``w`` and ``dw`` map a 1-D array of x >= 0 to W and W' (each at 0 is the
+    route's right limit); every route supplies its own W', and nothing is
+    differentiated numerically.  ``eval`` returns W^(q)(x) and ``eval_deriv``
+    W'; both are 0 for x < 0 and take a number (returning a float) or an
+    array (returning the input's shape).  Instances are immutable and safe
+    to share.
     """
 
     def __init__(self, q: float, phi_q: float, route: str,
                  w: Callable[[np.ndarray], np.ndarray],
-                 dw: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                 dw: Callable[[np.ndarray], np.ndarray],
                  psi: Optional[LaplaceExponent] = None):
         self.q = q
         self.phi_q = phi_q
@@ -35,17 +36,13 @@ class ScaleFunction:
         self._w = w
         self._dw = dw
 
-    def _central_difference(self, x: np.ndarray) -> np.ndarray:
-        h = np.maximum(1e-6, 1e-7 * x)
-        return (self._w(x + h) - self._w(np.maximum(x - h, 0.0))) / (h + np.minimum(h, x))
-
     def eval(self, x):
         return on_nonnegative(self._w, x)
 
     __call__ = eval
 
     def eval_deriv(self, x):
-        return on_nonnegative(self._dw or self._central_difference, x)
+        return on_nonnegative(self._dw, x)
 
 
 def on_nonnegative(f: Callable[[np.ndarray], np.ndarray], x):
@@ -64,10 +61,10 @@ def on_nonnegative(f: Callable[[np.ndarray], np.ndarray], x):
 
 
 def pointwise_scale(q: float, phi_q: float, route: str, value: Callable[[float], float],
-                    deriv: Optional[Callable[[float], float]] = None,
+                    deriv: Callable[[float], float],
                     psi: Optional[LaplaceExponent] = None) -> ScaleFunction:
-    """ScaleFunction of a route that computes W (and W') one x at a time, by numpy's loop."""
+    """ScaleFunction of a route that computes W and W' one x at a time, by numpy's loop."""
     def vec(f):
         return np.vectorize(f, otypes=[float])
 
-    return ScaleFunction(q, phi_q, route, vec(value), None if deriv is None else vec(deriv), psi)
+    return ScaleFunction(q, phi_q, route, vec(value), vec(deriv), psi)

@@ -10,7 +10,8 @@ from scalekit.bromwich import (InversionConfig, classify_integrability, invert,
 from scalekit.catalog import build_catalog_entry, w_brownian, w_stable
 from scalekit.cli import CASES
 from scalekit.errors import InversionError, ParameterError
-from scalekit.gtsc import GtscParams, ig_params, w_ig, w_rational
+from scalekit.gtsc import (GtscParams, asymptote_zero, ig_params, scale_function, w_ig,
+                           w_rational)
 from scalekit.levy import LaplaceExponent, big_phi
 from scalekit.polyfrac import RationalAlpha
 
@@ -244,7 +245,7 @@ class TestVerifyIdentity:
         def broken(x):
             raise TypeError("bad call")
 
-        bad = ScaleFunction(q=0.0, phi_q=w.phi_q, route="stub", w=broken)
+        bad = ScaleFunction(q=0.0, phi_q=w.phi_q, route="stub", w=broken, dw=broken)
         with pytest.raises(TypeError):
             verify_laplace_identity(bad, w.psi, [1.0])
 
@@ -258,7 +259,7 @@ class TestVerifyIdentity:
         def failing(x):
             raise NumericalError("quadrature stagnated")
 
-        bad = ScaleFunction(q=0.0, phi_q=w.phi_q, route="stub", w=failing)
+        bad = ScaleFunction(q=0.0, phi_q=w.phi_q, route="stub", w=failing, dw=failing)
         rep = verify_laplace_identity(bad, w.psi, [1.0, 2.0])
         assert rep.relative_errors == (math.inf, math.inf)
         assert len(rep.flags) == 2 and "quadrature stagnated" in rep.flags[0]
@@ -268,3 +269,45 @@ class TestVerifyIdentity:
         w = w_ig(1.0, 1.0, 1.0)
         with pytest.raises(ParameterError):
             verify_laplace_identity(w, w.psi, [w.phi_q * 0.5])
+
+
+class TestBromwichDeriv:
+    """W' of the bromwich route: the hyperbola applied to s/(psi(s) - q)."""
+
+    @pytest.mark.parametrize("alpha", [1 / 3, -1 / 3, 1 / 2, 2 / 3, -2 / 3])
+    @pytest.mark.parametrize("extra", [{}, {"kappa": 1.0}, {"varphi": 1.0}, {"zeta": 1.0}])
+    def test_matches_rational_deriv(self, alpha, extra):
+        params = GtscParams(alpha=alpha, gamma=1.0, c=1.0, **extra)
+        xs = np.array([0.05, 0.4, 1.7, 5.0, 9.0])
+        for q in (0.0, 1.0):
+            want = w_rational(params, None, q).eval_deriv(xs)
+            got = scale_function(params, q, "bromwich").eval_deriv(xs)
+            np.testing.assert_allclose(got, want, rtol=1e-10)
+
+    @pytest.mark.parametrize("alpha,extra", [(1 / 3, {}), (-1.0, {}), (-1.0, {"kappa": 0.5})])
+    def test_deriv_at_zero_is_the_asymptote(self, alpha, extra):
+        params = GtscParams(alpha=alpha, gamma=1.0, c=1.0, **extra)
+        want = asymptote_zero(params).wprime0
+        assert scale_function(params, route="bromwich").eval_deriv(0.0) == want
+        if alpha == -1.0:     # c/A^2 with A = kappa + c/gamma
+            assert want == pytest.approx(1.0 / (1.0 + extra.get("kappa", 0.0)) ** 2, rel=1e-12)
+        else:
+            assert want == math.inf
+
+    @pytest.mark.parametrize("q,extra", [(1.0, {}), (0.0, {"varphi": 1.0}), (2.0, {"varphi": 0.5})])
+    def test_alpha_minus_one_slope_counts_q_and_jump_mass(self, q, extra):
+        # bounded variation: W'(0+) = (m + q)/A^2, jump mass m = c (varphi + gamma)/gamma
+        params = GtscParams(alpha=-1.0, gamma=2.0, c=1.5, **extra)
+        slope = asymptote_zero(params, q).wprime0
+        assert slope == pytest.approx((1.5 * (extra.get("varphi", 0.0) + 2.0) / 2.0 + q)
+                                      / 0.75 ** 2, rel=1e-12)
+        scale = scale_function(params, q, "bromwich")
+        assert scale.eval_deriv(0.0) == slope
+        assert scale.eval_deriv(1e-5) == pytest.approx(slope, rel=1e-4)
+
+    def test_value_is_public_invert(self):
+        # new coverage: the W' pass leaves W the public inversion, to the last bit
+        params = GtscParams(alpha=1 / 3, gamma=1.0, c=1.0, kappa=1.0)
+        scale = scale_function(params, 1.0, "bromwich")
+        for x in (0.3, 4.0):
+            assert scale.eval(x) == invert(scale.psi, 1.0, x)[0]

@@ -123,6 +123,32 @@ class TestFixedJumps:
         with pytest.raises(ParameterError):
             w_fixed_jumps(1.0, 2.0, 1.0)
 
+    # W relative tolerance per (c, lambda, jump); near the critical drift (3, 2.9, 1) the
+    # alternating sum loses more digits before the two-pole tail takes over
+    @pytest.mark.parametrize("ccoef,lam,jump,tol", [(1.0, 0.5, 1.0, 1e-11), (2.0, 1.5, 0.7, 1e-11),
+                                                    (1.5, 0.3, 2.0, 1e-11), (3.0, 2.9, 1.0, 4e-9)])
+    def test_against_exact_sum(self, ccoef, lam, jump, tol):
+        import mpmath as mp
+
+        def exact(x):
+            with mp.workdps(80):
+                lc, h, x = mp.mpf(lam) / ccoef, mp.mpf(jump), mp.mpf(x)
+                return sum(mp.exp(-lc * (h * n - x)) * (lc * (h * n - x)) ** n
+                           / mp.factorial(n) for n in range(int(x / h + 1e-12) + 1)) / ccoef
+
+        w = w_fixed_jumps(ccoef, lam, jump)
+        xs = 0.37 * jump * np.arange(1, 121)
+        got, dgot = w.eval(xs), w.eval_deriv(xs)
+        want = np.array([float(exact(x)) for x in xs])
+        # W' = (lambda/c)(W(x) - W(x - jump)), the inverse of theta/psi - 1/c
+        dwant = np.array([float(lam / ccoef * (exact(x) - (exact(x - jump) if x >= jump else 0)))
+                          for x in xs])
+        assert np.max(np.abs(got - want) / want) <= tol
+        assert np.max(np.abs(dgot - dwant) / want) <= 1e-8
+        assert np.all(dgot >= 0.0)
+        assert np.all(got <= 1.0 / (ccoef - lam * jump))
+        assert w.eval_deriv(0.0) == pytest.approx(lam / ccoef ** 2, rel=1e-15)
+
 
 class TestAbateWhitt:
     def test_at_zero_and_infinity(self):
@@ -142,6 +168,31 @@ class TestAbateWhitt:
         w = w_abate_whitt(0.5, 1.0)
         got, _ = invert(w.psi, 0.0, 1.0)
         assert got == pytest.approx(w.eval(1.0), rel=1e-8)
+
+    @pytest.mark.parametrize("lam,mu", [(0.5, 1.0), (0.3, 2.5), (1e-15, 1.0)])
+    def test_deriv_against_mpmath(self, lam, mu):
+        # (1e-15, 1) takes the coalescent branch; beyond x ~ 25 its closed form cancels
+        import mpmath as mp
+
+        def exact(x):
+            rho, half = mp.mpf(lam) / mu, (1 + mp.mpf(mu)) / 2
+            disc = half ** 2 - (1 - rho) * mu
+            if disc < 1e-14 * half ** 2:
+                u = half ** 2 * x
+                lim = (1 - 2 * u) * mp.exp(u) * mp.erfc(mp.sqrt(u)) + 2 * mp.sqrt(u / mp.pi)
+                return (1 - rho * lim) / (1 - rho)
+            nu1, nu2 = half + mp.sqrt(disc), half - mp.sqrt(disc)
+
+            def eta(y):
+                return mp.exp(y) * mp.erfc(mp.sqrt(y))
+            return (1 - rho / (nu1 - nu2) * (nu1 * eta(x * nu2 ** 2) - nu2 * eta(x * nu1 ** 2))) \
+                / (1 - rho)
+
+        w = w_abate_whitt(lam, mu)
+        with mp.workdps(40):
+            for x in (1e-6, 0.01, 0.3, 1.0, 4.0, 25.0):
+                assert w.eval_deriv(x) == pytest.approx(float(mp.diff(exact, x)), rel=1e-12, abs=0)
+        assert w.eval_deriv(0.0) == pytest.approx(lam, rel=1e-13, abs=0)
 
     def test_coalescent_discriminant(self):
         # nu1 = nu2 only on the degenerate boundary mu = 1, lambda -> 0

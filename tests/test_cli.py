@@ -199,6 +199,28 @@ class TestVerify:
         rep = json.loads(out)
         assert rep["checks"][0]["achieved"] <= 1e-6
 
+    @pytest.mark.parametrize("alpha", ["0.7071067811865476", "1/13"])
+    def test_routes_suite_checks_bromwich_against_the_line(self, alpha, monkeypatch):
+        from scalekit import bromwich
+
+        argv = ["verify", "--suite", "routes", "--alpha", alpha, "--q", "1"]
+        code, out = run_cli(argv)
+        check = json.loads(out)["checks"][0]
+        assert check["name"] == "route_agreement[bromwich vs shifted-line]"
+        assert 0.0 < check["achieved"] <= 1e-6
+        assert code == 0
+
+        hyperbola = bromwich._invert_hyperbola
+
+        def off(*args):
+            value, err = hyperbola(*args)
+            return value * (1.0 + 1e-5), err
+
+        monkeypatch.setattr(bromwich, "_invert_hyperbola", off)
+        code, out = run_cli(argv)
+        assert json.loads(out)["checks"][0]["achieved"] > 1e-6
+        assert code == 1
+
     def test_asymptotics_suite(self):
         code, out = run_cli(["verify", "--suite", "asymptotics", "--model", "gtsc",
                              "--alpha", "1/2", "--kappa", "1"])
@@ -212,6 +234,16 @@ class TestVerify:
                              "--alpha", "1/2", "--paths", "8000", "--a", "2.0"])
         rep = json.loads(out)
         assert rep["checks"][-1]["achieved"] <= 3.0
+        assert code == 0
+
+    def test_mc_warnings_become_notes(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(["verify", "--suite", "mc", "--alpha", "1/4", "--paths", "2000"])
+        check = json.loads(out)["checks"][0]
+        assert any("small-jump variance" in note for note in check["notes"])
         assert code == 0
 
     def test_readme_all_suites_at_q1(self):

@@ -92,6 +92,26 @@ class TestInverseGaussian:
             a, b = w1.eval(float(x)), w2.eval(float(x))
             assert abs(a - b) <= 1e-8 * max(abs(a), 1e-12)
 
+    @pytest.mark.parametrize("delta,gamma", [(1.0, 1.0), (0.7, 2.0), (2.0, 0.5)])
+    def test_double_root_deriv(self, delta, gamma):
+        # q = q0: W = (t1 + t2 - t3)/(36 delta gamma), differentiated here by mpmath
+        import mpmath as mp
+
+        def exact(x):
+            d, g = mp.mpf(delta), mp.mpf(gamma)
+            sx, g2x = mp.sqrt(x), g ** 2 * x
+            t1 = 6 * g * mp.sqrt(2 / mp.pi) * sx * mp.exp(-g2x / 2)
+            t2 = 15 * mp.exp(8 * g2x / 9) * mp.erfc(-5 * g * sx / (3 * mp.sqrt(2)))
+            t3 = mp.exp(-4 * g2x / 9) * (15 + 2 * g2x) * mp.erfc(g * sx / (3 * mp.sqrt(2)))
+            return (t1 + t2 - t3) / (36 * d * g)
+
+        w = w_ig(delta, gamma, ig_q0_threshold(delta, gamma))
+        with mp.workdps(40):
+            for x in (0.01, 0.3, 1.0, 3.0, 8.0):
+                assert w.eval(x) == pytest.approx(float(exact(x)), rel=1e-13)
+                assert w.eval_deriv(x) == pytest.approx(float(mp.diff(exact, x)), rel=1e-12)
+        assert w.eval_deriv(0.0) == math.inf
+
     def test_derivative_consistency(self):
         for q in (0.0, 0.5, 1.2):
             w = w_ig(1.0, 1.0, q)
@@ -573,7 +593,7 @@ class TestOnePath:
             asked.append(np.array(x))
             return ref.eval(x)
 
-        scale = ScaleFunction(ref.q, ref.phi_q, "recording", w, psi=ref.psi)
+        scale = ScaleFunction(ref.q, ref.phi_q, "recording", w, ref.eval_deriv, psi=ref.psi)
         rep = verify_laplace_identity(scale, ref.psi,
                                       [ref.phi_q + off for off in (0.5, 1.0, 2.0, 5.0)])
         xs = np.concatenate(asked)
@@ -602,3 +622,36 @@ class TestBromwichAtZero:
         assert rep.wprime0 == pytest.approx(slope, rel=1e-12)
         scale = scale_function(params, route="bromwich")
         assert scale.eval_deriv(0.0) == pytest.approx(slope, rel=1e-4)
+
+
+def _every_route():
+    """(label, builder) of every scale_function route and every catalog family."""
+    from scalekit.catalog import build_catalog_entry, catalog_families
+
+    q0 = ig_q0_threshold(1.0, 1.0)
+    ig = ig_params(1.0, 1.0)
+    routes = [
+        ("rational", lambda: scale_function(GtscParams(1 / 3, 1.0, 1.0, kappa=1.0), 1.0)),
+        ("closed", lambda: scale_function(GtscParams(-1 / 3, 1.0, 1.0, varphi=1.0), 0.0, "closed")),
+        ("gamma-case", lambda: scale_function(GtscParams(0.0, 1.0, 1.0), 0.0, "closed")),
+        ("ig-q=0", lambda: scale_function(ig, 0.0, "ig")),
+        ("ig-q<q0", lambda: scale_function(ig, 0.5 * q0, "ig")),
+        ("ig-q=q0", lambda: scale_function(ig, q0, "ig")),
+        ("ig-q>q0", lambda: scale_function(ig, 2.0 * q0, "ig")),
+        ("bromwich", lambda: scale_function(GtscParams(1 / math.sqrt(2.0), 1.0, 1.0), 1.0)),
+    ]
+    return routes + [(f"catalog:{family}", lambda family=family: build_catalog_entry(family).scale)
+                     for family in catalog_families()]
+
+
+@pytest.mark.parametrize("label,build", _every_route(), ids=[r[0] for r in _every_route()])
+def test_every_route_supplies_its_deriv(label, build):
+    # x avoids the kinks of fixed_jumps at multiples of its jump size 1
+    scale = build()
+    for x in (0.37, 1.7, 4.3):
+        h = 1e-3 * x
+        d1 = (scale.eval(x + h) - scale.eval(x - h)) / (2.0 * h)
+        d2 = (scale.eval(x + h / 2) - scale.eval(x - h / 2)) / h
+        want = (4.0 * d2 - d1) / 3.0
+        if want > 1e-6 * scale.eval(x):
+            assert scale.eval_deriv(x) == pytest.approx(want, rel=1e-7)

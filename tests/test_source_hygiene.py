@@ -7,8 +7,9 @@ An import counts as used when its name is read in the module or listed in
 public surface.  A private top-level name (one leading underscore) counts as
 used when any module of the package reads it.  A knob -- a defaulted parameter
 or dataclass field -- counts as used when some call in src/, tests/ or
-perfbench/ passes it.  A function reaches every package function whose name it
-reads, and what those reach in turn.
+perfbench/ passes it.  A function reaches every module-level function or class
+method whose name it reads, other than the bare names it binds itself, and what
+those reach in turn.
 """
 
 import ast
@@ -147,27 +148,71 @@ def test_no_dead_knob():
     assert not dead, f"knobs no call passes: {dead}"
 
 
-def _reach(start: str) -> set:
-    """Names of the package functions that ``start`` reaches through the names it reads."""
+def _bound_names(func) -> set:
+    """Names ``func`` binds itself: parameters, assignment targets, nested definitions."""
+    names = set()
+    for node in ast.walk(func):
+        if node is not func and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                  ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+    return names
+
+
+def _package_functions() -> dict:
+    """Module-level functions and class methods of the package, by name, with their module."""
     funcs = {}
-    for tree in TREES.values():
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                funcs.setdefault(node.name, []).append(node)
+    for module, tree in TREES.items():
+        for node in tree.body:
+            body = node.body if isinstance(node, ast.ClassDef) else [node]
+            for func in body:
+                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    funcs.setdefault(func.name, []).append((module, func))
+    return funcs
+
+
+def _reach(start: str) -> set:
+    """(module, name) of the package functions that ``start`` reaches through the names it reads.
+
+    Only module-level functions and class methods are followed; a bare name the
+    caller binds itself is its own, not a reference to a package function.
+    """
+    funcs = _package_functions()
     seen, todo = set(), [start]
     while todo:
         name = todo.pop()
-        if name not in seen and name in funcs:
-            seen.add(name)
-            for node in funcs[name]:
-                todo += _read_names(node)
+        for module, node in funcs.get(name, []):
+            if (module, name) in seen:
+                continue
+            seen.add((module, name))
+            bare = {n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            todo += (bare - _bound_names(node)) | {
+                n.attr for n in ast.walk(node)
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
     return seen
+
+
+def _names(reached: set) -> set:
+    return {name for _, name in reached}
 
 
 def test_gamma_oracle_independent():
     # the dual route checks the interpolated one; sharing F would make them agree by construction
     shared = {"_ladder_table", "fransen_transform"}
-    assert shared <= _reach("w_gamma_case")
-    reached = _reach("w_gamma_case_dual")
+    assert shared <= _names(_reach("w_gamma_case"))
+    reached = _names(_reach("w_gamma_case_dual"))
     assert "reg_lower_gamma" in reached
     assert not reached & shared, f"w_gamma_case_dual reaches {sorted(reached & shared)}"
+
+
+def test_hyperbola_oracle_independent():
+    # the hyperbola is the reference for the rational route's W and W'; reaching the
+    # Mittag-Leffler or partial-fraction code would make them agree by construction
+    reached = _reach("_invert_hyperbola")
+    assert {"_psi_minus_q", "_zero_count"} <= _names(reached)
+    shared = sorted(name for module, name in reached if module in ("special.py", "polyfrac.py"))
+    assert not shared, f"_invert_hyperbola reaches {shared}"
