@@ -23,7 +23,7 @@ from .gtsc import (GtscParams, InfinityAsymptote, ZeroAsymptote,
                    w_gamma_case, w_gamma_case_dual, w_gamma_scale, w_ig, w_rational)
 from .levy import (LadderParams, LaplaceExponent, LevyTriple, PathVariation,
                    VariationReport, big_phi, build_parent, classify_variation,
-                   levy_khintchine_exponent, mean_drift)
+                   levy_khintchine_exponent, parent_exponent)
 from .montecarlo import ExitEstimate, SimConfig, simulate_exit, simulate_ruin
 from .polyfrac import (PartialFraction, RationalAlpha, build_fq,
                        partial_fractions, roots_with_multiplicity)

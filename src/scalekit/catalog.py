@@ -27,7 +27,7 @@ import numpy as np
 from scipy import special as sps
 
 from .errors import ParameterError
-from .levy import LaplaceExponent, one_sided_derivative
+from .levy import LaplaceExponent
 from .scale import ScaleFunction, pointwise_scale
 from .special import mittag_leffler, mittag_leffler_deriv
 
@@ -55,7 +55,6 @@ CORRECTIONS = {
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    family: str
     params: dict
     scale: ScaleFunction
     psi: LaplaceExponent
@@ -93,9 +92,7 @@ def w_brownian(sigma: float, mu: float, q: float = 0.0) -> ScaleFunction:
     def psi_eval(theta):
         return 0.5 * s2 * theta * theta + mu * theta
 
-    psi = LaplaceExponent(eval=psi_eval, deriv=lambda th: s2 * th + mu,
-                          domain_edge=-math.inf, descriptor="catalog-family",
-                          drift_at_zero=mu)
+    psi = LaplaceExponent(eval=psi_eval, deriv=lambda th: s2 * th + mu, drift_at_zero=mu)
     phi_q = (-mu + rt) / s2
     return pointwise_scale(q, phi_q, "catalog", value, deriv, psi)
 
@@ -133,7 +130,7 @@ def w_stable(beta: float, q: float = 0.0) -> ScaleFunction:
 
     psi = LaplaceExponent(eval=psi_eval,
                           deriv=lambda th: beta * th ** (beta - 1.0) if th > 0 else 0.0,
-                          domain_edge=0.0, descriptor="catalog-family", drift_at_zero=0.0)
+                          drift_at_zero=0.0)
     return pointwise_scale(q, q ** (1.0 / beta), "catalog", value, deriv, psi)
 
 
@@ -165,7 +162,7 @@ def w_stable_drift(beta: float, c: float) -> ScaleFunction:
 
     psi = LaplaceExponent(eval=psi_eval,
                           deriv=lambda th: beta * th ** (beta - 1.0) + c if th > 0 else c,
-                          domain_edge=0.0, descriptor="catalog-family", drift_at_zero=c)
+                          drift_at_zero=c)
     return pointwise_scale(0.0, 0.0, "catalog", value, deriv, psi)
 
 
@@ -197,8 +194,7 @@ def w_cramer_lundberg(ccoef: float, lam: float, mu: float) -> ScaleFunction:
     def psi_deriv(theta: float) -> float:
         return ccoef - lam * mu / (mu + theta) ** 2
 
-    psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv, domain_edge=-mu,
-                          descriptor="catalog-family", drift_at_zero=ccoef - lam / mu)
+    psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv, drift_at_zero=ccoef - lam / mu)
     return pointwise_scale(0.0, 0.0, "catalog", value, deriv, psi)
 
 
@@ -260,8 +256,7 @@ def w_fixed_jumps(ccoef: float, lam: float, jump: float) -> ScaleFunction:
             return theta2 * math.exp(theta2 * x) / psi_d_theta2
         return lc * (value(x) - value(x - jump))
 
-    psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv, domain_edge=-math.inf,
-                          descriptor="catalog-family", drift_at_zero=ccoef - lam * jump)
+    psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv, drift_at_zero=drift0)
     return pointwise_scale(0.0, 0.0, "catalog", value, deriv, psi)
 
 
@@ -319,12 +314,10 @@ def w_abate_whitt(lam: float, mu: float) -> ScaleFunction:
         return theta - lam * theta / ((mu + rt) * (1.0 + rt))
 
     def psi_deriv(theta: float) -> float:
-        h = 1e-7 * (1.0 + abs(theta))
-        lo = max(theta - h, 0.0)
-        return float(np.real(psi_eval(theta + h) - psi_eval(lo))) / (theta + h - lo)
+        rt = math.sqrt(theta)
+        return 1.0 - lam * (mu + half * rt) / ((mu + rt) * (1.0 + rt)) ** 2
 
-    psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv, domain_edge=0.0,
-                          descriptor="catalog-family", drift_at_zero=1.0 - rho)
+    psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv, drift_at_zero=1.0 - rho)
     return pointwise_scale(0.0, 0.0, "catalog", value, deriv, psi)
 
 
@@ -353,9 +346,7 @@ def w_pssmp(beta: float, conditioned: bool) -> ScaleFunction:
                 return math.inf
             return (beta - 1.0) * (-math.expm1(-x)) ** (beta - 2.0) * math.exp(-x)
 
-        def psi_eval(theta):
-            return _gamma_ratio(theta, beta, lgb)
-
+        shift = 0.0
         phi0 = 0.0
         drift0 = 1.0
     else:
@@ -368,15 +359,27 @@ def w_pssmp(beta: float, conditioned: bool) -> ScaleFunction:
             em = -math.expm1(-x)
             return math.exp(x) * em ** (beta - 2.0) * ((beta - 1.0) * math.exp(-x) + em)
 
-        def psi_eval(theta):
-            return _gamma_ratio(theta - 1.0, beta, lgb)
-
+        shift = 1.0
         phi0 = 1.0
-        drift0 = None   # psi'(0+) < 0; obtained by finite differences
+        drift0 = -1.0 / (beta - 1.0)
 
-    psi = LaplaceExponent(eval=psi_eval, deriv=lambda th: one_sided_derivative(psi_eval, th),
-                          domain_edge=-math.inf, descriptor="catalog-family",
-                          drift_at_zero=drift0)
+    def psi_eval(theta):
+        return _gamma_ratio(theta - shift, beta, lgb)
+
+    def psi_deriv(theta: float) -> float:
+        # psi = poch(beta, t) rgamma(t), t = theta - shift, so psi' = psi digamma(t + beta)
+        # + poch(beta, t) rgamma'(t); rgamma' = -digamma rgamma for t > 0, and for t <= 0
+        # the reflection rgamma(t) = Gamma(1 - t) sin(pi t)/pi gives
+        # rgamma'(t) = Gamma(1 - t)(cos(pi t) - sin(pi t) digamma(1 - t)/pi)
+        t = theta - shift
+        psi_t = psi_eval(theta).real
+        if t > 0.0:
+            return float(psi_t * (sps.digamma(t + beta) - sps.digamma(t)))
+        rg_d = sps.gamma(1.0 - t) * (math.cos(math.pi * t)
+                                     - math.sin(math.pi * t) * sps.digamma(1.0 - t) / math.pi)
+        return float(psi_t * sps.digamma(t + beta) + sps.poch(beta, t) * rg_d)
+
+    psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv, drift_at_zero=drift0)
     return pointwise_scale(0.0, phi0, "catalog", value, deriv, psi)
 
 
@@ -438,4 +441,4 @@ def build_catalog_entry(family: str, **overrides) -> CatalogEntry:
     params = dict(_DEFAULTS[family])
     params.update(overrides)
     scale = _BUILDERS[family](**params)
-    return CatalogEntry(family=family, params=params, scale=scale, psi=scale.psi)
+    return CatalogEntry(params=params, scale=scale, psi=scale.psi)

@@ -41,7 +41,6 @@ __all__ = ["main", "CaseSpec", "CASES"]
 class CaseSpec:
     """One of the six reference parameterizations (c = gamma = 1)."""
 
-    label: str
     kappa: float
     varphi: float
     zeta: float
@@ -52,12 +51,12 @@ class CaseSpec:
 
 
 CASES = {
-    "A": CaseSpec("A", kappa=0.0, varphi=0.0, zeta=0.0),
-    "B": CaseSpec("B", kappa=1.0, varphi=0.0, zeta=0.0),
-    "C": CaseSpec("C", kappa=0.0, varphi=1.0, zeta=0.0),
-    "D": CaseSpec("D", kappa=0.0, varphi=0.0, zeta=1.0),
-    "E": CaseSpec("E", kappa=1.0, varphi=0.0, zeta=1.0),
-    "F": CaseSpec("F", kappa=0.0, varphi=1.0, zeta=1.0),
+    "A": CaseSpec(kappa=0.0, varphi=0.0, zeta=0.0),
+    "B": CaseSpec(kappa=1.0, varphi=0.0, zeta=0.0),
+    "C": CaseSpec(kappa=0.0, varphi=1.0, zeta=0.0),
+    "D": CaseSpec(kappa=0.0, varphi=0.0, zeta=1.0),
+    "E": CaseSpec(kappa=1.0, varphi=0.0, zeta=1.0),
+    "F": CaseSpec(kappa=0.0, varphi=1.0, zeta=1.0),
 }
 
 

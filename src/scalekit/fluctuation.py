@@ -15,7 +15,7 @@ from scipy.optimize import minimize_scalar
 
 from .bromwich import gauss_panel
 from .errors import NotApplicableError, ParameterError
-from .levy import LaplaceExponent, mean_drift
+from .levy import LaplaceExponent
 from .scale import ScaleFunction
 
 __all__ = [
@@ -52,7 +52,7 @@ def ruin_probability(scale: ScaleFunction, psi: LaplaceExponent, x: float) -> fl
     """P_x(ruin) = 1 - psi'(0+) W(x); requires positive drift."""
     if scale.q != 0.0:
         raise ParameterError("ruin probability uses the q = 0 scale function")
-    drift = mean_drift(psi)
+    drift = psi.drift_at_zero
     if drift <= 0:
         raise NotApplicableError(
             "ruin is certain (or the process oscillates): psi'(0+) <= 0")
@@ -67,7 +67,7 @@ def mpi1_workload(scale: ScaleFunction, psi: LaplaceExponent):
     """
     if scale.q != 0.0:
         raise ParameterError("workload law uses the q = 0 scale function")
-    drift = mean_drift(psi)
+    drift = psi.drift_at_zero
     if drift <= 0:
         raise NotApplicableError("no stationary workload: psi'(0+) <= 0")
 

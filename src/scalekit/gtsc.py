@@ -37,9 +37,10 @@ import numpy as np
 from scipy import special as sps
 from scipy.integrate import quad
 
-from .bromwich import _invert_hyperbola, invert
-from .errors import CapabilityError, NumericalError, ParameterError, SaturationError
-from .levy import LadderParams, LaplaceExponent, big_phi
+from .bromwich import _invert_hyperbola
+from .errors import (CapabilityError, NotApplicableError, NumericalError, ParameterError,
+                     SaturationError)
+from .levy import LadderParams, LaplaceExponent, big_phi, parent_exponent
 from .polyfrac import RationalAlpha, build_fq, partial_fractions, roots_with_multiplicity
 from .scale import ScaleFunction, on_nonnegative, pointwise_scale
 from .special import (erfcx_scaled, fransen_transform, mittag_leffler,
@@ -100,24 +101,12 @@ class GtscParams:
         g, c, z, a = self.gamma, self.c, self.zeta, self.alpha
         if a == 0.0:
             return z + c / (g + theta)
+        if g + theta == 0.0:
+            return math.inf     # gamma = 0: the stable ladder has infinite mean
         return z + c * sps.gamma(1.0 - a) * (g + theta) ** (a - 1.0)
 
-    def drift_at_zero(self) -> float:
-        """psi'(0+) in closed form."""
-        return self.kappa - self.varphi * self.ladder_exponent_deriv(0.0)
-
     def exponent(self) -> LaplaceExponent:
-        varphi = self.varphi
-
-        def psi_eval(theta):
-            return (theta - varphi) * self.ladder_exponent(theta)
-
-        def psi_deriv(theta: float) -> float:
-            return (float(np.real(self.ladder_exponent(theta)))
-                    + (theta - varphi) * self.ladder_exponent_deriv(theta))
-
-        return LaplaceExponent(eval=psi_eval, deriv=psi_deriv, domain_edge=-self.gamma,
-                               descriptor="gtsc", drift_at_zero=self.drift_at_zero())
+        return parent_exponent(self.ladder_exponent, self.ladder_exponent_deriv, self.varphi)
 
     def ladder(self) -> LadderParams:
         g, c, a = self.gamma, self.c, self.alpha
@@ -128,7 +117,7 @@ class GtscParams:
         def tail(x: float) -> float:
             if g > 0:
                 return c * g ** a * upper_gamma(-a, g * x)
-            return c * x ** (-a) / a if a < 0 else math.inf
+            return c * x ** (-a) / a    # gamma = 0 requires alpha > 0
 
         def density_deriv(x: float) -> float:
             return -c * math.exp(-g * x) * ((a + 1.0) * x ** (-a - 2.0)
@@ -139,8 +128,7 @@ class GtscParams:
                             levy_density=density, tail=tail,
                             exponent=self.ladder_exponent,
                             exponent_deriv=self.ladder_exponent_deriv,
-                            activity_mass=mass, domain_edge=-g,
-                            levy_density_deriv=density_deriv)
+                            activity_mass=mass, levy_density_deriv=density_deriv)
 
     def parent_triple(self):
         """(LevyTriple, LaplaceExponent) of the parent process.
@@ -198,15 +186,14 @@ def w_rational(params: GtscParams, alpha: Optional[RationalAlpha] = None,
     n = alpha.n
     gamma = params.gamma
     fq = build_fq(params, alpha, q)
-    roots, mults = roots_with_multiplicity(fq)
-    pf = partial_fractions(fq, alpha.m_minus, roots=roots, mults=mults)
-    phi_q = float(roots[0].real) ** n - gamma
+    pf = partial_fractions(fq, alpha.m_minus)
+    phi_q = float(pf.roots[0].real) ** n - gamma
 
     # expansion of z^{m_-}/f_q(z) at infinity: b[i] is the z^{-i} coefficient;
     # W e^{gamma x} = sum_i b_i x^{i/n-1}/Gamma(i/n) converges for all x and is
     # the well-conditioned representation near zero.
     bcoef = _inverse_expansion(fq, alpha.m_minus, 40 * n + 240)
-    rmax = max(abs(r) for r in roots)
+    rmax = max(abs(r) for r in pf.roots)
     x_switch = (0.45 / rmax) ** n if rmax > 0 else math.inf
 
     inv_n = 1.0 / n
@@ -603,7 +590,7 @@ def asymptote_infinity(params: GtscParams, q: float = 0.0) -> InfinityAsymptote:
         phi_q = big_phi(psi, q)
         return InfinityAsymptote(regime="exponential",
                                  constant=1.0 / psi.deriv(phi_q), rate=phi_q)
-    drift = params.drift_at_zero()
+    drift = psi.drift_at_zero
     tol = _DRIFT_ZERO_TOL_FACTOR * max(1.0, params.kappa, params.c)
     if drift > tol:
         return InfinityAsymptote(regime="constant", constant=1.0 / drift, rate=0.0)
@@ -611,6 +598,9 @@ def asymptote_infinity(params: GtscParams, q: float = 0.0) -> InfinityAsymptote:
         varphi = params.varphi
         denom = float(np.real(params.ladder_exponent(varphi)))
         return InfinityAsymptote(regime="exponential", constant=1.0 / denom, rate=varphi)
+    if params.gamma == 0.0:
+        raise NotApplicableError("with gamma = 0 and psi'(0+) = 0, W grows like x^alpha: "
+                                 "neither linear, nor constant, nor exponential")
     slope = 1.0 / params.ladder_exponent_deriv(0.0)
     return InfinityAsymptote(regime="linear", constant=slope, rate=0.0)
 
@@ -623,7 +613,7 @@ def scale_function(params: GtscParams, q: float = 0.0, route: str = "auto") -> S
     """W^(q) of a GTSC parameter set by the named route.
 
     ``auto`` takes the first that applies: the IG erfc forms (alpha = 1/2,
-    kappa = zeta = varphi = 0), the gamma ladder (alpha = 0,
+    gamma > 0, kappa = zeta = varphi = 0), the gamma ladder (alpha = 0,
     q = kappa = zeta = varphi = 0), the rational Mittag-Leffler route
     (alpha = m/n with 0 < |m| < n <= 12), and Bromwich inversion otherwise.
     ``rational``, ``closed``, ``ig`` and ``bromwich`` name a route directly
@@ -632,7 +622,7 @@ def scale_function(params: GtscParams, q: float = 0.0, route: str = "auto") -> S
     """
     a = params.alpha
     plain = params.kappa == 0.0 and params.varphi == 0.0 and params.zeta == 0.0
-    standing_ig = a == 0.5 and plain
+    standing_ig = a == 0.5 and plain and params.gamma > 0.0
     if route == "auto":
         if standing_ig:
             route = "ig"
@@ -646,7 +636,8 @@ def scale_function(params: GtscParams, q: float = 0.0, route: str = "auto") -> S
         return w_rational(params, None, q)
     if route == "ig":
         if not standing_ig:
-            raise ParameterError("the ig route requires alpha=1/2 and kappa=varphi=zeta=0")
+            raise ParameterError(
+                "the ig route requires alpha=1/2, gamma > 0 and kappa=varphi=zeta=0")
         return w_ig(params.c * math.sqrt(2.0 * math.pi), math.sqrt(2.0 * params.gamma), q)
     if route == "closed":
         if a == 0.0:
@@ -661,7 +652,9 @@ def scale_function(params: GtscParams, q: float = 0.0, route: str = "auto") -> S
         phi_q = big_phi(psi, q)
         zero = asymptote_zero(params, q)
         return pointwise_scale(
-            q, phi_q, "bromwich", lambda x: invert(psi, q, x)[0] if x > 0 else zero.w0,
+            q, phi_q, "bromwich",
+            lambda x: _invert_hyperbola(psi, q, x, phi_q + 1.0 / x, False)[0] if x > 0
+            else zero.w0,
             lambda x: _invert_hyperbola(psi, q, x, phi_q + 1.0 / x, True)[0] if x > 0
             else zero.wprime0, psi)
     raise ParameterError(f"unknown route '{route}'")

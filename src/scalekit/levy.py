@@ -9,7 +9,10 @@ process has
     psi(theta) = (theta - varphi) * phi(theta),
 
 Gaussian coefficient sigma = sqrt(2*zeta) and jump tail
-Pi(-inf, -x) = varphi * Upsilon(x, inf) + dUpsilon/dx (x).
+Pi(-inf, -x) = varphi * Upsilon(x, inf) + dUpsilon/dx (x).  ``parent_exponent``
+forms psi, psi' and psi'(0+) from phi and phi'; every ``LaplaceExponent``
+carries psi' and psi'(0+) in closed form, and nothing here differentiates
+numerically.
 """
 
 from __future__ import annotations
@@ -34,25 +37,23 @@ __all__ = [
     "big_phi",
     "build_parent",
     "classify_variation",
-    "mean_drift",
+    "parent_exponent",
     "levy_khintchine_exponent",
 ]
 
 
 @dataclass(frozen=True)
 class LaplaceExponent:
-    """Evaluable Laplace exponent psi with derivative and analyticity edge.
+    """Evaluable Laplace exponent psi with its derivative and its mean.
 
-    ``eval`` accepts real or complex numbers and complex ndarrays
-    (analytic off (-inf, domain_edge]); ``deriv`` is psi' on the real axis.
+    ``eval`` accepts real or complex numbers and complex ndarrays; ``deriv`` is
+    psi' on the real axis and ``drift_at_zero`` is psi'(0+), the mean of X_1,
+    both in closed form.
     """
 
     eval: Callable[[complex], complex]
     deriv: Callable[[float], float]
-    domain_edge: float = 0.0
-    descriptor: str = "custom"
-    # closed-form psi'(0+) when the family provides one
-    drift_at_zero: Optional[float] = None
+    drift_at_zero: float
 
     def __call__(self, theta):
         return self.eval(theta)
@@ -63,7 +64,9 @@ class LadderParams:
     """Descending ladder height process: killed subordinator with drift.
 
     The Levy density must be non-increasing on (0, inf); that is what makes
-    the parent construction valid.
+    the parent construction valid.  The exponent's derivative and the
+    density's derivative are given in closed form: they become the parent's
+    psi' and jump density.
     """
 
     kill_rate: float
@@ -71,13 +74,10 @@ class LadderParams:
     levy_density: Callable[[float], float]
     tail: Callable[[float], float]
     exponent: Callable[[complex], complex]
-    exponent_deriv: Optional[Callable[[float], float]] = None
+    exponent_deriv: Callable[[float], float]
+    levy_density_deriv: Callable[[float], float]
     # total jump mass Upsilon(0, inf); math.inf for infinite activity
-    activity_mass: Optional[float] = None
-    # left edge of analyticity of the exponent (-gamma for tempered families)
-    domain_edge: float = 0.0
-    # derivative of the ladder Levy density, when available in closed form
-    levy_density_deriv: Optional[Callable[[float], float]] = None
+    activity_mass: float
 
     def __post_init__(self):
         if self.kill_rate < 0 or self.drift < 0:
@@ -141,7 +141,7 @@ def big_phi(psi: LaplaceExponent, q: float) -> float:
         return float(np.real(psi.eval(th))) - q
 
     if q == 0.0:
-        if mean_drift(psi) >= 0.0:
+        if psi.drift_at_zero >= 0.0:
             return 0.0
         # psi dips below zero then crosses back at Phi(0) > 0
         lo = 1e-8
@@ -165,27 +165,27 @@ def big_phi(psi: LaplaceExponent, q: float) -> float:
     return float(root)
 
 
-def mean_drift(psi: LaplaceExponent) -> float:
-    """psi'(0+), the mean of X_1.
-
-    Closed form when the family provides one, otherwise
-    ``one_sided_derivative`` at 0, which stays right of the domain edge.
-    """
-    if psi.drift_at_zero is not None:
-        return psi.drift_at_zero
-    return one_sided_derivative(psi.eval, 0.0)
-
-
-def one_sided_derivative(f, theta: float) -> float:
-    """Re f'(theta) by the five-point forward difference, step 1e-6 (none left of theta)."""
-    h = 1e-6
-    v = [float(np.real(f(theta + k * h))) for k in range(5)]
-    return (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / (12.0 * h)
-
-
 # ---------------------------------------------------------------------------
 # parent process construction
 # ---------------------------------------------------------------------------
+
+def parent_exponent(phi_l, phi_l_deriv, varphi: float) -> LaplaceExponent:
+    """psi(theta) = (theta - varphi) phi_l(theta) from a ladder exponent and its derivative.
+
+    psi'(0+) = phi_l(0) - varphi phi_l'(0+), which is phi_l(0) when varphi = 0
+    even where phi_l'(0+) is infinite.
+    """
+    def psi_eval(theta):
+        return (theta - varphi) * phi_l(theta)
+
+    def psi_deriv(theta: float) -> float:
+        return float(np.real(phi_l(theta))) + (theta - varphi) * phi_l_deriv(theta)
+
+    drift0 = float(np.real(phi_l(0.0)))
+    if varphi != 0.0:
+        drift0 -= varphi * phi_l_deriv(0.0)
+    return LaplaceExponent(eval=psi_eval, deriv=psi_deriv, drift_at_zero=drift0)
+
 
 def build_parent(ladder: LadderParams, varphi: float) -> tuple[LevyTriple, LaplaceExponent]:
     """Spectrally negative process whose descending ladder height process is ``ladder``.
@@ -199,42 +199,17 @@ def build_parent(ladder: LadderParams, varphi: float) -> tuple[LevyTriple, Lapla
     if varphi > 0 and ladder.kill_rate > 0:
         raise ParameterError("both ladder processes killed: varphi * kappa must be 0")
 
-    kappa, zeta = ladder.kill_rate, ladder.drift
-    sigma = math.sqrt(2.0 * zeta)
-    phi_l = ladder.exponent
-
-    def psi_eval(theta):
-        return (theta - varphi) * phi_l(theta)
-
-    if ladder.exponent_deriv is not None:
-        phi_d = ladder.exponent_deriv
-
-        def psi_deriv(theta: float) -> float:
-            return float(np.real(phi_l(theta))) + (theta - varphi) * phi_d(theta)
-
-        drift0 = float(np.real(phi_l(0.0))) - varphi * phi_d(0.0)
-    else:
-        def psi_deriv(theta: float) -> float:
-            return one_sided_derivative(psi_eval, theta)
-
-        drift0 = None
+    sigma = math.sqrt(2.0 * ladder.drift)
 
     def pi_tail(x: float) -> float:
         return varphi * ladder.tail(x) + ladder.levy_density(x)
 
-    if ladder.levy_density_deriv is not None:
-        def pi_density(x: float) -> float:
-            return varphi * ladder.levy_density(x) - ladder.levy_density_deriv(x)
-    else:
-        def pi_density(x: float) -> float:
-            h = min(max(1e-7, 1e-7 * x), 0.45 * x)
-            return (pi_tail(x - h) - pi_tail(x + h)) / (2.0 * h)
+    def pi_density(x: float) -> float:
+        return varphi * ladder.levy_density(x) - ladder.levy_density_deriv(x)
 
-    a = _triple_location(pi_tail, pi_density, sigma, kappa, varphi)
+    a = _triple_location(pi_tail, pi_density, sigma, ladder.kill_rate, varphi)
     triple = LevyTriple(a=a, sigma=sigma, pi_tail=pi_tail, pi_density=pi_density)
-    psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv, domain_edge=ladder.domain_edge,
-                          descriptor="parent", drift_at_zero=drift0)
-    return triple, psi
+    return triple, parent_exponent(ladder.exponent, ladder.exponent_deriv, varphi)
 
 
 def _triple_location(pi_tail, pi_density, sigma, kappa, varphi) -> float:
@@ -260,11 +235,6 @@ def classify_variation(ladder: LadderParams, varphi: float = 0.0) -> VariationRe
     decomposition report when the ladder jump mass is finite."""
     zeta = ladder.drift
     mass = ladder.activity_mass
-    if mass is None:
-        # probe the tail near zero
-        probes = [ladder.tail(x) for x in (1e-3, 1e-5, 1e-7)]
-        growing = probes[2] > probes[1] * (1 + 1e-6) and probes[1] > probes[0] * (1 + 1e-6)
-        mass = math.inf if growing else probes[2]
     if math.isinf(mass) or zeta > 0:
         return VariationReport(variation=PathVariation.UNBOUNDED,
                                gaussian=math.sqrt(2.0 * zeta),

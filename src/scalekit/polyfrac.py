@@ -84,8 +84,6 @@ class PartialFraction:
     roots: tuple
     multiplicities: tuple
     coeffs: tuple            # coeffs[k][j] = A_kj, j = 0..mult_k-1
-    poly: tuple              # ascending coefficients of f_q
-    m_minus: int
 
     def reconstruct(self, z: complex) -> complex:
         out = 0.0j
@@ -139,7 +137,7 @@ def build_fq(params, alpha: RationalAlpha, q: float) -> np.ndarray:
 # roots with multiplicities
 # ---------------------------------------------------------------------------
 
-def roots_with_multiplicity(poly, cluster_tol: float = _CLUSTER_TOL) -> tuple[np.ndarray, np.ndarray]:
+def roots_with_multiplicity(poly) -> tuple[np.ndarray, np.ndarray]:
     """All roots of the polynomial, clustered into multiple roots.
 
     Returns (roots, multiplicities) with the largest real root first.  The
@@ -155,9 +153,7 @@ def roots_with_multiplicity(poly, cluster_tol: float = _CLUSTER_TOL) -> tuple[np
     raw = _newton_sweep(coeffs, raw)
 
     last_err: NumericalError | None = None
-    for tol in (cluster_tol, 1e-5, 3e-5, 3e-4, 1e-3):
-        if tol < cluster_tol:
-            continue
+    for tol in (_CLUSTER_TOL, 1e-5, 3e-5, 3e-4, 1e-3):
         try:
             return _cluster_and_validate(coeffs, raw, tol)
         except NumericalError as exc:
@@ -323,7 +319,7 @@ def _enforce_conjugacy(roots, mults):
 # partial fractions
 # ---------------------------------------------------------------------------
 
-def partial_fractions(poly, m_minus: int, roots=None, mults=None) -> PartialFraction:
+def partial_fractions(poly, m_minus: int) -> PartialFraction:
     """Partial fraction decomposition of z^{m_-} / f_q(z).
 
     Simple roots use A_k0 = r^{m_-}/f_q'(r); clusters are resolved through
@@ -332,15 +328,7 @@ def partial_fractions(poly, m_minus: int, roots=None, mults=None) -> PartialFrac
     against misclassified clusters.
     """
     coeffs = np.asarray(np.trim_zeros(np.asarray(poly, dtype=complex), "b"))
-    if roots is None or mults is None:
-        err: ConditioningError | None = None
-        for tol in (_CLUSTER_TOL, 10 * _CLUSTER_TOL, 100 * _CLUSTER_TOL):
-            roots, mults = roots_with_multiplicity(coeffs, cluster_tol=tol)
-            try:
-                return partial_fractions(coeffs, m_minus, roots=roots, mults=mults)
-            except ConditioningError as exc:
-                err = exc
-        raise err
+    roots, mults = roots_with_multiplicity(coeffs)
     der = npoly.polyder(coeffs)
 
     rows = []
@@ -361,8 +349,7 @@ def partial_fractions(poly, m_minus: int, roots=None, mults=None) -> PartialFrac
         rows.append(tuple(c[mu - 1 - j] for j in range(mu)))
 
     pf = PartialFraction(roots=tuple(roots), multiplicities=tuple(int(m) for m in mults),
-                         coeffs=tuple(rows), poly=tuple(float(c.real) for c in coeffs),
-                         m_minus=int(m_minus))
+                         coeffs=tuple(rows))
 
     rng = np.random.default_rng(20,)
     radius = 1.0 + 2.0 * max(abs(r) for r in roots)
@@ -383,8 +370,7 @@ def partial_fractions(poly, m_minus: int, roots=None, mults=None) -> PartialFrac
         tol = 1e-9 * (1.0 + abs(direct)) + 2e-13 * mag
         if abs(rec - direct) > tol:
             raise ConditioningError(
-                "partial fraction reconstruction failed; a root cluster may be "
-                "misclassified -- consider loosening the clustering tolerance")
+                "partial fraction reconstruction failed; a root cluster may be misclassified")
     return pf
 
 

@@ -14,8 +14,9 @@ Provides:
 * ``erfc_c`` / ``erfcx_scaled`` / ``eta`` -- complementary error function
   for complex argument and the scaled combinations e^{u^2} erfc(-u) and
   e^x erfc(sqrt(x)) that the inverse-Gaussian formulas need in fused form.
-* ``reg_lower_gamma`` -- regularized lower incomplete gamma P(a, x),
-  computed by power series / continued fraction depending on the region.
+* ``reg_lower_gamma`` / ``upper_gamma`` -- regularized lower incomplete gamma
+  P(a, x) and upper incomplete Gamma(s, y), from scipy's ``gammainc``,
+  ``gammaincc`` and ``expn``.
 * ``fransen_transform`` -- the Laplace transform of the reciprocal gamma
   function, int_0^inf exp(-theta*x)/Gamma(x) dx.
 """
@@ -523,71 +524,27 @@ def eta(x: float) -> float:
 # regularized lower incomplete gamma
 # ---------------------------------------------------------------------------
 
-def _lower_gamma_series(a: float, x: float) -> float:
-    """P(a,x) by the ascending series, preferred for x < a + 1."""
-    if x == 0.0:
-        return 0.0
-    term = 1.0 / a
-    total = term
-    n = 0
-    while n < 10_000:
-        n += 1
-        term *= x / (a + n)
-        total += term
-        if abs(term) < abs(total) * 1e-17:
-            break
-    log_pref = a * math.log(x) - x - math.lgamma(a)
-    return total * math.exp(log_pref)
-
-
-def _upper_gamma_cf(a: float, x: float) -> float:
-    """Q(a,x) by the Lentz continued fraction, preferred for x >= a + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    f = d
-    for i in range(1, 10_000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    log_pref = a * math.log(x) - x - math.lgamma(a)
-    return f * math.exp(log_pref)
-
-
 def reg_lower_gamma(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0."""
     if not a > 0:
         raise ParameterError("reg_lower_gamma requires a > 0")
     if x < 0:
         raise ParameterError("reg_lower_gamma requires x >= 0")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return min(1.0, _lower_gamma_series(a, x))
-    return min(1.0, max(0.0, 1.0 - _upper_gamma_cf(a, x)))
+    return float(sps.gammainc(a, x))
 
 
 def upper_gamma(s: float, y: float) -> float:
     """Upper incomplete Gamma(s, y) for s > -3, y >= 0.
 
-    Nonpositive s is reached by the downward recursion
-    Gamma(s, y) = (Gamma(s+1, y) - y^s e^{-y}) / s.
+    Integer s = -n <= 0 is y^{-n} E_{n+1}(y); other nonpositive s is reached
+    by the downward recursion Gamma(s, y) = (Gamma(s+1, y) - y^s e^{-y}) / s.
     """
     if y < 0:
         raise ParameterError("upper_gamma requires y >= 0")
     if y == 0.0:
         return math.gamma(s) if s > 0 else math.inf
+    if s <= 0 and s == int(s):
+        return y ** s * float(sps.expn(1 - int(s), y))
     k = 0
     s0 = s
     while s0 <= 0:

@@ -22,7 +22,7 @@ LINE = InversionConfig(contour="shifted-line")
 
 def quadratic_psi():
     return LaplaceExponent(eval=lambda th: th * th, deriv=lambda th: 2.0 * th,
-                           domain_edge=-math.inf, drift_at_zero=0.0)
+                           drift_at_zero=0.0)
 
 
 class TestInvert:
@@ -137,7 +137,7 @@ class TestTalbot:
             return (((s + 1.0) ** 2 + 1600.0) + 2.0 * s * (s + 1.0)) / 1601.0
 
         psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv,
-                              domain_edge=-math.inf, drift_at_zero=1.0)
+                              drift_at_zero=1.0)
         x = 1.0
         with pytest.raises(InversionError):
             invert(psi, 0.0, x)
@@ -221,7 +221,7 @@ class TestHyperbola:
             calls.append(np.ndim(theta))
             return inner.eval(theta)
 
-        psi = LaplaceExponent(eval=counted, deriv=inner.deriv, domain_edge=inner.domain_edge,
+        psi = LaplaceExponent(eval=counted, deriv=inner.deriv,
                               drift_at_zero=inner.drift_at_zero)
         invert(psi, 0.0, 1.0)
         assert sum(1 for d in calls if d > 0) == 1

@@ -216,10 +216,8 @@ class TestPssmp:
         assert w.eval(x) == pytest.approx(x ** 0.5, rel=1e-5)
 
     def test_conditioned_drift(self):
-        from scalekit.levy import mean_drift
-
         w = w_pssmp(1.5, True)
-        assert mean_drift(w.psi) == pytest.approx(1.0, rel=1e-6)
+        assert w.psi.drift_at_zero == pytest.approx(1.0, rel=1e-6)
 
     def test_exponent_far_from_origin(self):
         # Gamma(t + beta) overflows past |t| ~ 143; the ratio must not
@@ -328,3 +326,36 @@ class TestCorrections:
         kinks = tuple(np.arange(1.0, 46.0))
         assert self._identity_err(shipped.eval, psi, 0.0, 1.0, 45.0, kinks) <= 1e-6
         assert self._identity_err(verbatim, psi, 0.0, 1.0, 45.0, kinks) >= 1e-2
+
+# mpmath exponents of each family at its parameters, the reference for psi' and psi'(0+)
+def _mp_exponent(family, p):
+    import mpmath as mp
+
+    return {
+        "brownian": lambda t: p["sigma"] ** 2 * t * t / 2 + p["mu"] * t,
+        "stable": lambda t: t ** p["beta"],
+        "stable_drift": lambda t: t ** p["beta"] + p["c"] * t,
+        "cramer_lundberg": lambda t: p["ccoef"] * t - p["lam"] * t / (p["mu"] + t),
+        "fixed_jumps": lambda t: p["ccoef"] * t - p["lam"] * (1 - mp.exp(-p["jump"] * t)),
+        "abate_whitt": lambda t: t - p["lam"] * t / ((p["mu"] + mp.sqrt(t)) * (1 + mp.sqrt(t))),
+        "pssmp_drift_down": lambda t: mp.gamma(t - 1 + p["beta"]) * mp.rgamma(t - 1)
+        / mp.gamma(p["beta"]),
+        "pssmp_conditioned": lambda t: mp.gamma(t + p["beta"]) * mp.rgamma(t)
+        / mp.gamma(p["beta"]),
+    }[family]
+
+
+@pytest.mark.parametrize("family", catalog_families())
+def test_exponent_derivative_against_mpmath(family):
+    # psi' in closed form on both sides of t = 0 for the pssmp families, and psi'(0+)
+    import mpmath as mp
+
+    entry = build_catalog_entry(family)
+    f = _mp_exponent(family, entry.params)
+    with mp.workdps(60):
+        for th in (0.05, 0.25, 0.5, 1.0, 1.5, 3.0, 20.0):
+            ref = float(mp.diff(f, th))
+            assert entry.psi.deriv(th) == pytest.approx(ref, rel=1e-12)
+        ref0 = float(mp.diff(f, 0, direction=1, h=mp.mpf("1e-45")))
+    assert entry.psi.drift_at_zero == pytest.approx(ref0, rel=1e-12, abs=1e-12)
+    assert entry.psi.deriv(0.0) == pytest.approx(ref0, rel=1e-12, abs=1e-12)

@@ -180,6 +180,32 @@ class TestFigures:
         assert float(last[2]) == pytest.approx(1.0, abs=2e-3)
 
 
+class TestUntempered:
+    """gamma = 0, admitted for alpha > 0: the ladder exponent has phi_L'(0+) = inf."""
+
+    def test_eval_exit_code(self):
+        code, out = run_cli(["eval", "--alpha", "1/3", "--gamma", "0", "--kappa", "1",
+                             "--x-max", "2", "--points", "5"])
+        assert code == 0
+        rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+        assert all(r[3] == "rational-ML" and math.isfinite(float(r[1])) for r in rows)
+
+    def test_auto_skips_ig(self):
+        code, out = run_cli(["eval", "--alpha", "1/2", "--gamma", "0", "--points", "3"])
+        assert code == 0
+        assert all(ln.split(",")[3] == "rational-ML" for ln in out.strip().splitlines()[1:])
+        assert run_cli(["eval", "--alpha", "1/2", "--gamma", "0", "--route", "ig"])[0] == 2
+
+    @pytest.mark.parametrize("flags", [["--alpha", "1/3", "--kappa", "1"],
+                                       ["--alpha", "1/2", "--varphi", "1"],
+                                       ["--alpha", "2/3", "--zeta", "1"],
+                                       ["--alpha", "1/4", "--kappa", "1", "--q", "1"]])
+    def test_transform_identity(self, flags):
+        code, out = run_cli(["verify", "--suite", "laplace", "--gamma", "0", *flags])
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
+
 class TestVerify:
     def test_laplace_suite_json(self):
         code, out = run_cli(["verify", "--suite", "laplace", "--model", "gtsc",
@@ -201,7 +227,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("alpha", ["0.7071067811865476", "1/13"])
     def test_routes_suite_checks_bromwich_against_the_line(self, alpha, monkeypatch):
-        from scalekit import bromwich
+        from scalekit import gtsc
 
         argv = ["verify", "--suite", "routes", "--alpha", alpha, "--q", "1"]
         code, out = run_cli(argv)
@@ -210,13 +236,14 @@ class TestVerify:
         assert 0.0 < check["achieved"] <= 1e-6
         assert code == 0
 
-        hyperbola = bromwich._invert_hyperbola
+        # the route's W and W' call the hyperbola through the name gtsc binds
+        hyperbola = gtsc._invert_hyperbola
 
         def off(*args):
             value, err = hyperbola(*args)
             return value * (1.0 + 1e-5), err
 
-        monkeypatch.setattr(bromwich, "_invert_hyperbola", off)
+        monkeypatch.setattr(gtsc, "_invert_hyperbola", off)
         code, out = run_cli(argv)
         assert json.loads(out)["checks"][0]["achieved"] > 1e-6
         assert code == 1

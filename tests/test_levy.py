@@ -8,12 +8,12 @@ import pytest
 from scalekit.errors import ParameterError
 from scalekit.gtsc import GtscParams
 from scalekit.levy import (LaplaceExponent, PathVariation, big_phi, build_parent,
-                           classify_variation, levy_khintchine_exponent, mean_drift)
+                           classify_variation, levy_khintchine_exponent)
 
 
 def quadratic_psi():
     return LaplaceExponent(eval=lambda th: th * th, deriv=lambda th: 2.0 * th,
-                           domain_edge=-math.inf, descriptor="custom")
+                           drift_at_zero=0.0)
 
 
 class TestBigPhi:
@@ -23,14 +23,14 @@ class TestBigPhi:
     def test_zero_with_positive_drift(self):
         psi = LaplaceExponent(eval=lambda th: th * th + th,
                               deriv=lambda th: 2.0 * th + 1.0,
-                              domain_edge=-math.inf)
+                              drift_at_zero=1.0)
         assert big_phi(psi, 0.0) == 0.0
 
     def test_zero_with_negative_drift(self):
         # psi(theta) = theta^2 - theta: Phi(0) = 1
         psi = LaplaceExponent(eval=lambda th: th * th - th,
                               deriv=lambda th: 2.0 * th - 1.0,
-                              domain_edge=-math.inf)
+                              drift_at_zero=-1.0)
         assert big_phi(psi, 0.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_right_inverse_and_monotone(self):
@@ -64,24 +64,50 @@ class TestBigPhi:
 
 class TestMeanDrift:
     def test_quadratic(self):
-        assert mean_drift(quadratic_psi()) == pytest.approx(0.0, abs=1e-8)
+        assert quadratic_psi().drift_at_zero == pytest.approx(0.0, abs=1e-8)
 
     def test_gtsc_kappa(self):
         params = GtscParams(alpha=0.5, gamma=1.0, c=1.0, kappa=1.0)
-        assert mean_drift(params.exponent()) == pytest.approx(1.0, rel=1e-12)
+        assert params.exponent().drift_at_zero == pytest.approx(1.0, rel=1e-12)
 
     def test_case_c_closed_form_vs_finite_difference(self):
         # kappa=0, varphi=1, zeta=0, c=1, gamma=1, alpha=1/2: psi'(0+) < 0;
         # oracle = central finite difference of psi at 0+
         params = GtscParams(alpha=0.5, gamma=1.0, c=1.0, varphi=1.0)
         psi = params.exponent()
-        closed = mean_drift(psi)
+        closed = psi.drift_at_zero
         h = 1e-6
         fd = (float(np.real(psi.eval(h))) - float(np.real(psi.eval(-h)))) / (2.0 * h)
         assert closed < 0.0
         assert closed == pytest.approx(fd, rel=1e-6)
         expected = -(1.0 * math.gamma(0.5))  # kappa - varphi*(zeta + c*Gamma(1/2))
         assert closed == pytest.approx(expected, rel=1e-12)
+
+
+CASES = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)]
+
+
+@pytest.mark.parametrize("alpha", [-1.0 / 3.0, 0.0, 0.5])
+@pytest.mark.parametrize("kappa,varphi,zeta", CASES)
+def test_gtsc_exponent_derivative_against_mpmath(alpha, kappa, varphi, zeta):
+    import mpmath as mp
+
+    params = GtscParams(alpha=alpha, gamma=1.0, c=1.0, zeta=zeta, kappa=kappa, varphi=varphi)
+
+    def psi(t):
+        if alpha == 0.0:
+            body = mp.log(1 + t)
+        else:
+            body = mp.gamma(-alpha) * (1 - (1 + t) ** alpha)
+        return (t - varphi) * (kappa + zeta * t + body)
+
+    for exponent in (params.exponent(), params.parent_triple()[1]):
+        with mp.workdps(40):
+            for th in (0.1, 1.0, 4.0):
+                ref = float(mp.diff(psi, th))
+                assert exponent.deriv(th) == pytest.approx(ref, rel=1e-12)
+            ref0 = float(mp.diff(psi, 0))
+        assert exponent.drift_at_zero == pytest.approx(ref0, rel=1e-12, abs=1e-12)
 
 
 class TestBuildParent:
@@ -91,12 +117,32 @@ class TestBuildParent:
         ladder = LadderParams(kill_rate=0.0, drift=1.0,
                               levy_density=lambda x: 0.0, tail=lambda x: 0.0,
                               exponent=lambda th: th, exponent_deriv=lambda th: 1.0,
-                              activity_mass=0.0)
+                              levy_density_deriv=lambda x: 0.0, activity_mass=0.0)
         triple, psi = build_parent(ladder, 0.0)
         assert triple.sigma == pytest.approx(math.sqrt(2.0))
         assert triple.pi_tail(0.5) == 0.0
         for th in (0.3, 1.0, 4.0):
             assert float(np.real(psi.eval(th))) == pytest.approx(th * th, rel=1e-12)
+
+    @pytest.mark.parametrize("varphi", [0.0, 1.0])
+    def test_alpha_zero_triple_finite(self, varphi):
+        # the ladder tail is c Gamma(0, gamma x) = c E_1(gamma x) at alpha = 0, E_1(1) = 0.2194
+        params = GtscParams(alpha=0.0, gamma=1.0, c=1.0, varphi=varphi)
+        triple, _ = params.parent_triple()
+        assert math.isfinite(triple.a)
+        assert triple.pi_tail(1.0) == pytest.approx(
+            varphi * 0.21938393439552029 + math.exp(-1.0), rel=1e-14)
+        assert all(math.isfinite(triple.pi_tail(x)) for x in (1e-3, 0.5, 5.0))
+
+    def test_untempered_triple(self):
+        # gamma = 0, alpha = 1/3: Upsilon(x, inf) = 3 x^{-1/3}, so with varphi = 0 the jump
+        # tail is the density x^{-4/3} and a = -(1 + int_1^inf x^{-4/3} dx) - kappa = -5
+        params = GtscParams(alpha=1.0 / 3.0, gamma=0.0, c=1.0, kappa=1.0)
+        assert params.ladder().tail(1.0) == pytest.approx(3.0, rel=1e-15)
+        triple, psi = params.parent_triple()
+        assert triple.pi_tail(1.0) == pytest.approx(1.0, rel=1e-15)
+        assert triple.a == pytest.approx(-5.0, rel=1e-9)
+        assert psi.drift_at_zero == 1.0
 
     def test_killed_both_sides_rejected(self):
         params = GtscParams(alpha=0.5, gamma=1.0, c=1.0, kappa=1.0)

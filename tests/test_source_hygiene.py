@@ -1,5 +1,5 @@
 """Source hygiene of the package: no unused import, no orphaned private name, no dead knob,
-and no shared code between the gamma-ladder route and its oracle.
+no write-only field, and no shared code between the gamma-ladder route and its oracle.
 
 A stand-in for a linter: each module under src/scalekit is parsed with ``ast``.
 An import counts as used when its name is read in the module or listed in
@@ -7,9 +7,11 @@ An import counts as used when its name is read in the module or listed in
 public surface.  A private top-level name (one leading underscore) counts as
 used when any module of the package reads it.  A knob -- a defaulted parameter
 or dataclass field -- counts as used when some call in src/, tests/ or
-perfbench/ passes it.  A function reaches every module-level function or class
-method whose name it reads, other than the bare names it binds itself, and what
-those reach in turn.
+perfbench/ passes it.  A dataclass field counts as read when some code in
+src/, tests/ or perfbench/ reads an attribute of its name, directly or through
+``getattr``.  A function reaches every module-level function or class method
+whose name it reads, other than the bare names it binds itself, and what those
+reach in turn.
 """
 
 import ast
@@ -146,6 +148,38 @@ def test_no_dead_knob():
             if name not in everything and (name, knob) not in keywords
             and (pos is None or positions.get(name, 0) <= pos)]
     assert not dead, f"knobs no call passes: {dead}"
+
+
+def _dataclass_fields(tree) -> list:
+    """(class, field, line) of every dataclass field in a module."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            out += [(node.name, f.target.id, f.lineno)
+                    for f in node.body if isinstance(f, ast.AnnAssign)]
+    return out
+
+
+def _attributes_read(trees) -> set:
+    """Attribute names the trees read, as ``obj.name`` or as ``getattr(obj, "name", ...)``."""
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "getattr" and len(node.args) >= 2 \
+                    and isinstance(node.args[1], ast.Constant):
+                names.add(node.args[1].value)
+    return names
+
+
+def test_no_write_only_field():
+    read = _attributes_read(CALLERS)
+    unread = [f"{module}:{line} {cls}.{name}" for module, tree in TREES.items()
+              for cls, name, line in _dataclass_fields(tree) if name not in read]
+    assert not unread, f"dataclass fields nothing reads: {unread}"
 
 
 def _bound_names(func) -> set:

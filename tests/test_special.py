@@ -13,8 +13,7 @@ from scalekit.errors import ParameterError, SaturationError
 from scalekit.special import (erfc_c, erfcx_scaled, eta, fransen_transform,
                               mittag_leffler, mittag_leffler_deriv, reg_lower_gamma,
                               upper_gamma)
-from scalekit.special import (_lower_gamma_series, _mp_series, _series_block,
-                              _series_table, _upper_gamma_cf)
+from scalekit.special import _mp_series, _series_block, _series_table
 
 # frozen oracle values (mpmath series / quadrature at >= 40 digits)
 E_HALF_HALF_AT_1 = 5.5731696643100397533        # E_{1/2,1/2}(1), 400-term series
@@ -223,13 +222,19 @@ class TestIncompleteGamma:
         vals = [reg_lower_gamma(1.7, float(x)) for x in xs]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("a", [0.3, 1.0, 2.5, 7.0])
-    def test_series_cf_switchover_consistency(self, a):
-        # P + Q = 1 where both regional routes are evaluated at the switchover
-        x = a + 1.0
-        p = _lower_gamma_series(a, x)
-        q = _upper_gamma_cf(a, x)
-        assert p + q == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("a", [1e-6, 0.3, 1.0, 2.5, 7.0, 60.0, 400.0, 1e4])
+    def test_against_mpmath(self, a):
+        # fixed x and the transition band x = a + k sqrt(a), where P is above 1e-100
+        import mpmath as mp
+
+        xs = [1e-8, 1e-3, 0.1, 1.0, 5.0, 30.0, 500.0] + \
+            [a + k * math.sqrt(a) for k in range(-6, 7) if a + k * math.sqrt(a) > 0]
+        with mp.workdps(40):
+            for x in xs:
+                ref = mp.gammainc(a, 0, x, regularized=True) if x < a else \
+                    1 - mp.gammainc(a, x, mp.inf, regularized=True)
+                if ref > mp.mpf("1e-100"):
+                    assert reg_lower_gamma(a, x) == pytest.approx(float(ref), rel=1e-12)
 
     def test_against_scipy(self):
         for a in (0.3, 1.2, 4.0):
@@ -244,6 +249,16 @@ class TestIncompleteGamma:
             for y in (0.02, 0.5, 3.0):
                 ref = float(mp.gammainc(s, y, mp.inf))
                 assert upper_gamma(s, y) == pytest.approx(ref, rel=1e-11)
+
+    @pytest.mark.parametrize("s", [0.0, -1.0, -2.0, -0.5, 0.5, 2.0])
+    def test_upper_gamma_against_mpmath(self, s):
+        # integer s <= 0 is y^s E_{1-s}(y); Gamma(0, 1) = E_1(1) = 0.2194
+        import mpmath as mp
+
+        for y in (0.02, 0.5, 1.0, 3.0, 30.0):
+            got = upper_gamma(s, y)
+            assert math.isfinite(got)
+            assert got == pytest.approx(float(mp.gammainc(s, y, mp.inf)), rel=1e-12)
 
 
 class TestFransenTransform:
