@@ -341,7 +341,8 @@ def _closed_pass(params: GtscParams, x: np.ndarray, deriv: bool) -> np.ndarray:
         s = 0.5 * (hi + lo)[:, None] + half[:, None] * _GK_X
         y = np.repeat(xp, counts)[:, None] * s ** (1.0 / abar)
         f = np.exp(-(g + varphi) * y) * mittag_leffler(abar, abar, lam * y ** abar).real
-        kron, gauss = half * (f @ _GK_W), half * (f[:, 1::2] @ _G_W)
+        # weights applied row by row, not by a BLAS product, so no x depends on the others
+        kron, gauss = half * (f * _GK_W).sum(axis=1), half * (f[:, 1::2] * _G_W).sum(axis=1)
         starts = np.cumsum(counts) - counts
         val, est = xp ** abar / abar * np.add.reduceat(np.c_[kron, abs(kron - gauss)], starts).T
         if (est > 1e-9 * (1.0 + np.abs(val))).any():

@@ -216,10 +216,9 @@ def _triple_location(pi_tail, pi_density, sigma, kappa, varphi) -> float:
     """The location parameter a of the Levy-Khintchine form (truncation at 1)."""
     # int_{(-inf,-1)} x Pi(dx) = -int_1^inf u pi(u) du = -(Pi(-inf,-1) + int_1^inf pi_tail)
     # by parts: int_1^inf u pi(u) du = pi_tail(1) + int_1^inf pi_tail(u) du
-    tail_int, _ = quad(pi_tail, 1.0, np.inf, limit=200)
-    m1 = -(pi_tail(1.0) + tail_int)
     if varphi == 0:
-        return m1 - kappa
+        tail_int, _ = quad(pi_tail, 1.0, np.inf, limit=200)
+        return -(pi_tail(1.0) + tail_int) - kappa
     # a*varphi = sigma^2 varphi^2/2 + int (exp(varphi x)-1-x varphi 1_{x>-1}) Pi(dx)
     def integrand(u: float) -> float:
         comp = math.exp(-varphi * u) - 1.0 + (varphi * u if u < 1.0 else 0.0)

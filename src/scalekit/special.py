@@ -4,13 +4,12 @@ Provides:
 
 * ``mittag_leffler`` / ``mittag_leffler_deriv`` -- two-parameter
   Mittag-Leffler function E_{a,b}(z) and its z-derivatives, for a complex
-  argument or an array of them.  Evaluation uses the power series where it
-  is safe (a cancellation guard decides), summed for a whole array as one
-  block with cached coefficient tables, and otherwise numerical inversion of the
-  Laplace transform s^{a*g-b}/(s^a - z)^g along an optimal parabolic
-  contour, with explicit residues for the poles that lie right of the
-  contour.  A high-precision series (mpmath) is the fallback of last
-  resort.
+  argument or an array of them.  A block power series takes every z it can
+  (a cancellation guard decides; a pre-screen keeps out the z far past it);
+  all other z go together through the inverse Laplace transform
+  s^{a*g-b}/(s^a - z)^g on optimal parabolic contours, in one z-by-node pass
+  self-checked on a finer step, plus the residue of a pole right of the
+  contour.  A high-precision series (mpmath) is the per-z last resort.
 * ``erfc_c`` / ``erfcx_scaled`` / ``eta`` -- complementary error function
   for complex argument and the scaled combinations e^{u^2} erfc(-u) and
   e^x erfc(sqrt(x)) that the inverse-Gaussian formulas need in fused form.
@@ -45,6 +44,7 @@ __all__ = [
 
 _LOG_MACH_EPS = math.log(np.finfo(float).eps)  # about -36.04
 _SERIES_ATTEMPT_RADIUS = 5.0   # always try the series inside this disc
+_SERIES_FAR = 9.0              # log cancellation past which the series is not tried
 _SERIES_GUARD = 1.0e3          # max |term| / |sum| tolerated before rejecting
 _SERIES_KMAX = 120_000
 _SERIES_CHUNK = 512            # series terms per block pass
@@ -73,46 +73,64 @@ def _series_table(a: float, bp: float, g: int, k0: int):
     return k, logc, sgn
 
 
+def _beyond_series(a: float, z: np.ndarray) -> np.ndarray:
+    """Where the series of E_a at z certainly cancels past the guard.
+
+    With R = |z|^{1/a} the largest term grows like e^R, the sum like
+    e^{R cos(arg z / a)} (the pole's residue) or not at all, so their ratio
+    is about e^{R (1 - max(cos, 0))} up to a power of R.
+    """
+    r = np.abs(z) ** (1.0 / a)
+    cos = np.cos(np.minimum(np.abs(np.angle(z)) / a, math.pi))
+    return r * (1.0 - np.maximum(cos, 0.0)) - np.log(np.maximum(r, 1.0)) > _SERIES_FAR
+
+
 def _series_block(a: float, bp: float, g: int, z: np.ndarray):
     """Sum_k C(k+g-1, k) z^k / Gamma(a k + bp) on a 1-D array z, with a cancellation guard.
 
     Returns (values, ok).  ok[i] is False where the series would overflow,
     did not converge within the term budget or lost too many digits to
     cancellation.  Rows that have converged leave the block; the rest go on
-    chunk by chunk.
+    chunk by chunk.  No row's value depends on the other rows.
     """
     total = np.zeros(z.size, dtype=complex)
     ok = z == 0
     total[ok] = sps.rgamma(bp)
     rows = np.flatnonzero(~ok)
-    log_az = np.log(np.abs(z[rows]))
-    arg_z = np.angle(z[rows])
-    max_log = np.full(rows.size, -np.inf)
+    log_az = np.log(np.abs(z[rows]))[:, None]
+    arg_z = np.angle(z[rows])[:, None]
+    max_log = np.full((rows.size, 1), -np.inf)
     k0 = 0
     while rows.size and k0 < _SERIES_KMAX:
         k, logc, sgn = _series_table(a, bp, g, k0)
         # log |term| = log C(k+g-1,k) + k log|z| - log|Gamma(a k + bp)|
-        logt = logc + np.outer(log_az, k)
-        top = logt.max(axis=1)
-        fit = top <= 650.0                 # otherwise the terms overflow double
+        logt = logc + log_az * k
+        top = logt.max(axis=1, keepdims=True)
+        fit = top[:, 0] <= 650.0           # otherwise the terms overflow double
         if not fit.all():
             rows, log_az, arg_z, max_log = rows[fit], log_az[fit], arg_z[fit], max_log[fit]
             logt, top = logt[fit], top[fit]
         max_log = np.maximum(max_log, top)
-        # sum only the columns holding a term within e^60 of its row's largest;
-        # modulus and phase apart, as a real exp and cos/sin beat a complex exp
-        cols = np.flatnonzero((logt >= (max_log - 60.0)[:, None]).any(axis=0))
+        # a row sums its terms within e^60 of its largest pairwise over 128, 256 or 512
+        # columns: numpy halves those widths, so zero columns past its terms change nothing
+        own = logt >= max_log - 60.0
+        cols = np.flatnonzero(own.any(axis=0))
         if cols.size:
             c = slice(cols[0], cols[-1] + 1)
-            mag = sgn[c] * np.exp(logt[:, c])
-            phase = np.outer(arg_z, k[c])
-            total[rows] += ((mag * np.cos(phase)).sum(axis=1)
-                            + 1j * (mag * np.sin(phase)).sum(axis=1))
+            mag = np.exp(logt[:, c], out=np.zeros(logt[:, c].shape), where=own[:, c]) * sgn[c]
+            phase = arg_z * k[c]
+            part = np.zeros((rows.size, 128 << max(0, math.ceil(math.log2(c.stop / 128)))))
+            np.multiply(mag, np.cos(phase), out=part[:, c])
+            re = part.sum(axis=1)
+            np.multiply(mag, np.sin(phase), out=part[:, c])
+            total[rows] += re + 1j * part.sum(axis=1)
         # convergence: last terms negligible vs current sum and decreasing
         ref = np.abs(total[rows])
         done = ((ref > 0) & (np.exp(logt[:, -8:]).max(axis=1) < 1e-18 * ref)
                 & (logt[:, -1] < logt[:, 0]))
-        ok[rows[done]] = max_log[done] - np.log(ref[done]) < math.log(_SERIES_GUARD)
+        ok[rows[done]] = max_log[done, 0] - np.log(ref[done]) < math.log(_SERIES_GUARD)
+        if done.all():
+            break
         keep = ~done
         rows, log_az, arg_z, max_log = rows[keep], log_az[keep], arg_z[keep], max_log[keep]
         k0 += _SERIES_CHUNK
@@ -120,130 +138,156 @@ def _series_block(a: float, bp: float, g: int, z: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# optimal parabolic contour (inverse Laplace transform at t=1)
+# optimal parabolic contour (inverse Laplace transform at t=1), many z at once
 # ---------------------------------------------------------------------------
 
-def _param_bounded(phi0: float, phi1: float, q: float, log_tol: float):
-    """Contour parameters for integration between singularity levels phi0 < phi1.
-
-    phi0 is the level of the inner singularity (the branch point at the
-    origin in every use here, with zero strength), phi1 the level of the
-    pole with strength q.  Returns (mu, h, N) or None if not admissible.
-    """
+def _param_bounded(phi: np.ndarray, q: int, log_tol: float):
+    """Contour (mu, h, N) between the origin (level 0, zero strength) and poles q-fold at phi > 0."""
     fac = 1.01
     f_max = math.exp(log_tol - _LOG_MACH_EPS)
-    sq_a = math.sqrt(phi0)
-    threshold = 2.0 * math.sqrt(log_tol - _LOG_MACH_EPS)
-    sq_b = min(math.sqrt(phi1), threshold - sq_a)
-    if not sq_b > sq_a + 1e-12:
-        return None
-    if q < 1e-14:
-        sq_bar_a, sq_bar_b, f_bar = sq_a, sq_b, 1.0
-    else:
-        f_min = fac if sq_a == 0.0 else fac * (sq_a / (sq_b - sq_a)) ** q
-        f_min = max(f_min, fac)
-        if f_min >= f_max:
-            return None
-        f_bar = f_min + f_min / f_max * (f_max - f_min)
-        fq = f_bar ** (-1.0 / q)
-        sq_bar_a = sq_a
-        sq_bar_b = (2.0 * sq_b - fq * sq_a) / (2.0 + fq)
-        if not sq_bar_b > sq_bar_a:
-            return None
+    sq_b = np.minimum(np.sqrt(phi), 2.0 * math.sqrt(log_tol - _LOG_MACH_EPS))
+    f_bar = fac + fac / f_max * (f_max - fac)
+    sq_bar_b = 2.0 * sq_b / (2.0 + f_bar ** (-1.0 / q))
     log_tol_eff = log_tol - math.log(f_bar)
     w = -(sq_bar_b ** 2) / log_tol_eff
-    denom = (1.0 + w) * sq_bar_a + sq_bar_b
-    mu = (denom / (2.0 + w)) ** 2
-    if mu <= 0.0:
-        return None
-    h = -2.0 * math.pi / log_tol_eff * (sq_bar_b - sq_bar_a) / denom
-    N = int(math.ceil(math.sqrt(1.0 - log_tol_eff / mu) / h))
-    return mu, h, max(N, 6)
+    mu = (sq_bar_b / (2.0 + w)) ** 2
+    h = -2.0 * math.pi / log_tol_eff
+    return mu, np.full(phi.shape, h), np.maximum(np.ceil(np.sqrt(1.0 - log_tol_eff / mu) / h), 6.0)
 
 
-def _param_unbounded(phi: float, p: float, log_tol: float):
-    """Contour parameters for the region right of the outermost singularity."""
-    sq_phi = math.sqrt(phi)
-    phibar = phi * 1.01 if phi > 0 else 0.01
+def _param_unbounded(phi: np.ndarray, p: float, log_tol: float):
+    """Contour (mu, h, N) right of singularities of strength p at phi >= 0; N = 0: none fits."""
+    sq_phi = np.sqrt(phi)
+    phibar = np.where(phi > 0, phi * 1.01, 0.01)
+    moving = np.ones(phi.shape, dtype=bool)
     for _ in range(40):
-        sqbar = math.sqrt(phibar)
+        sqbar = np.sqrt(phibar)
         le_pt = log_tol / phibar
-        N = int(math.ceil(phibar / math.pi * (1.0 - 1.5 * le_pt + math.sqrt(1.0 - 2.0 * le_pt))))
-        N = max(N, 4)
+        N = np.maximum(np.ceil(phibar / math.pi * (1.0 - 1.5 * le_pt
+                                                   + np.sqrt(1.0 - 2.0 * le_pt))), 4.0)
         A = math.pi * N / phibar
-        sqmu = sqbar * abs(4.0 - A) / abs(7.0 - math.sqrt(1.0 + 12.0 * A))
+        sqmu = sqbar * np.abs(4.0 - A) / np.abs(7.0 - np.sqrt(1.0 + 12.0 * A))
         if p < 1e-14:
             break
         f_bar = ((sqbar - sq_phi) / sqmu) ** (-p)
-        if 1.0 < f_bar < 10.0:
+        moving &= ~((1.0 < f_bar) & (f_bar < 10.0))
+        if not moving.any():
             break
-        phibar = (5.0 ** (-1.0 / p) * sqmu + sq_phi) ** 2
+        phibar = np.where(moving, (5.0 ** (-1.0 / p) * sqmu + sq_phi) ** 2, phibar)
     mu = sqmu ** 2
-    h = (-3.0 * A - 2.0 + 2.0 * math.sqrt(1.0 + 12.0 * A)) / (4.0 - A) / N
-    if h <= 0 or mu <= 0:
-        return None
+    h = (-3.0 * A - 2.0 + 2.0 * np.sqrt(1.0 + 12.0 * A)) / (4.0 - A) / N
+    ok = (h > 0) & (mu > 0)
     # keep exp(mu) within the round-off budget
     threshold = log_tol - _LOG_MACH_EPS
-    if mu > threshold:
-        Q = 0.0 if p < 1e-14 else 5.0 ** (-1.0 / p) * math.sqrt(mu)
-        phibar = (Q + sq_phi) ** 2
-        if phibar < threshold:
-            w = math.sqrt(-_LOG_MACH_EPS / (-_LOG_MACH_EPS + log_tol))
-            u = math.sqrt(-phibar / _LOG_MACH_EPS)
-            mu = threshold
-            N = int(math.ceil(-w * log_tol / (2.0 * math.pi * (u * w - 1.0))))
-            if N <= 0:
-                return None
-            h = w / N
+    big = ok & (mu > threshold)
+    if big.any():
+        Q = 0.0 if p < 1e-14 else 5.0 ** (-1.0 / p) * np.sqrt(mu[big])
+        phibar = (Q + sq_phi[big]) ** 2
+        w = math.sqrt(-_LOG_MACH_EPS / (-_LOG_MACH_EPS + log_tol))
+        u = np.sqrt(-phibar / _LOG_MACH_EPS)
+        N[big] = np.ceil(-w * log_tol / (2.0 * math.pi * (u * w - 1.0)))
+        ok[big] = (phibar < threshold) & (N[big] > 0)
+        mu[big] = threshold
+        h[big] = w / N[big]
+    return mu, h, np.where(ok, np.maximum(N, 6.0), 0.0)
+
+
+def _contours(phi: np.ndarray, q: int, p0: float):
+    """(mu, h, N) per z, and whether the contour passes left of its pole (q-fold, at level phi).
+
+    The contour runs between the origin (strength p0) and the pole (phi = 0: none), whose
+    residue is then added, or right of both, whichever needs fewer nodes.  The tolerance
+    is relaxed tenfold, up to five times, until one fits in _N_CAP nodes; else N = 0.
+    """
+    prm = np.zeros((3, phi.size))
+    inner = np.zeros(phi.size, dtype=bool)
+    log_tol = _LOG_TOL
+    for _ in range(6):
+        todo = prm[2] == 0
+        if not todo.any():
+            break
+        cand = np.zeros((2, 3, phi.size))
+        # the bounded-region formulas assume a regular inner edge
+        sel = todo & (phi > 1e-14) & (p0 <= 1e-14)
+        cand[0][:, sel] = _param_bounded(phi[sel], q, log_tol)
+        cand[0][:, todo & (phi == 0.0)] = np.array(_param_unbounded(np.zeros(1), p0, log_tol))
+        sel = todo & (phi > 0.0) & (phi < log_tol - _LOG_MACH_EPS)
+        cand[1][:, sel] = _param_unbounded(phi[sel], q, log_tol)
+        n_in, n_out = np.where((cand[:, 2] > 0) & (cand[:, 2] <= _N_CAP), cand[:, 2], np.inf)
+        use_in = todo & np.isfinite(n_in) & (n_in <= n_out)
+        use = todo & np.isfinite(np.minimum(n_in, n_out))
+        prm[:, use] = np.where(use_in, cand[0], cand[1])[:, use]
+        inner |= use_in & (phi > 0.0)
+        log_tol += math.log(10.0)
+    return prm, inner
+
+
+@lru_cache(maxsize=64)
+def _free_contour(p0: float) -> tuple:
+    """(mu, h, N) of the contour for a z without a pole, whose origin has strength p0."""
+    return tuple(_contours(np.zeros(1), 1, p0)[0][:, 0])
+
+
+@lru_cache(maxsize=64)
+def _node_factors(a: float, bp: float, g: int, mu, h, h2, m1: int, m2: int):
+    """e^s s^{ag-bp}, s^a, s' at s = mu (1 + iu)^2, u = h k (|k| <= m1) then h2 k (|k| <= m2)."""
+    u = np.concatenate([h * np.arange(-m1, m1 + 1.0), h2 * np.arange(-m2, m2 + 1.0)], axis=-1)
+    s = mu * (1j * u + 1.0) ** 2
+    ds = 2j * mu * (1.0 + 1j * u)
+    log_s = np.log(s)
+    out = np.exp(s + (a * g - bp) * log_s), np.exp(a * log_s), ds
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _contour_sums(a: float, bp: float, g: int, z, mu, h, N):
+    """Per row, h/(2 pi i) sum_{|k| <= N} e^s s^{ag-bp} (s^a - z)^{-g} s' at s = mu (1 + i h k)^2,
+    and its self-check on N' = ceil(1.37 N) + 2 nodes, on one z-by-node array per
+    _SERIES_ROWS rows sorted by N and padded to their largest; each run of equal N is
+    summed at its own width, so that no row depends on the others.
+    """
+    n2 = np.ceil(N * 1.37) + 2.0
+    step = np.array([h, h * N / n2])
+    out = np.empty((2, z.size), dtype=complex)
+    order = np.argsort(N, kind="stable")
+    for i in range(0, z.size, _SERIES_ROWS):
+        rows = order[i:i + _SERIES_ROWS]
+        k1, k2 = N[rows].astype(int), n2[rows].astype(int)
+        m1, m2, r = int(k1[-1]), int(k2[-1]), rows[0]
+        if k1[0] == m1 and (mu[rows] == mu[r]).all() and (h[rows] == h[r]).all():
+            A, B, ds = _node_factors(a, bp, g, float(mu[r]), float(h[r]), float(step[1, r]), m1, m2)
         else:
-            return None
-    return mu, h, max(N, 6)
+            A, B, ds = _node_factors.__wrapped__(a, bp, g, mu[rows, None], step[0, rows, None],
+                                                 step[1, rows, None], m1, m2)
+        vals = A / (B - z[rows, None]) ** g * ds
+        cuts = [0, *(np.flatnonzero(np.diff(k1)) + 1), rows.size]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            n, k = k1[lo], 2 * m1 + 1 + m2
+            out[0, rows[lo:hi]] = vals[lo:hi, m1 - n:m1 + n + 1].sum(axis=1)
+            out[1, rows[lo:hi]] = vals[lo:hi, k - k2[lo]:k + k2[lo] + 1].sum(axis=1)
+    return step * out / (2j * math.pi)
 
 
-def _poles_on_sheet(a: float, z: complex):
-    """Roots of s^a = z with |arg s| <= pi (principal sheet)."""
-    theta = cmath.phase(z)
-    abs_z = abs(z)
-    if abs_z == 0.0:
-        return []
-    kmin = math.ceil(-a / 2.0 - theta / (2.0 * math.pi))
-    kmax = math.floor(a / 2.0 - theta / (2.0 * math.pi))
-    radius = abs_z ** (1.0 / a)
-    return [radius * cmath.exp(1j * (theta + 2.0 * math.pi * k) / a)
-            for k in range(kmin, kmax + 1)]
-
-
-def _residue_at_pole(a: float, bp: float, g: int, z: complex, s: complex) -> complex:
-    """Residue of e^w w^{a g - bp} / (w^a - z)^g at the order-g pole w = s."""
+def _poles_residue(a: float, bp: float, g: int, s: np.ndarray) -> np.ndarray:
+    """Residue of e^w w^{a g - bp} / (w^a - z)^g at the order-g pole w = s, per s."""
     if g == 1:
-        return (1.0 / a) * s ** (1.0 - bp) * cmath.exp(s)
-    G = g  # need Taylor coefficients up to order g-1
-    # h(eps) = ((s+eps)^a - z)/eps = sum_i C(a, i+1) s^{a-i-1} eps^i
-    def binom(w, i):
-        out = 1.0
-        for r in range(i):
-            out *= (w - r) / (r + 1)
-        return out
-
-    h = [binom(a, i + 1) * s ** (a - i - 1) for i in range(G)]
-    # h^g
-    hg = [1.0 + 0.0j] + [0.0j] * (G - 1)
+        return (1.0 / a) * s ** (1.0 - bp) * np.exp(s)
+    # Taylor series in eps = w - s; (w^a - z)/eps = sum_i C(a, i+1) s^{a-i-1} eps^i
+    h = [sps.binom(a, i + 1) * s ** (a - i - 1) for i in range(g)]
+    hg = [1.0] + [0.0] * (g - 1)
     for _ in range(g):
-        hg = series_product(hg, h, G)
-    inv_hg = series_reciprocal(hg, G)
-    w = a * g - bp
-    spow = [binom(w, i) * s ** (w - i) for i in range(G)]
-    expser = [cmath.exp(s) / math.factorial(i) for i in range(G)]
-    prod = series_product(series_product(expser, spow, G), inv_hg, G)
-    return prod[G - 1]
+        hg = series_product(hg, h, g)
+    c = a * g - bp
+    num = series_product([np.exp(s) / math.factorial(i) for i in range(g)],
+                         [sps.binom(c, i) * s ** (c - i) for i in range(g)], g)
+    return series_product(num, series_reciprocal(hg, g), g)[g - 1]
 
 
 def series_product(u, v, order):
-    """First ``order`` coefficients of the product of two power series."""
+    """First ``order`` coefficients of the product of two power series (numbers or arrays)."""
     out = [0.0j] * order
     for i in range(order):
-        if u[i] == 0:
-            continue
         for j in range(order - i):
             out[i + j] += u[i] * v[j]
     return out
@@ -251,7 +295,7 @@ def series_product(u, v, order):
 
 def series_reciprocal(u, order):
     """First ``order`` coefficients of 1/u for a power series u (u[0] != 0, may be short)."""
-    if u[0] == 0:
+    if np.any(u[0] == 0):
         raise ConditioningError("series reciprocal with vanishing leading coefficient")
     out = [1.0 / u[0]] + [0.0] * (order - 1)
     for i in range(1, order):
@@ -262,71 +306,35 @@ def series_reciprocal(u, order):
     return out
 
 
-def _contour_sum(a: float, bp: float, g: int, z: complex, mu: float, h: float, N: int) -> complex:
-    k = np.arange(-N, N + 1, dtype=float)
-    u = h * k
-    s = mu * (1j * u + 1.0) ** 2
-    ds = 2j * mu * (1.0 + 1j * u)
-    log_s = np.log(s)
-    vals = np.exp(s + (a * g - bp) * log_s) / (np.exp(a * log_s) - z) ** g * ds
-    return complex(h * vals.sum() / (2j * math.pi))
+def _contour_block(a: float, bp: float, g: int, z: np.ndarray) -> np.ndarray:
+    """E^g_{a,bp}(z) by contour inversion on a 1-D array z, self-checked.
 
-
-def _contour_prabhakar(a: float, bp: float, g: int, z: complex):
-    """Prabhakar Mittag-Leffler by contour inversion; returns (value, err_estimate).
-
-    Raises NumericalError when no admissible contour reaches the target.
+    For 0 < a <= 1 at most one pole, s = z^{1/a} where |arg z| <= a pi, is on
+    the principal sheet.  A row whose two sums differ by more than 1e-10, or
+    that has no admissible contour, falls back to the mpmath series.
     """
-    poles = _poles_on_sheet(a, z)
-    entries = [(0.0, 0.0j, True)]  # (phi level, location, is_origin)
-    p0 = max(0.0, -2.0 * (a * g - bp + 1.0))
-    for s in poles:
-        phi = (s.real + abs(s)) / 2.0
-        if phi > 1e-15:
-            entries.append((phi, s, False))
-    entries.sort(key=lambda e: e[0])
-
-    current_log_tol = _LOG_TOL
-    for _ in range(6):
-        candidates = []
-        levels = [e[0] for e in entries] + [math.inf]
-        for j in range(len(entries)):
-            if levels[j] >= (current_log_tol - _LOG_MACH_EPS):
-                continue
-            if j + 1 < len(entries):
-                if levels[j + 1] <= levels[j] + 1e-14:
-                    continue
-                if entries[j][2] and p0 > 1e-14:
-                    continue  # bounded-region formulas assume a regular inner edge
-                prm = _param_bounded(levels[j], levels[j + 1], g, current_log_tol)
-            else:
-                strength = p0 if entries[j][2] else g
-                prm = _param_unbounded(levels[j], strength, current_log_tol)
-            if prm is not None and prm[2] <= _N_CAP:
-                candidates.append((prm[2], j, prm))
-        if candidates:
-            break
-        current_log_tol += math.log(10.0)
-    else:
-        raise NumericalError("no admissible contour for Mittag-Leffler evaluation")
-    if not candidates:
-        raise NumericalError("no admissible contour for Mittag-Leffler evaluation")
-
-    candidates.sort()
-    _, jsel, (mu, h, N) = candidates[0]
-    val = _contour_sum(a, bp, g, z, mu, h, N)
-    # self-check with a finer step on the same contour footprint
-    N2 = int(math.ceil(N * 1.37)) + 2
-    h2 = h * N / N2
-    val2 = _contour_sum(a, bp, g, z, mu, h2, N2)
-    err = abs(val - val2)
-    # residues of the poles right of the selected contour
-    res = 0.0j
-    for phi, s, is_origin in entries[jsel + 1:]:
-        if not is_origin:
-            res += _residue_at_pole(a, bp, g, z, s)
-    total = val2 + res
-    return total, err
+    p0 = max(0.0, -2.0 * (a * g - bp + 1.0))   # strength of the origin
+    mu, h, N = prm = np.repeat(np.array(_free_contour(p0))[:, None], z.size, axis=1)
+    theta = np.angle(z)
+    poles = np.flatnonzero(np.abs(theta) <= a * math.pi)
+    inner = poles[:0]
+    if poles.size:
+        s = np.abs(z[poles]) ** (1.0 / a) * np.exp(1j * theta[poles] / a)
+        phi = (s.real + np.abs(s)) / 2.0
+        poles, s, phi = poles[phi > 1e-15], s[phi > 1e-15], phi[phi > 1e-15]
+        prm[:, poles], left = _contours(phi, g, p0)
+        inner, s = poles[left], s[left]
+    out = np.zeros(z.size, dtype=complex)
+    err = np.full(z.size, np.inf)
+    good = np.flatnonzero(N > 0)
+    if good.size:
+        val, out[good] = _contour_sums(a, bp, g, z[good], mu[good], h[good], N[good])
+        err[good] = np.abs(val - out[good])
+        if inner.size:
+            out[inner] += _poles_residue(a, bp, g, s)
+    for i in np.flatnonzero(~(err <= 1e-10 * np.maximum(1.0, np.abs(out)))):
+        out[i] = _mp_series(a, bp, g, complex(z[i]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -382,24 +390,14 @@ def _ml_block(a: float, bp: float, g: int, z: np.ndarray) -> np.ndarray:
             out[~todo] = (_ml_block(a, bp - steps * a, 1, zb) - corr * zb ** steps) / zb ** steps
     attempt = np.flatnonzero(todo & ((np.abs(z) <= _SERIES_ATTEMPT_RADIUS)
                                      | ((z.imag == 0.0) & (z.real >= 0.0))))
+    attempt = attempt[~_beyond_series(a, z[attempt])]
     for i in range(0, attempt.size, _SERIES_ROWS):
         rows = attempt[i:i + _SERIES_ROWS]
         out[rows], ok = _series_block(a, bp, g, z[rows])
         todo[rows[ok]] = False
-    for i in np.flatnonzero(todo):
-        out[i] = _ml_pointwise(a, bp, g, complex(z[i]))
+    if todo.any():
+        out[todo] = _contour_block(a, bp, g, z[todo])
     return out
-
-
-def _ml_pointwise(a: float, bp: float, g: int, z: complex) -> complex:
-    """Contour inversion with its self-check, else the mpmath series, for one z."""
-    try:
-        val, err = _contour_prabhakar(a, bp, g, z)
-        if err <= 1e-10 * max(1.0, abs(val)):
-            return val
-    except NumericalError:
-        pass
-    return _mp_series(a, bp, g, z)
 
 
 def _ml_a_le_1(a: float, b: float, j: int, z: np.ndarray) -> np.ndarray:
@@ -409,12 +407,14 @@ def _ml_a_le_1(a: float, b: float, j: int, z: np.ndarray) -> np.ndarray:
 
 def _check_ml_saturation(a: float, z: np.ndarray) -> None:
     """Raise when e^{z^{1/a}} overflows double range; only |z|^{1/a} > 700 can."""
-    for zi in z[np.abs(z) > 700.0 ** a]:
-        re_max = max((s.real for s in _poles_on_sheet(a, complex(zi))), default=-math.inf)
-        if re_max > 705.0:
+    big = z[np.abs(z) > 700.0 ** a]
+    if big.size:
+        ang = np.angle(big) / a   # the root of s^a = z furthest right on the principal sheet
+        re = np.where(np.abs(ang) <= math.pi, np.abs(big) ** (1.0 / a) * np.cos(ang), -np.inf)
+        if re.max() > 705.0:
             raise SaturationError(
-                f"Mittag-Leffler overflow: Re(z^(1/a)) = {re_max:.4g} beyond floating range",
-                magnitude=re_max)
+                f"Mittag-Leffler overflow: Re(z^(1/a)) = {re.max():.4g} beyond floating range",
+                magnitude=float(re.max()))
 
 
 def _ml_deriv(a: float, b: float, j: int, z):

@@ -303,8 +303,6 @@ class TestClosedFormPanels:
         params = GtscParams(alpha=sign * abar, gamma=0.8, c=1.1, **extra)
         got = w0_closed(params, np.array(self.XS))
         for x, g in zip(self.XS, got):
-            # the block Mittag-Leffler series sums the terms its whole block needs,
-            # so a point's last bits can depend on its neighbours
             one = w0_closed(params, x)
             assert type(one) is float and one == pytest.approx(g, rel=1e-13)
             ref = invert(params.exponent(), 0.0, x)[0]
@@ -568,6 +566,13 @@ class TestOnePath:
             assert got[0] == 0.0
             assert np.array_equal(method(xs.reshape(2, 2)), got.reshape(2, 2))
             assert method(np.array([])).shape == (0,)
+
+    def test_closed_form_points_independent(self):
+        # the panels of every x share one Mittag-Leffler call, yet no x depends on the others
+        xs = np.array(TestClosedFormPanels.XS)
+        for alpha in (0.1, -0.1, 1.0 / math.pi, -0.9):
+            params = GtscParams(alpha=alpha, gamma=0.8, c=1.1)
+            assert np.array_equal(w0_closed(params, xs), [w0_closed(params, x) for x in xs])
 
     def test_rational_working_set_bounded(self):
         import tracemalloc

@@ -1,6 +1,7 @@
 """Laplace exponents, the parent construction and its consistency checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,15 @@ class TestBuildParent:
         assert triple.pi_tail(1.0) == pytest.approx(1.0, rel=1e-15)
         assert triple.a == pytest.approx(-5.0, rel=1e-9)
         assert psi.drift_at_zero == 1.0
+
+    def test_untempered_tilted_triple_quiet(self):
+        # for varphi > 0 the location comes from the tilted integral alone; the
+        # tail integral int_1^inf pi_tail diverges at gamma = 0 and is not formed
+        params = GtscParams(alpha=1.0 / 3.0, gamma=0.0, c=1.0, varphi=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            triple, _ = params.parent_triple()
+        assert triple.a == pytest.approx(-2.500000004075182, rel=1e-12)
 
     def test_killed_both_sides_rejected(self):
         params = GtscParams(alpha=0.5, gamma=1.0, c=1.0, kappa=1.0)

@@ -154,18 +154,25 @@ class TestPartialFractions:
     def test_reconstruction_with_double_root(self, simple, double, spread):
         # random degree-5 polynomial with a planted double root
         roots = [double, double, simple[0], simple[1] + spread, simple[2] - spread]
-        rts = sorted(roots)
-        if min(abs(a - b) for a, b in zip(rts, rts[1:])) < 0.05:
+        distinct = sorted(set(roots))
+        if len(distinct) < 4 or min(b - a for a, b in zip(distinct, distinct[1:])) < 0.05:
             return  # distinct roots too close to classify; not the target case
         poly = npoly.polyfromroots(roots)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pf = partial_fractions(poly, 2)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                pf = partial_fractions(poly, 2)
+        except NumericalError:
+            # a typed refusal (ConditioningError is one) where a tiny planted root
+            # underflows f's low coefficients or the set is ill-conditioned
+            return
         rng = np.random.default_rng(99)
         for _ in range(32):
             z = 3.5 * np.exp(1j * rng.uniform(0, 2 * math.pi))
             direct = z ** 2 / npoly.polyval(z, poly.astype(complex))
-            assert abs(pf.reconstruct(z) - direct) <= 1e-9 * (1.0 + abs(direct))
+            got = pf.reconstruct(z)
+            assert np.isfinite(got)
+            assert abs(got - direct) <= 1e-9 * (1.0 + abs(direct))
 
     def test_phi_consistency(self):
         # r_1^n - gamma equals big_phi(psi, q)

@@ -13,7 +13,8 @@ from scalekit.errors import ParameterError, SaturationError
 from scalekit.special import (erfc_c, erfcx_scaled, eta, fransen_transform,
                               mittag_leffler, mittag_leffler_deriv, reg_lower_gamma,
                               upper_gamma)
-from scalekit.special import _mp_series, _series_block, _series_table
+from scalekit import special
+from scalekit.special import _beyond_series, _mp_series, _series_block, _series_table
 
 # frozen oracle values (mpmath series / quadrature at >= 40 digits)
 E_HALF_HALF_AT_1 = 5.5731696643100397533        # E_{1/2,1/2}(1), 400-term series
@@ -165,6 +166,120 @@ class TestBlockSeries:
     def test_coefficient_cache_bounded(self):
         maxsize = _series_table.cache_info().maxsize
         assert maxsize is not None and maxsize <= 256
+
+
+# contour-only arguments (|z| > 5, off the positive axis) for a = 1/2: the first
+# ray has a pole on the principal sheet, the second none
+CONTOUR_Z = np.concatenate([np.linspace(5.5, 12.0, 32) * np.exp(0.4j),
+                            np.linspace(5.5, 20.0, 32) * np.exp(2.5j)])
+
+
+def _series_ok(a, bp, g, z):
+    return np.concatenate([np.zeros(0, dtype=bool)] + [_series_block(a, bp, g, z[i:i + 64])[1]
+                                                      for i in range(0, z.size, 64)])
+
+
+class TestRowIndependence:
+    """A point's value is the same whatever other points share its call."""
+
+    @pytest.mark.parametrize("a,b,j,z", [
+        (1.0 / math.pi, 1.0 / math.pi, 0, np.linspace(0.1, 1.8, 300)),
+        (0.25, 0.25, 0, -np.linspace(0.1, 4.9, 300) * np.exp(0.3j)),
+        (0.25, 1.0, 1, -np.linspace(0.1, 4.9, 300) * np.exp(0.3j)),
+        (0.5, 0.5, 1, CONTOUR_Z),
+    ], ids=["series-real", "series-rotated", "series-deriv", "contour"])
+    def test_block_equals_one_point_calls(self, a, b, j, z):
+        block = mittag_leffler_deriv(a, b, j, z)
+        one = np.array([mittag_leffler_deriv(a, b, j, x) for x in z.tolist()])
+        assert np.array_equal(block, one)
+
+    def test_contour_mixed_node_counts(self):
+        # pole rows at many levels get contours of many N (and residues) in one block
+        z = np.concatenate([np.linspace(0.5, 12.0, 40) * np.exp(1j * t) for t in (0.1, 0.5, 1.4)])
+        block = special._contour_block(0.5, 1.0, 2, z)
+        assert np.array_equal(block, [special._contour_block(0.5, 1.0, 2, z[i:i + 1])[0]
+                                      for i in range(z.size)])
+        for x, got in zip(z[::7], block[::7]):
+            ref = _mp_series(0.5, 1.0, 2, complex(x))
+            assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+class TestPrescreen:
+    @pytest.mark.parametrize("a", [0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.75])
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_diverts_only_rows_the_guard_rejects(self, a, j):
+        r = np.linspace(0.02, 5.0, 60)
+        z = (r[:, None] * np.exp(1j * np.linspace(-math.pi, math.pi, 91))).ravel()
+        far = _beyond_series(a, z)
+        assert far.any() == (a <= 0.5)   # inside the disc only small a is far past the guard
+        for b in (a, 1.0):
+            bp = a * j + b
+            assert not _series_ok(a, bp, j + 1, z[far]).any()
+            # the rows the series accepts keep the series' own values
+            near = z[~far]
+            vals, ok = _series_block(a, bp, j + 1, near[:64])
+            assert np.array_equal(special._ml_block(a, bp, j + 1, near[:64])[ok], vals[ok])
+
+
+class TestContourBlock:
+    def _recorded(self, monkeypatch):
+        calls = []
+        real = special._mp_series
+
+        def mp_series(a, bp, g, z):
+            calls.append(z)
+            return real(a, bp, g, z)
+
+        monkeypatch.setattr(special, "_mp_series", mp_series)
+        return calls
+
+    def test_self_check_failure_falls_back_alone(self, monkeypatch):
+        a, bp = 0.5, 0.5
+        clean = special._contour_block(a, bp, 1, CONTOUR_Z)
+        calls = self._recorded(monkeypatch)
+        real = special._contour_sums
+
+        def spoiled(a, bp, g, z, mu, h, N):
+            val, val2 = real(a, bp, g, z, mu, h, N)
+            val[z == CONTOUR_Z[40]] += 1.0   # the coarse sum of one row disagrees
+            return val, val2
+
+        monkeypatch.setattr(special, "_contour_sums", spoiled)
+        got = special._contour_block(a, bp, 1, CONTOUR_Z)
+        assert calls == [CONTOUR_Z[40]]
+        rest = np.arange(CONTOUR_Z.size) != 40
+        assert np.array_equal(got[rest], clean[rest])
+        assert abs(got[40] - clean[40]) <= 1e-10 * abs(clean[40])
+
+    def test_no_admissible_contour_falls_back_alone(self, monkeypatch):
+        a, bp = 0.5, 0.5
+        clean = special._contour_block(a, bp, 1, CONTOUR_Z)
+        calls = self._recorded(monkeypatch)
+        real = special._contours
+
+        def refusing(phi, q, p0):
+            prm, inner = real(phi, q, p0)
+            prm[:, 0], inner[0] = 0.0, False   # the first pole row finds no contour
+            return prm, inner
+
+        monkeypatch.setattr(special, "_contours", refusing)
+        got = special._contour_block(a, bp, 1, CONTOUR_Z)
+        assert calls == [CONTOUR_Z[0]]
+        assert np.array_equal(got[1:], clean[1:])
+        assert abs(got[0] - clean[0]) <= 1e-10 * abs(clean[0])
+
+    def test_one_array_pass_per_call(self, monkeypatch):
+        sums = []
+        real = special._contour_sums
+
+        def counted(a, bp, g, z, mu, h, N):
+            sums.append(z.size)
+            return real(a, bp, g, z, mu, h, N)
+
+        monkeypatch.setattr(special, "_contour_sums", counted)
+        calls = self._recorded(monkeypatch)
+        mittag_leffler(0.5, 0.5, CONTOUR_Z)
+        assert sums == [64] and calls == []
 
 
 class TestErfcFamily:
