@@ -7,12 +7,13 @@ every zero of psi - q and the branch cut of psi on its left.  Two contours:
   L.N. Trefethen, Math. Comp. 76 (2007) 1341-1356, with the optimised
   w(t) = 2.246 N (1 - sin(1.1721 - 0.3443 i t)) of Trefethen, Weideman and
   Schmelzer, BIT 46 (2006) 653-670: nodes s = sigma + w(t)/x with
-  sigma = Phi(q) + 1/x, N = 32 midpoints on (-pi, pi), the upper half
-  evaluated in one array call of psi.  N = 24 gives the error estimate; N
-  stays fixed because round-off grows like e^{0.176 N}.  An argument-principle
-  count certifies that no zero of psi - q lies right of the hyperbola (where
-  its weight e^{Re w} exceeds e^{-25}); otherwise InversionError is raised.
-  The same node values times s give W' = L^-1[s/(psi(s) - q)] at x > 0, since
+  sigma = Phi(q) + 1/x, N = 32 midpoints on (-pi, pi), the upper half of a
+  block of x evaluated in one x-by-node array call of psi.  N = 24 gives the
+  error estimate; N stays fixed because round-off grows like e^{0.176 N}.
+  An argument-principle count, bisected only where it is coarse, certifies
+  that no zero of psi - q lies right of the hyperbola (where its weight
+  e^{Re w} exceeds e^{-25}); otherwise InversionError is raised.  The same
+  node values times s give W' = L^-1[s/(psi(s) - q)] at x > 0, since
   L[W'] = theta/(psi - q) - W(0+) and a constant inverts to 0 there.
 * shifted-line (reference oracle): W(x) = (e^{rx}/pi) * Int_0^inf
   [Re F(u) cos(xu) - Im F(u) sin(xu)] du with F(u) = 1/(psi(r+iu) - q), by
@@ -78,7 +79,9 @@ def invert(psi: LaplaceExponent, q: float, x: float,
     cfg = cfg or InversionConfig()
     phi_q = big_phi(psi, q)
     if cfg.contour == "hyperbola":
-        return _invert_hyperbola(psi, q, x, phi_q + 1.0 / x, False)
+        value, err = _invert_hyperbola(psi, q, np.array([x], dtype=float),
+                                       np.array([phi_q + 1.0 / x]), False)
+        return float(value[0]), float(err[0])
 
     r = cfg.r if cfg.r is not None else phi_q + max(1.0, 0.5 * phi_q)
     if r <= phi_q:
@@ -127,7 +130,7 @@ def _psi_minus_q(psi, q, s) -> np.ndarray:
 
 
 def _zero_count(psi, q, x, sigma, path, g) -> int:
-    """Winding number of psi - q around ``path``, bisecting coarse steps."""
+    """Winding number of psi - q around ``path`` at one x, bisecting coarse steps."""
     while path.size <= _MAX_PATH:
         steps = np.angle(g[1:] / g[:-1])
         coarse = np.abs(steps) > _MAX_STEP
@@ -141,28 +144,37 @@ def _zero_count(psi, q, x, sigma, path, g) -> int:
                          "hyperbolic contour; use the shifted-line contour")
 
 
-def _invert_hyperbola(psi, q, x, sigma, deriv: bool) -> tuple[float, float]:
-    """(W, error estimate) at x > 0, or (W', error estimate) when deriv is set."""
-    if sigma * x > 700.0:
+def _invert_hyperbola(psi, q, x: np.ndarray, sigma: np.ndarray,
+                      deriv: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(W, error estimate) at each x > 0 of a 1-D array, or (W', error estimate) when deriv
+    is set: one x-by-node call of psi, each row summed at a fixed width on its own."""
+    if (sigma * x > 700.0).any():
         raise InversionError("W^(q)(x) overflows double precision at this x")
-    s = sigma + _W_ALL / x
+    s = sigma[:, None] + _W_ALL / x[:, None]
     g = _psi_minus_q(psi, q, s)
     n1, n2 = _W_MAIN.size, _W_CHECK.size
-    terms = np.exp(_W_MAIN) * _DW_MAIN / g[:n1]
-    check = np.exp(_W_CHECK) * _DW_CHECK / g[n1:n1 + n2]
+    terms = np.exp(_W_MAIN) * _DW_MAIN / g[:, :n1]
+    check = np.exp(_W_CHECK) * _DW_CHECK / g[:, n1:n1 + n2]
     if deriv:
-        terms, check = terms * s[:n1], check * s[n1:n1 + n2]
-    scale = 2.0 * math.exp(sigma * x) / x
-    value = scale * float(np.sum(terms.imag)) / (2 * n1)
-    err = max(abs(value - scale * float(np.sum(check.imag)) / (2 * n2)),
-              np.finfo(float).eps * scale * float(np.sum(np.abs(terms))) / (2 * n1))
-    if _zero_count(psi, q, x, sigma, _PATH, g[n1 + n2:]) != 0:
-        raise InversionError("psi - q has a zero right of the hyperbolic contour; "
-                             "use the shifted-line contour", best_value=value,
-                             error_estimate=math.inf)
-    if not (math.isfinite(value) and err <= 1e-5 * (1.0 + abs(value))):
+        terms, check = terms * s[:, :n1], check * s[:, n1:n1 + n2]
+    scale = 2.0 * np.exp(sigma * x) / x
+    value = scale * terms.imag.sum(axis=1) / (2 * n1)
+    err = np.maximum(np.abs(value - scale * check.imag.sum(axis=1) / (2 * n2)),
+                     np.finfo(float).eps * scale * np.abs(terms).sum(axis=1) / (2 * n1))
+    # winding number per row; only rows with a step above _MAX_STEP are bisected
+    steps = np.angle(g[:, n1 + n2 + 1:] / g[:, n1 + n2:-1])
+    winding = np.rint(steps.sum(axis=1) / (2.0 * math.pi))
+    for i in np.flatnonzero((np.abs(steps) > _MAX_STEP).any(axis=1)):
+        winding[i] = _zero_count(psi, q, x[i], sigma[i], _PATH, g[i, n1 + n2:])
+    failed = (winding != 0) | ~(np.isfinite(value) & (err <= 1e-5 * (1.0 + np.abs(value))))
+    if failed.any():
+        i = int(np.argmax(failed))      # the first row that fails, as one x at a time finds it
+        if winding[i] != 0:
+            raise InversionError("psi - q has a zero right of the hyperbolic contour; "
+                                 "use the shifted-line contour", best_value=float(value[i]),
+                                 error_estimate=math.inf)
         raise InversionError("hyperbolic-contour inversion error estimate above tolerance",
-                             best_value=value, error_estimate=err)
+                             best_value=float(value[i]), error_estimate=float(err[i]))
     return value, err
 
 

@@ -28,7 +28,7 @@ from scipy import special as sps
 
 from .errors import ParameterError
 from .levy import LaplaceExponent
-from .scale import ScaleFunction, pointwise_scale
+from .scale import ScaleFunction
 from .special import mittag_leffler, mittag_leffler_deriv
 
 __all__ = [
@@ -75,26 +75,27 @@ def w_brownian(sigma: float, mu: float, q: float = 0.0) -> ScaleFunction:
     rt = math.sqrt(disc)
 
     if rt == 0.0:
-        def value(x: float) -> float:
-            return 2.0 * x / s2 * math.exp(-mu * x / s2)
+        def value(x: np.ndarray) -> np.ndarray:
+            return 2.0 * x / s2 * np.exp(-mu * x / s2)
 
-        def deriv(x: float) -> float:
-            return (2.0 / s2 - 2.0 * x * mu / s2 ** 2) * math.exp(-mu * x / s2)
+        def deriv(x: np.ndarray) -> np.ndarray:
+            return (2.0 / s2 - 2.0 * x * mu / s2 ** 2) * np.exp(-mu * x / s2)
     else:
-        def value(x: float) -> float:
-            return 2.0 / rt * math.exp(-mu * x / s2) * math.sinh(x * rt / s2)
+        def value(x: np.ndarray) -> np.ndarray:
+            # (2/rt) e^{-mu x/s2} sinh(x rt/s2), finite wherever W is (rt >= |mu|)
+            return -np.exp((rt - mu) * x / s2) * np.expm1(-2.0 * rt * x / s2) / rt
 
-        def deriv(x: float) -> float:
-            e = math.exp(-mu * x / s2)
-            return (2.0 / s2) * e * (math.cosh(x * rt / s2)
-                                     - (mu / rt) * math.sinh(x * rt / s2))
+        def deriv(x: np.ndarray) -> np.ndarray:
+            # (2/s2) e^{-mu x/s2} (cosh - (mu/rt) sinh)(x rt/s2) without the cancellation
+            return ((1.0 - mu / rt) * np.exp((rt - mu) * x / s2)
+                    + (1.0 + mu / rt) * np.exp(-(rt + mu) * x / s2)) / s2
 
     def psi_eval(theta):
         return 0.5 * s2 * theta * theta + mu * theta
 
     psi = LaplaceExponent(eval=psi_eval, deriv=lambda th: s2 * th + mu, drift_at_zero=mu)
     phi_q = (-mu + rt) / s2
-    return pointwise_scale(q, phi_q, "catalog", value, deriv, psi)
+    return ScaleFunction(q, phi_q, "catalog", value, deriv, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +112,10 @@ def w_stable(beta: float, q: float = 0.0) -> ScaleFunction:
     if q < 0:
         raise ParameterError("q must be nonnegative")
 
-    def value(x: float) -> float:
-        if x == 0.0:
-            return 0.0
+    def value(x: np.ndarray) -> np.ndarray:
         return beta * x ** (beta - 1.0) * mittag_leffler_deriv(beta, 1.0, 1, q * x ** beta).real
 
-    def deriv(x: float) -> float:
-        if x == 0.0 and beta < 2.0:
-            return math.inf
+    def deriv(x: np.ndarray) -> np.ndarray:
         z = q * x ** beta
         d1 = mittag_leffler_deriv(beta, 1.0, 1, z).real
         d2 = mittag_leffler_deriv(beta, 1.0, 2, z).real
@@ -131,7 +128,7 @@ def w_stable(beta: float, q: float = 0.0) -> ScaleFunction:
     psi = LaplaceExponent(eval=psi_eval,
                           deriv=lambda th: beta * th ** (beta - 1.0) if th > 0 else 0.0,
                           drift_at_zero=0.0)
-    return pointwise_scale(q, q ** (1.0 / beta), "catalog", value, deriv, psi)
+    return ScaleFunction(q, q ** (1.0 / beta), "catalog", value, deriv, psi)
 
 
 def w_stable_drift(beta: float, c: float) -> ScaleFunction:
@@ -146,14 +143,10 @@ def w_stable_drift(beta: float, c: float) -> ScaleFunction:
         raise ParameterError("drift c must be positive")
     bm1 = beta - 1.0
 
-    def value(x: float) -> float:
-        if x == 0.0:
-            return 0.0
+    def value(x: np.ndarray) -> np.ndarray:
         return (1.0 - mittag_leffler(bm1, 1.0, -c * x ** bm1).real) / c
 
-    def deriv(x: float) -> float:
-        if x == 0.0:
-            return math.inf
+    def deriv(x: np.ndarray) -> np.ndarray:
         z = -c * x ** bm1
         return bm1 * x ** (bm1 - 1.0) * mittag_leffler_deriv(bm1, 1.0, 1, z).real
 
@@ -163,7 +156,7 @@ def w_stable_drift(beta: float, c: float) -> ScaleFunction:
     psi = LaplaceExponent(eval=psi_eval,
                           deriv=lambda th: beta * th ** (beta - 1.0) + c if th > 0 else c,
                           drift_at_zero=c)
-    return pointwise_scale(0.0, 0.0, "catalog", value, deriv, psi)
+    return ScaleFunction(0.0, 0.0, "catalog", value, deriv, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +175,11 @@ def w_cramer_lundberg(ccoef: float, lam: float, mu: float) -> ScaleFunction:
         raise ParameterError("net drift must be positive: ccoef - lambda/mu > 0")
     rate = mu - lam / ccoef   # > 0 under the net-drift condition
 
-    def value(x: float) -> float:
-        return (1.0 + lam / (ccoef * mu - lam) * (1.0 - math.exp(-rate * x))) / ccoef
+    def value(x: np.ndarray) -> np.ndarray:
+        return (1.0 + lam / (ccoef * mu - lam) * (1.0 - np.exp(-rate * x))) / ccoef
 
-    def deriv(x: float) -> float:
-        return lam * rate / (ccoef * (ccoef * mu - lam)) * math.exp(-rate * x)
+    def deriv(x: np.ndarray) -> np.ndarray:
+        return lam * rate / (ccoef * (ccoef * mu - lam)) * np.exp(-rate * x)
 
     def psi_eval(theta):
         return ccoef * theta - lam * theta / (mu + theta)
@@ -195,7 +188,7 @@ def w_cramer_lundberg(ccoef: float, lam: float, mu: float) -> ScaleFunction:
         return ccoef - lam * mu / (mu + theta) ** 2
 
     psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv, drift_at_zero=ccoef - lam / mu)
-    return pointwise_scale(0.0, 0.0, "catalog", value, deriv, psi)
+    return ScaleFunction(0.0, 0.0, "catalog", value, deriv, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +219,7 @@ def w_fixed_jumps(ccoef: float, lam: float, jump: float) -> ScaleFunction:
     def psi_deriv(theta):
         return ccoef - lam * jump * np.exp(-jump * theta)
 
-    x_tail = math.inf
+    x_tail, theta2, psi_d_theta2 = math.inf, 0.0, 1.0     # without jumps there is no tail
     if lam > 0:
         a = lc * jump
         theta2, theta1 = (lc + sps.lambertw(-a * math.exp(-a), k) / jump for k in (-1, 1))
@@ -234,30 +227,41 @@ def w_fixed_jumps(ccoef: float, lam: float, jump: float) -> ScaleFunction:
         # the pair weighs 2 |e^{theta1 x}/psi'(theta1)|, against W(inf) = 1/psi'(0+)
         x_tail = math.log(2e16 * drift0 / abs(psi_deriv(theta1))) / -theta1.real
 
-    def value(x: float) -> float:
-        if x < 0.0:
-            return 0.0
-        if x >= x_tail:
-            return 1.0 / drift0 + math.exp(theta2 * x) / psi_d_theta2
-        # floor with a snap so kink placement is deterministic at multiples
-        n = np.arange(0, int(math.floor(x / jump + 1e-12)) + 1, dtype=float)
-        u = jump * n - x
-        # n-th term: e^{-lam u/c} (lam u / c)^n / n!, u <= 0, so the signs alternate
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logmag = -lc * u + n * np.log(np.abs(lc * u, where=n > 0, out=np.ones_like(u))) \
-                - sps.gammaln(n + 1.0)
-        logmag[0] = lc * x
-        vals = np.where(n % 2 == 0, 1.0, -1.0) * np.exp(logmag)
-        vals[np.abs(u) < 1e-300] = np.where(n[np.abs(u) < 1e-300] > 0, 0.0, 1.0)
-        return float(vals.sum()) / ccoef
+    def value(x: np.ndarray) -> np.ndarray:
+        """W on any x: 0 below 0, the alternating sum up to x_tail, the two-pole tail beyond."""
+        out = np.zeros(x.shape)
+        body, tail = (x >= 0.0) & (x < x_tail), x >= x_tail
+        if body.any():
+            out[body] = alternating(x[body])
+        out[tail] = 1.0 / drift0 + np.exp(theta2 * x[tail]) / psi_d_theta2
+        return out
 
-    def deriv(x: float) -> float:
-        if x >= x_tail:
-            return theta2 * math.exp(theta2 * x) / psi_d_theta2
-        return lc * (value(x) - value(x - jump))
+    def alternating(x: np.ndarray) -> np.ndarray:
+        # term n of row x: e^{-lam u/c} (lam u / c)^n / n!, u = jump n - x <= 0, so the signs
+        # alternate; a row ends at floor(x/jump), snapped so kinks sit exactly at multiples
+        top = np.floor(x / jump + 1e-12) if lam > 0 else np.zeros(x.shape)
+        n = np.arange(top.max() + 1.0)
+        u = jump * n - x[:, None]
+        logmag = -lc * u + n * np.log(np.abs(lc * u, where=n > 0, out=np.ones_like(u))) \
+            - sps.gammaln(n + 1.0)      # -inf where u = 0 < n, so that term is 0
+        logmag[:, 0] = lc * x
+        vals = np.where(n % 2 == 0, 1.0, -1.0) * np.exp(logmag)
+        # rows of one length summed together, so each row gets numpy's pairwise sum of
+        # exactly its own terms, whatever the other rows are
+        out = np.empty(x.shape)
+        for t in np.unique(top):
+            on = top == t
+            out[on] = vals[on, :int(t) + 1].sum(axis=1)
+        return out / ccoef
+
+    def deriv(x: np.ndarray) -> np.ndarray:
+        out, tail = np.empty(x.shape), x >= x_tail
+        out[~tail] = lc * (value(x[~tail]) - value(x[~tail] - jump))
+        out[tail] = theta2 * np.exp(theta2 * x[tail]) / psi_d_theta2
+        return out
 
     psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv, drift_at_zero=drift0)
-    return pointwise_scale(0.0, 0.0, "catalog", value, deriv, psi)
+    return ScaleFunction(0.0, 0.0, "catalog", value, deriv, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -284,29 +288,29 @@ def w_abate_whitt(lam: float, mu: float) -> ScaleFunction:
     if abs(disc) < 1e-14 * half * half:
         nu = half
 
-        def value(x: float) -> float:
+        def value(x: np.ndarray) -> np.ndarray:
             u = nu * nu * x
-            et = sps.erfcx(math.sqrt(u))
-            lim = (1.0 - 2.0 * u) * et + 2.0 * math.sqrt(u / math.pi)
+            et = sps.erfcx(np.sqrt(u))
+            lim = (1.0 - 2.0 * u) * et + 2.0 * np.sqrt(u / math.pi)
             return pref * (1.0 - rho * lim)
 
-        def deriv(x: float) -> float:
+        def deriv(x: np.ndarray) -> np.ndarray:
             u = nu * nu * x
-            return pref * rho * nu * nu * ((1.0 + 2.0 * u) * sps.erfcx(math.sqrt(u))
-                                           - 2.0 * math.sqrt(u / math.pi))
+            return pref * rho * nu * nu * ((1.0 + 2.0 * u) * sps.erfcx(np.sqrt(u))
+                                           - 2.0 * np.sqrt(u / math.pi))
     else:
         root = math.sqrt(disc)
         nu1, nu2 = half + root, half - root
 
-        def value(x: float) -> float:
-            e1 = sps.erfcx(math.sqrt(x) * nu2)
-            e2 = sps.erfcx(math.sqrt(x) * nu1)
+        def value(x: np.ndarray) -> np.ndarray:
+            e1 = sps.erfcx(np.sqrt(x) * nu2)
+            e2 = sps.erfcx(np.sqrt(x) * nu1)
             return pref * (1.0 - rho / (nu1 - nu2) * (nu1 * e1 - nu2 * e2))
 
-        def deriv(x: float) -> float:
+        def deriv(x: np.ndarray) -> np.ndarray:
             # d/dx erfcx(nu sqrt x) = nu^2 erfcx(nu sqrt x) - nu/sqrt(pi x); 1/sqrt x cancels
-            e1 = sps.erfcx(math.sqrt(x) * nu2)
-            e2 = sps.erfcx(math.sqrt(x) * nu1)
+            e1 = sps.erfcx(np.sqrt(x) * nu2)
+            e2 = sps.erfcx(np.sqrt(x) * nu1)
             return -pref * rho * nu1 * nu2 * (nu2 * e1 - nu1 * e2) / (nu1 - nu2)
 
     def psi_eval(theta):
@@ -318,7 +322,7 @@ def w_abate_whitt(lam: float, mu: float) -> ScaleFunction:
         return 1.0 - lam * (mu + half * rt) / ((mu + rt) * (1.0 + rt)) ** 2
 
     psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv, drift_at_zero=1.0 - rho)
-    return pointwise_scale(0.0, 0.0, "catalog", value, deriv, psi)
+    return ScaleFunction(0.0, 0.0, "catalog", value, deriv, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -338,26 +342,22 @@ def w_pssmp(beta: float, conditioned: bool) -> ScaleFunction:
     lgb = sps.gammaln(beta)
 
     if conditioned:
-        def value(x: float) -> float:
-            return (-math.expm1(-x)) ** (beta - 1.0)
+        def value(x: np.ndarray) -> np.ndarray:
+            return (-np.expm1(-x)) ** (beta - 1.0)
 
-        def deriv(x: float) -> float:
-            if x == 0.0:
-                return math.inf
-            return (beta - 1.0) * (-math.expm1(-x)) ** (beta - 2.0) * math.exp(-x)
+        def deriv(x: np.ndarray) -> np.ndarray:
+            return (beta - 1.0) * (-np.expm1(-x)) ** (beta - 2.0) * np.exp(-x)
 
         shift = 0.0
         phi0 = 0.0
         drift0 = 1.0
     else:
-        def value(x: float) -> float:
-            return (-math.expm1(-x)) ** (beta - 1.0) * math.exp(x)
+        def value(x: np.ndarray) -> np.ndarray:
+            return (-np.expm1(-x)) ** (beta - 1.0) * np.exp(x)
 
-        def deriv(x: float) -> float:
-            if x == 0.0:
-                return math.inf
-            em = -math.expm1(-x)
-            return math.exp(x) * em ** (beta - 2.0) * ((beta - 1.0) * math.exp(-x) + em)
+        def deriv(x: np.ndarray) -> np.ndarray:
+            em = -np.expm1(-x)
+            return np.exp(x) * em ** (beta - 2.0) * ((beta - 1.0) * np.exp(-x) + em)
 
         shift = 1.0
         phi0 = 1.0
@@ -380,7 +380,7 @@ def w_pssmp(beta: float, conditioned: bool) -> ScaleFunction:
         return float(psi_t * sps.digamma(t + beta) + sps.poch(beta, t) * rg_d)
 
     psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv, drift_at_zero=drift0)
-    return pointwise_scale(0.0, phi0, "catalog", value, deriv, psi)
+    return ScaleFunction(0.0, phi0, "catalog", value, deriv, psi)
 
 
 def _gamma_ratio(t, beta, lgb):

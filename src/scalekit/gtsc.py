@@ -42,7 +42,7 @@ from .errors import (CapabilityError, NotApplicableError, NumericalError, Parame
                      SaturationError)
 from .levy import LadderParams, LaplaceExponent, big_phi, parent_exponent
 from .polyfrac import RationalAlpha, build_fq, partial_fractions, roots_with_multiplicity
-from .scale import ScaleFunction, on_nonnegative, pointwise_scale
+from .scale import ScaleFunction, on_nonnegative
 from .special import (erfcx_scaled, fransen_transform, mittag_leffler,
                       mittag_leffler_deriv, reg_lower_gamma, series_reciprocal, upper_gamma)
 
@@ -364,7 +364,8 @@ def w0_closed(params: GtscParams, x):
 def w0_closed_scale(params: GtscParams) -> ScaleFunction:
     """ScaleFunction of the closed form (route 'closed-form'), W' in closed form too."""
     psi = params.exponent()
-    return ScaleFunction(0.0, big_phi(psi, 0.0), "closed-form", lambda x: w0_closed(params, x),
+    return ScaleFunction(0.0, big_phi(psi, 0.0), "closed-form",
+                         lambda x: _closed_pass(params, x, False),
                          lambda x: _closed_pass(params, x, True), psi)
 
 
@@ -394,87 +395,74 @@ def w_ig(delta: float, gamma: float, q: float = 0.0) -> ScaleFunction:
     if q < 0:
         raise ParameterError("q must be nonnegative")
     params = ig_params(delta, gamma)
+    psi = params.exponent()
     q0 = ig_q0_threshold(delta, gamma)
     c0 = gamma ** 2 / 2.0
 
     if q == 0.0:
-        def value(x: float) -> float:
-            if x < 0.0:
-                return 0.0
-            sx = math.sqrt(x)
+        def value(x: np.ndarray) -> np.ndarray:
+            sx = np.sqrt(x)
             term = ((1.0 + gamma ** 2 * x) * sps.erfc(-gamma * sx / math.sqrt(2.0))
-                    + gamma * sx * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * gamma ** 2 * x)
+                    + gamma * sx * math.sqrt(2.0 / math.pi) * np.exp(-0.5 * gamma ** 2 * x)
                     - 1.0)
             return term / (2.0 * delta * gamma)
 
-        def deriv(x: float) -> float:
-            if x <= 0.0:
-                return math.inf
-            return (gamma / (2.0 * delta)) * sps.erfc(-gamma * math.sqrt(x / 2.0)) \
-                + math.exp(-0.5 * gamma ** 2 * x) / (delta * math.sqrt(2.0 * math.pi * x))
+        def deriv(x: np.ndarray) -> np.ndarray:
+            return (gamma / (2.0 * delta)) * sps.erfc(-gamma * np.sqrt(x / 2.0)) \
+                + np.exp(-0.5 * gamma ** 2 * x) / (delta * np.sqrt(2.0 * math.pi * x))
 
-        return pointwise_scale(0.0, 0.0, "ig", value, deriv, params.exponent())
+        return ScaleFunction(0.0, 0.0, "ig", value, deriv, psi)
 
     fq = build_fq(params, RationalAlpha(1, 2), q)
     roots, mults = roots_with_multiplicity(fq)
     phi_q = float(roots[0].real) ** 2 - c0
 
     if abs(q - q0) <= 1e-9 * q0:
-        def pair(x: float):
-            """W and W' at x > 0; W = (t1 + t2 - (15 + 2 gamma^2 x) e3)/(36 delta gamma)."""
-            sx = math.sqrt(x)
+        def pair(x: np.ndarray, deriv: bool) -> np.ndarray:
+            """W (or W') on x >= 0; W = (t1 + t2 - (15 + 2 gamma^2 x) e3)/(36 delta gamma)."""
+            sx = np.sqrt(x)
             g2x = gamma ** 2 * x
-            t1 = 6.0 * gamma * math.sqrt(2.0 / math.pi) * sx * math.exp(-0.5 * g2x)
             t2 = 15.0 * _scaled_eta((8.0 / 9.0) * g2x, -(5.0 * gamma / 3.0) * sx / math.sqrt(2.0))
-            e3 = math.exp(-(4.0 / 9.0) * g2x) * sps.erfc((gamma / 3.0) * sx / math.sqrt(2.0))
+            e3 = np.exp(-(4.0 / 9.0) * g2x) * sps.erfc((gamma / 3.0) * sx / math.sqrt(2.0))
+            if not deriv:
+                t1 = 6.0 * gamma * math.sqrt(2.0 / math.pi) * sx * np.exp(-0.5 * g2x)
+                return (t1 + t2 - (15.0 + 2.0 * g2x) * e3).real / (36.0 * delta * gamma)
             # t1' + t2' - t3', the e^{-gamma^2 x/2}/sqrt(x) parts of all three gathered
             d = gamma ** 2 * (8.0 * t2 + (42.0 + 8.0 * g2x) * e3) / 9.0 + math.sqrt(2.0) * gamma \
-                * math.exp(-0.5 * g2x) * (18.0 - (8.0 / 3.0) * g2x) / math.sqrt(math.pi * x)
-            return np.real([t1 + t2 - (15.0 + 2.0 * g2x) * e3, d]) / (36.0 * delta * gamma)
+                * np.exp(-0.5 * g2x) * (18.0 - (8.0 / 3.0) * g2x) / np.sqrt(math.pi * x)
+            return d.real / (36.0 * delta * gamma)
 
-        return pointwise_scale(q, phi_q, "ig", lambda x: pair(x)[0] if x > 0.0 else 0.0,
-                               lambda x: pair(x)[1] if x > 0.0 else math.inf, params.exponent())
+        return ScaleFunction(q, phi_q, "ig", lambda x: pair(x, False), lambda x: pair(x, True),
+                             psi)
 
-    der = np.polynomial.polynomial.polyder(np.asarray(fq))
-    weights = []
-    ordered = []
-    for r, mu in zip(roots, mults):
-        if mu != 1:
-            raise NumericalError("unexpected multiple root away from q0 in the IG cubic")
-        fp = np.polynomial.polynomial.polyval(r, der)
-        weights.append(r / fp)
-        ordered.append(r)
-    wr_sum = complex(sum(w * r for w, r in zip(weights, ordered)))
+    if (mults != 1).any():
+        raise NumericalError("unexpected multiple root away from q0 in the IG cubic")
+    # W = sum_r w_r e^{(r^2 - c0) x} erfc(-r sqrt x), w_r = r/f_q'(r), and W(0) = sum_r w_r = 0
+    weights = roots / np.polynomial.polynomial.polyval(
+        roots, np.polynomial.polynomial.polyder(np.asarray(fq)))
+    wr_sum = complex(np.sum(weights * roots))
 
-    def value(x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        sx = math.sqrt(x)
-        total = 0.0j
-        for r, w in zip(ordered, weights):
-            total += w * _scaled_eta((r * r - c0) * x, -r * sx)
-        if abs(total.imag) > 1e-9 * (1.0 + abs(total.real)):
-            raise NumericalError(f"imaginary residue in IG scale sum at x={x}")
-        return total.real
+    def value(x: np.ndarray) -> np.ndarray:
+        sx = np.sqrt(x)
+        total = sum(w * _scaled_eta((r * r - c0) * x, -r * sx) for r, w in zip(roots, weights))
+        bad = (x > 0.0) & (np.abs(total.imag) > 1e-9 * (1.0 + np.abs(total.real)))
+        if bad.any():
+            raise NumericalError(f"imaginary residue in IG scale sum at x={x[bad][0]}")
+        return np.where(x > 0.0, total.real, 0.0)
 
-    def deriv(x: float) -> float:
-        if x <= 0.0:
-            return math.inf
-        sx = math.sqrt(x)
-        total = 0.0j
-        for r, w in zip(ordered, weights):
-            total += w * (r * r - c0) * _scaled_eta((r * r - c0) * x, -r * sx)
-        total += wr_sum * math.exp(-c0 * x) / math.sqrt(math.pi * x)
-        return total.real
+    def deriv(x: np.ndarray) -> np.ndarray:
+        sx = np.sqrt(x)
+        total = sum(w * (r * r - c0) * _scaled_eta((r * r - c0) * x, -r * sx)
+                    for r, w in zip(roots, weights))
+        total += wr_sum * np.exp(-c0 * x) / np.sqrt(math.pi * x)
+        return np.where(x > 0.0, total.real, math.inf)
 
-    return pointwise_scale(q, phi_q, "ig", value, deriv, params.exponent())
+    return ScaleFunction(q, phi_q, "ig", value, deriv, psi)
 
 
 def _scaled_eta(s, u):
     """e^s erfc(u) with s - u^2 bounded: computed as e^{s-u^2} * (e^{u^2} erfc(u))."""
-    ex = s - u * u
-    return cmath.exp(ex) * erfcx_scaled(-u) if isinstance(ex, complex) \
-        else math.exp(ex) * erfcx_scaled(complex(-u))
+    return np.exp(s - u * u) * erfcx_scaled(-u)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +484,8 @@ def _ladder_table():
 
     rows, left = [], 0.0
     for lo, hi in zip(_LADDER_EDGES[:-1], _LADDER_EDGES[1:]):
-        coef = cheb.chebinterpolate(np.vectorize(lambda s: k(lo + 0.5 * (hi - lo) * (1.0 + s))), 31)
+        coef = cheb.chebinterpolate(
+            lambda s: np.array([k(lo + 0.5 * (hi - lo) * (1.0 + si)) for si in s]), 31)
         if abs(coef[-1]) > 1e-12 * np.abs(coef).max():
             raise NumericalError(f"gamma-ladder interpolant did not converge on v in [{lo}, {hi}]")
         rows.append((coef, cheb.chebint(coef, lbnd=-1, k=left, scl=0.5 * (hi - lo))))
@@ -541,7 +530,7 @@ def w_gamma_case_dual(c: float, gamma: float, x: float) -> float:
 
 
 def w_gamma_scale(c: float, gamma: float) -> ScaleFunction:
-    return ScaleFunction(0.0, 0.0, "gamma-case", lambda x: w_gamma_case(c, gamma, x),
+    return ScaleFunction(0.0, 0.0, "gamma-case", lambda x: _gamma_ladder(c, gamma, x, False),
                          lambda x: _gamma_ladder(c, gamma, x, True),
                          GtscParams(alpha=0.0, gamma=gamma, c=c).exponent())
 
@@ -652,12 +641,14 @@ def scale_function(params: GtscParams, q: float = 0.0, route: str = "auto") -> S
         psi = params.exponent()
         phi_q = big_phi(psi, q)
         zero = asymptote_zero(params, q)
-        return pointwise_scale(
-            q, phi_q, "bromwich",
-            lambda x: _invert_hyperbola(psi, q, x, phi_q + 1.0 / x, False)[0] if x > 0
-            else zero.w0,
-            lambda x: _invert_hyperbola(psi, q, x, phi_q + 1.0 / x, True)[0] if x > 0
-            else zero.wprime0, psi)
+
+        def inverse(x: np.ndarray, deriv: bool, at_zero: float) -> np.ndarray:
+            out, pos = np.full(x.shape, at_zero), x > 0.0
+            out[pos] = _invert_hyperbola(psi, q, x[pos], phi_q + 1.0 / x[pos], deriv)[0]
+            return out
+
+        return ScaleFunction(q, phi_q, "bromwich", lambda x: inverse(x, False, zero.w0),
+                             lambda x: inverse(x, True, zero.wprime0), psi)
     raise ParameterError(f"unknown route '{route}'")
 
 

@@ -6,10 +6,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, SaturationError
 from .levy import LaplaceExponent
 
-__all__ = ["ScaleFunction", "on_nonnegative", "pointwise_scale"]
+__all__ = ["ScaleFunction", "on_nonnegative"]
 
 _CHUNK = 64     # points per route call, which bounds the working set of array routes
 
@@ -21,8 +21,8 @@ class ScaleFunction:
     route's right limit); every route supplies its own W', and nothing is
     differentiated numerically.  ``eval`` returns W^(q)(x) and ``eval_deriv``
     W'; both are 0 for x < 0 and take a number (returning a float) or an
-    array (returning the input's shape).  Instances are immutable and safe
-    to share.
+    array (returning the input's shape), and raise SaturationError on a NaN
+    or, at x > 0, an infinity.  Instances are immutable and safe to share.
     """
 
     def __init__(self, q: float, phi_q: float, route: str,
@@ -53,18 +53,13 @@ def on_nonnegative(f: Callable[[np.ndarray], np.ndarray], x):
         raise ParameterError("x must be a number, got NaN")
     out = np.zeros(flat.shape)
     on = np.flatnonzero(flat >= 0.0)
-    for i in range(0, on.size, _CHUNK):
-        at = on[i:i + _CHUNK]
-        out[at] = f(flat[at])
+    with np.errstate(all="ignore"):     # W'(0+) may be 1/0; what else is not finite raises
+        for i in range(0, on.size, _CHUNK):
+            at = on[i:i + _CHUNK]
+            out[at] = f(flat[at])
+    lost = np.isnan(out) | (np.isinf(out) & (flat > 0.0))
+    if lost.any():
+        raise SaturationError(f"W or W' beyond floating-point range at x = {flat[lost][0]:.6g}")
     out = out.reshape(xs.shape)
     return float(out) if out.ndim == 0 else out
 
-
-def pointwise_scale(q: float, phi_q: float, route: str, value: Callable[[float], float],
-                    deriv: Callable[[float], float],
-                    psi: Optional[LaplaceExponent] = None) -> ScaleFunction:
-    """ScaleFunction of a route that computes W and W' one x at a time, by numpy's loop."""
-    def vec(f):
-        return np.vectorize(f, otypes=[float])
-
-    return ScaleFunction(q, phi_q, route, vec(value), vec(deriv), psi)

@@ -306,8 +306,11 @@ class TestBromwichDeriv:
         assert scale.eval_deriv(1e-5) == pytest.approx(slope, rel=1e-4)
 
     def test_value_is_public_invert(self):
-        # new coverage: the W' pass leaves W the public inversion, to the last bit
+        # the route's W on an array, block by block, is the public one-point inversion
+        # to the last bit
         params = GtscParams(alpha=1 / 3, gamma=1.0, c=1.0, kappa=1.0)
         scale = scale_function(params, 1.0, "bromwich")
         for x in (0.3, 4.0):
             assert scale.eval(x) == invert(scale.psi, 1.0, x)[0]
+        xs = np.r_[0.3, 4.0, np.geomspace(1e-3, 20.0, 70)]
+        assert np.array_equal(scale.eval(xs), [invert(scale.psi, 1.0, x)[0] for x in xs])

@@ -11,7 +11,7 @@ from scalekit.bromwich import invert, verify_laplace_identity
 from scalekit.catalog import (CORRECTIONS, build_catalog_entry, catalog_families,
                               w_abate_whitt, w_brownian, w_cramer_lundberg,
                               w_fixed_jumps, w_pssmp, w_stable, w_stable_drift)
-from scalekit.errors import ParameterError
+from scalekit.errors import ParameterError, SaturationError
 
 SINH_1 = 1.1752011936438014569
 E_PRIME_3HALF_AT_1 = 1.1488295713550730142   # E'_{3/2,1}(1)
@@ -36,6 +36,20 @@ class TestBrownian:
         for x in (0.2, 1.0, 4.0):
             assert w.eval(x) == pytest.approx((1.0 - math.exp(-2 * 0.5 * x)) / 0.5,
                                               rel=1e-13)
+
+    def test_drift_case_derivative_and_far_x(self):
+        # q=0, mu>0: W'(x) = 2 e^{-2 mu x/sigma^2}/sigma^2, where cosh - (mu/rt) sinh cancels
+        w = w_brownian(1.0, 0.5, 0.0)
+        xs = np.array([0.2, 4.0, 20.0, 60.0])
+        assert np.allclose(w.eval_deriv(xs), 2.0 * np.exp(-xs), rtol=1e-13, atol=0.0)
+        assert w.eval(1e5) == 2.0      # finite although sinh(x rt/sigma^2) overflows
+
+    def test_overflow_is_typed(self):
+        # W^(q) grows like e^{Phi(q) x}: past floating-point range it raises, never inf or NaN
+        w = w_brownian(1.0, 0.5, 1.0)
+        for method in (w.eval, w.eval_deriv):
+            with pytest.raises(SaturationError):
+                method(np.array([1.0, 1e5]))
 
 
 class TestStable:
@@ -214,6 +228,10 @@ class TestPssmp:
         w = w_pssmp(1.5, False)
         x = 1e-6
         assert w.eval(x) == pytest.approx(x ** 0.5, rel=1e-5)
+
+    def test_unconditioned_overflow_is_typed(self):
+        with pytest.raises(SaturationError):
+            w_pssmp(1.5, False).eval(1000.0)
 
     def test_conditioned_drift(self):
         w = w_pssmp(1.5, True)

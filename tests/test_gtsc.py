@@ -567,6 +567,16 @@ class TestOnePath:
             assert np.array_equal(method(xs.reshape(2, 2)), got.reshape(2, 2))
             assert method(np.array([])).shape == (0,)
 
+    @pytest.mark.parametrize("name,scale", list(_one_path_scales()),
+                             ids=[name for name, _ in _one_path_scales()])
+    def test_array_is_one_point_calls_bit_for_bit(self, name, scale):
+        # no x of a block depends on the others, in either order, across chunk boundaries
+        xs = np.r_[0.0, np.geomspace(1e-3, 20.0, 100)]
+        for method in (scale.eval, scale.eval_deriv):
+            got = method(xs)
+            assert np.array_equal(got, [method(float(x)) for x in xs]), name
+            assert np.array_equal(method(xs[::-1]), got[::-1]), name
+
     def test_closed_form_points_independent(self):
         # the panels of every x share one Mittag-Leffler call, yet no x depends on the others
         xs = np.array(TestClosedFormPanels.XS)

@@ -250,3 +250,14 @@ def test_hyperbola_oracle_independent():
     assert {"_psi_minus_q", "_zero_count"} <= _names(reached)
     shared = sorted(name for module, name in reached if module in ("special.py", "polyfrac.py"))
     assert not shared, f"_invert_hyperbola reaches {shared}"
+
+
+def test_no_vectorize():
+    # every route and catalog family evaluates a block of x natively; np.vectorize would
+    # hide a per-point Python loop behind an array signature
+    found = [f"{module}:{getattr(node, 'lineno', '?')}" for module, tree in TREES.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "vectorize"
+             or isinstance(node, ast.Name) and node.id == "vectorize"
+             or isinstance(node, ast.alias) and node.name == "vectorize"]
+    assert not found, f"np.vectorize in {found}"

@@ -383,11 +383,19 @@ class TestFransenTransform:
         assert vals[-1] < 1e-3
 
     def test_refinement_stability(self):
-        f0 = fransen_transform(0.0)
-        f0r = fransen_transform(0.0, _refine=True)
-        assert abs(f0 - f0r) <= 1e-8 * f0
-        # derived value from the quadrature itself (independent dps-40 run)
-        assert f0 == pytest.approx(2.8077702420285193652, rel=1e-9)
+        # against 30-digit mpmath quadrature; -3 and -6 are arguments the gamma ladder samples
+        import mpmath as mp
+
+        for theta in (0.0, 0.5, 2.0, 100.0, -3.0, -6.0):
+            peak = math.exp(-theta)     # the integrand peaks near x = e^{-theta} for theta < 0
+            knots = [0, 1, 3, 8, 20, 60] + ([peak - 30 * peak ** 0.5 - 50, peak,
+                                             peak + 30 * peak ** 0.5 + 50] if theta < 0 else [])
+            with mp.workdps(30):
+                th = mp.mpf(theta)
+                ref = mp.quad(lambda x: mp.exp(-th * x) * mp.rgamma(x),
+                              sorted(k for k in set(knots) if k >= 0) + [mp.inf])
+            assert fransen_transform(theta) == pytest.approx(float(ref), rel=1e-8), theta
+        assert fransen_transform(0.0) == pytest.approx(2.8077702420285193652, rel=1e-9)
 
     def test_value_at_one(self):
         assert fransen_transform(1.0) == pytest.approx(0.6198584141447734496, rel=1e-9)
