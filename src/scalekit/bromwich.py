@@ -3,7 +3,7 @@
 W^(q)(x) = (1/2 pi i) Int e^{sx} ds / (psi(s) - q) along a contour that leaves
 every zero of psi - q and the branch cut of psi on its left.  Two contours:
 
-* hyperbola (default): the hyperbolic contour of J.A.C. Weideman and
+* ``invert``, the hyperbola: the hyperbolic contour of J.A.C. Weideman and
   L.N. Trefethen, Math. Comp. 76 (2007) 1341-1356, with the optimised
   w(t) = 2.246 N (1 - sin(1.1721 - 0.3443 i t)) of Trefethen, Weideman and
   Schmelzer, BIT 46 (2006) 653-670: nodes s = sigma + w(t)/x with
@@ -15,11 +15,13 @@ every zero of psi - q and the branch cut of psi on its left.  Two contours:
   e^{Re w} exceeds e^{-25}); otherwise InversionError is raised.  The same
   node values times s give W' = L^-1[s/(psi(s) - q)] at x > 0, since
   L[W'] = theta/(psi - q) - W(0+) and a constant inverts to 0 there.
-* shifted-line (reference oracle): W(x) = (e^{rx}/pi) * Int_0^inf
+* ``invert_line``, the shifted line (reference oracle): W(x) = (e^{rx}/pi) * Int_0^inf
   [Re F(u) cos(xu) - Im F(u) sin(xu)] du with F(u) = 1/(psi(r+iu) - q), by
   QUADPACK's oscillatory integrator with Euler-type extrapolation, which
   converges for the slow decay |F| ~ u^{-(alpha+1)} of tempered-stable
   exponents, including the principal-value (conditionally convergent) cases.
+  The abscissa starts at r = Phi(q) + max(1, Phi(q)/2) and steps toward Phi(q)
+  at large x.
 
 ``verify_laplace_identity`` integrates W forward on graded panels with an
 exponential-tail correction and reports relative errors against
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -40,22 +42,12 @@ from .errors import InversionError, ParameterError, ScalekitError
 from .levy import LaplaceExponent, big_phi
 
 __all__ = [
-    "InversionConfig",
     "IdentityReport",
     "invert",
+    "invert_line",
     "verify_laplace_identity",
     "laplace_transform_numeric",
 ]
-
-
-@dataclass(frozen=True)
-class InversionConfig:
-    contour: str = "hyperbola"               # or "shifted-line" (reference oracle)
-    r: Optional[float] = None                # line only: abscissa; default Phi(q)+max(1, Phi(q)/2)
-
-    def __post_init__(self):
-        if self.contour not in ("hyperbola", "shifted-line"):
-            raise ParameterError("contour must be 'hyperbola' or 'shifted-line'")
 
 
 def classify_integrability(psi: LaplaceExponent, q: float, probe_r: float) -> str:
@@ -69,24 +61,27 @@ def classify_integrability(psi: LaplaceExponent, q: float, probe_r: float) -> st
     return "lebesgue" if p > 1.05 else "principal-value"
 
 
-def invert(psi: LaplaceExponent, q: float, x: float,
-           cfg: Optional[InversionConfig] = None) -> tuple[float, float]:
-    """W^(q)(x) by contour inversion; returns (value, error estimate)."""
+def _phi_q(psi: LaplaceExponent, q: float, x: float) -> float:
+    """Phi(q), after the preconditions x > 0 and q >= 0 shared by both contours."""
     if x <= 0:
         raise ParameterError("inversion requires x > 0")
     if q < 0:
         raise ParameterError("q must be nonnegative")
-    cfg = cfg or InversionConfig()
-    phi_q = big_phi(psi, q)
-    if cfg.contour == "hyperbola":
-        value, err = _invert_hyperbola(psi, q, np.array([x], dtype=float),
-                                       np.array([phi_q + 1.0 / x]), False)
-        return float(value[0]), float(err[0])
+    return big_phi(psi, q)
 
-    r = cfg.r if cfg.r is not None else phi_q + max(1.0, 0.5 * phi_q)
-    if r <= phi_q:
-        raise ParameterError("abscissa r must exceed Phi(q)")
-    return _invert_line(psi, q, x, r, phi_q, classify_integrability(psi, q, r))
+
+def invert(psi: LaplaceExponent, q: float, x: float) -> tuple[float, float]:
+    """W^(q)(x) on the hyperbolic contour; returns (value, error estimate)."""
+    phi_q = _phi_q(psi, q, x)
+    value, err = _invert_hyperbola(psi, q, np.array([x], dtype=float),
+                                   np.array([phi_q + 1.0 / x]), False)
+    return float(value[0]), float(err[0])
+
+
+def invert_line(psi: LaplaceExponent, q: float, x: float) -> tuple[float, float]:
+    """W^(q)(x) on the shifted line, the reference oracle; returns (value, error estimate)."""
+    phi_q = _phi_q(psi, q, x)
+    return _invert_line(psi, q, x, phi_q + max(1.0, 0.5 * phi_q), phi_q)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +197,7 @@ def _line_pass(psi, q, x, r, mode) -> tuple[float, float]:
     return scale * (vc - vs), scale * (abs(ec) + abs(es))
 
 
-def _invert_line(psi, q, x, r, phi_q, mode) -> tuple[float, float]:
+def _invert_line(psi, q, x, r, phi_q) -> tuple[float, float]:
     # the exp(r x) prefactor amplifies the quadrature error, so for large x
     # the abscissa moves toward Phi(q) along a ladder until the estimate
     # meets tolerance; two passes also cross-validate each other
@@ -211,6 +206,7 @@ def _invert_line(psi, q, x, r, phi_q, mode) -> tuple[float, float]:
         cand = phi_q + min(max(margin, 0.01), 1.0)
         if cand < ladder[-1] * (1.0 - 1e-9):
             ladder.append(cand)
+    mode = classify_integrability(psi, q, r)
     results = []
     for ri in ladder:
         value, err = _line_pass(psi, q, x, ri, mode)

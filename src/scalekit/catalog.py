@@ -55,9 +55,10 @@ CORRECTIONS = {
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A family's parameters and its scale function, whose ``psi`` is the family's exponent."""
+
     params: dict
     scale: ScaleFunction
-    psi: LaplaceExponent
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +113,20 @@ def w_stable(beta: float, q: float = 0.0) -> ScaleFunction:
     if q < 0:
         raise ParameterError("q must be nonnegative")
 
+    def arg(x: np.ndarray) -> np.ndarray:
+        # exactly 0 at q = 0, also where x^beta overflows
+        return q * x ** beta if q > 0 else np.zeros(x.shape)
+
     def value(x: np.ndarray) -> np.ndarray:
-        return beta * x ** (beta - 1.0) * mittag_leffler_deriv(beta, 1.0, 1, q * x ** beta).real
+        return beta * x ** (beta - 1.0) * mittag_leffler_deriv(beta, 1.0, 1, arg(x)).real
 
     def deriv(x: np.ndarray) -> np.ndarray:
-        z = q * x ** beta
-        d1 = mittag_leffler_deriv(beta, 1.0, 1, z).real
-        d2 = mittag_leffler_deriv(beta, 1.0, 2, z).real
-        return beta * (beta - 1.0) * x ** (beta - 2.0) * d1 \
-            + beta * beta * q * x ** (2.0 * beta - 2.0) * d2
+        z = arg(x)
+        out = beta * (beta - 1.0) * x ** (beta - 2.0) * mittag_leffler_deriv(beta, 1.0, 1, z).real
+        if q > 0:
+            out += beta * beta * q * x ** (2.0 * beta - 2.0) \
+                * mittag_leffler_deriv(beta, 1.0, 2, z).real
+        return out
 
     def psi_eval(theta):
         return theta ** beta
@@ -440,5 +446,4 @@ def build_catalog_entry(family: str, **overrides) -> CatalogEntry:
                              f"choose from {', '.join(catalog_families())}")
     params = dict(_DEFAULTS[family])
     params.update(overrides)
-    scale = _BUILDERS[family](**params)
-    return CatalogEntry(params=params, scale=scale, psi=scale.psi)
+    return CatalogEntry(params=params, scale=_BUILDERS[family](**params))

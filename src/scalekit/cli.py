@@ -24,14 +24,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bromwich import InversionConfig, invert, verify_laplace_identity
+from .bromwich import invert_line, verify_laplace_identity
 from .catalog import build_catalog_entry, catalog_families, family_parameters
 from .errors import ParameterError, ScalekitError
-from .fluctuation import (ExitProblem, dividend_barrier, dividend_value,
-                          mpi1_workload, ruin_probability, two_sided_exit, z_q)
-from .gtsc import GtscParams, asymptote_infinity, scale_function, w_rational
+from .fluctuation import (dividend_barrier, dividend_value, mpi1_workload,
+                          ruin_probability, two_sided_exit, z_q)
+from .gtsc import GtscParams, asymptote_infinity, scale_function
 from .montecarlo import SimConfig, simulate_exit
-from .polyfrac import RationalAlpha
 from .scale import ScaleFunction
 
 __all__ = ["main", "CaseSpec", "CASES"]
@@ -130,8 +129,7 @@ def cmd_figures(args) -> int:
         with open(path, "w", newline="\n") as fh:
             fh.write("x,alpha,W\n")
             for frac in alphas:
-                params = case.params(float(frac))
-                scale = w_rational(params, RationalAlpha(frac.numerator, frac.denominator), q)
+                scale = scale_function(case.params(float(frac)), q, "rational")
                 for x, w in zip(xs, scale.eval(xs)):
                     fh.write(f"{x:.12g},{float(frac):.12g},{w:.12g}\n")
         print(f"wrote {path}", file=sys.stderr)
@@ -167,8 +165,7 @@ def cmd_verify(args) -> int:
         line = scale.route == "bromwich"
         xs = np.linspace(0.05, 10.0, 25)
         if line:
-            contour = InversionConfig(contour="shifted-line")
-            ref = np.array([invert(psi, scale.q, float(x), contour)[0] for x in xs])
+            ref = np.array([invert_line(psi, scale.q, float(x))[0] for x in xs])
         else:   # one array pass of the hyperbola, with Phi(q) computed once
             ref = scale_function(_gtsc_from_args(args), scale.q, "bromwich").eval(xs)
         worst = float(np.max(np.abs(scale.eval(xs) - ref) / np.maximum(np.abs(ref), 1e-300)))
@@ -230,7 +227,7 @@ def cmd_apps(args) -> int:
     if compute == "exit":
         if args.a is None:
             raise ParameterError("--a is required for the exit computation")
-        p = two_sided_exit(ExitProblem(scale=scale, x=args.x, a=args.a, q=args.q))
+        p = two_sided_exit(scale, args.x, args.a)
         json.dump({"compute": "exit", "x": args.x, "a": args.a, "q": args.q,
                    "probability": p}, out)
     elif compute == "ruin":

@@ -8,8 +8,6 @@ global minimizer of W^(q)') with its value function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import minimize_scalar
 
@@ -19,7 +17,6 @@ from .levy import LaplaceExponent
 from .scale import ScaleFunction
 
 __all__ = [
-    "ExitProblem",
     "two_sided_exit",
     "ruin_probability",
     "z_q",
@@ -29,23 +26,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExitProblem:
-    scale: ScaleFunction
-    x: float
-    a: float
-    q: float = 0.0
-
-    def __post_init__(self):
-        if not self.a > 0:
-            raise ParameterError("upper level a must be positive")
-        if not 0.0 <= self.x <= self.a:
-            raise ParameterError("start point must satisfy 0 <= x <= a")
-
-
-def two_sided_exit(problem: ExitProblem) -> float:
-    """E_x[e^{-q tau_a^+}; up-crossing before ruin] = W^(q)(x)/W^(q)(a)."""
-    return problem.scale.eval(problem.x) / problem.scale.eval(problem.a)
+def two_sided_exit(scale: ScaleFunction, x: float, a: float) -> float:
+    """E_x[e^{-q tau_a^+}; up-crossing before ruin] = W^(q)(x)/W^(q)(a), q = scale.q."""
+    if not a > 0:
+        raise ParameterError("upper level a must be positive")
+    if not 0.0 <= x <= a:
+        raise ParameterError("start point must satisfy 0 <= x <= a")
+    return scale.eval(x) / scale.eval(a)
 
 
 def ruin_probability(scale: ScaleFunction, psi: LaplaceExponent, x: float) -> float:

@@ -193,17 +193,15 @@ def w_rational(params: GtscParams, alpha: Optional[RationalAlpha] = None,
     # W e^{gamma x} = sum_i b_i x^{i/n-1}/Gamma(i/n) converges for all x and is
     # the well-conditioned representation near zero.
     bcoef = _inverse_expansion(fq, alpha.m_minus, 40 * n + 240)
-    rmax = max(abs(r) for r in pf.roots)
+    rmax = np.abs(pf.roots).max()
     x_switch = (0.45 / rmax) ** n if rmax > 0 else math.inf
 
     inv_n = 1.0 / n
-    # partial fractions as arrays: pf_coef[j, r] = coefficient / j! (0 for j >= mu_r)
-    pf_roots = np.asarray(pf.roots, dtype=complex)
-    pf_mults = np.asarray(pf.multiplicities)
-    max_mu = int(pf_mults.max())
-    pf_coef = np.zeros((max_mu, pf_roots.size), dtype=complex)
-    for r, (mu, row) in enumerate(zip(pf.multiplicities, pf.coeffs)):
-        pf_coef[:mu, r] = [row[j] / math.factorial(j) for j in range(mu)]
+    # pf_coef[j, r] = coefficient / j! (0 for j >= mu_r); the closures below keep these
+    # arrays, not pf
+    pf_roots, pf_mults = pf.roots, pf.multiplicities
+    max_mu = pf.coeffs.shape[1]
+    pf_coef = pf.coeffs.T / sps.factorial(np.arange(max_mu))[:, None]
     # nonzero terms of the small-x series: coefficient b_i/Gamma(i/n) and power i/n - 1
     idx = np.flatnonzero(bcoef[1:]) + 1
     s_coef = bcoef[idx] * sps.rgamma(idx * inv_n)

@@ -266,10 +266,11 @@ def _mean_of_triple(triple: LevyTriple) -> float:
 # the path engines
 # ---------------------------------------------------------------------------
 
-def _check_cutoff(triple: LevyTriple, cfg: SimConfig) -> None:
+def _check_cutoff(triple: LevyTriple, jumps: _JumpModel, cfg: SimConfig) -> None:
+    """Warn when halving the cutoff moves the small-jump variance of ``jumps`` by over 5%."""
     if not triple.jump_components:
         return
-    v1 = _JumpModel(triple, cfg.small_jump_cutoff).small_var
+    v1 = jumps.small_var
     v2 = _JumpModel(triple, cfg.small_jump_cutoff / 2.0).small_var
     significant = v1 > 1e-6 * (1.0 + triple.sigma ** 2)
     if significant and abs(v1 - v2) > 0.05 * v1:
@@ -278,9 +279,8 @@ def _check_cutoff(triple: LevyTriple, cfg: SimConfig) -> None:
             "halved; the Gaussian approximation may be coarse", stacklevel=3)
 
 
-def _run_exit(triple: LevyTriple, x: float, a: float, q: float, cfg: SimConfig,
-              rng: np.random.Generator) -> ExitEstimate:
-    jumps = _JumpModel(triple, cfg.small_jump_cutoff)
+def _run_exit(triple: LevyTriple, jumps: _JumpModel, x: float, a: float, q: float,
+              cfg: SimConfig, rng: np.random.Generator) -> ExitEstimate:
     mean_x1 = _mean_of_triple(triple)
     small_var = jumps.small_var
     if small_var < 1e-5 * (1.0 + triple.sigma ** 2 + abs(mean_x1)):
@@ -402,24 +402,22 @@ def simulate_exit(triple: LevyTriple, x: float, a: float, cfg: SimConfig,
         raise ParameterError("need 0 <= x <= a")
     if not q >= 0.0 or not math.isfinite(q):
         raise ParameterError("need a finite q >= 0")
-    _check_cutoff(triple, cfg)
+    # jump models draw no random numbers when built, so one serves the check and the run
+    jumps = _JumpModel(triple, cfg.small_jump_cutoff)
+    _check_cutoff(triple, jumps, cfg)
     rng = np.random.default_rng(cfg.seed)
-    return _run_exit(triple, x, a, q, cfg, rng)
+    return _run_exit(triple, jumps, x, a, q, cfg, rng)
 
 
 def simulate_ruin(triple: LevyTriple, x: float, cfg: SimConfig,
-                  a_upper: float | None = None) -> ExitEstimate:
+                  a_upper: float) -> ExitEstimate:
     """Estimate the ruin probability through the large-barrier exit proxy.
 
     ``a_upper`` should be chosen so that the residual mass W(x)/W(a_upper) is
-    below 1e-3 of the target; when omitted a drift-based heuristic is used.
+    below 1e-3 of the target.
     """
-    mean_x1 = _mean_of_triple(triple)
-    if mean_x1 <= 0:
+    if _mean_of_triple(triple) <= 0:
         raise NotApplicableError("ruin estimation requires psi'(0+) > 0")
-    if a_upper is None:
-        scale = (triple.sigma ** 2 + 1.0) / max(mean_x1, 0.05)
-        a_upper = x + 14.0 * max(1.0, scale)
     est = simulate_exit(triple, x, a_upper, cfg)
     return ExitEstimate(p_hat=1.0 - est.p_hat, stderr=est.stderr,
                         n_censored=est.n_censored)

@@ -74,24 +74,27 @@ class RationalAlpha:
         return max(-self.m, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartialFraction:
-    """Decomposition z^{m_-}/f_q(z) = sum_k sum_j A_kj / (z - r_k)^{j+1}.
+    """Decomposition z^{m_-}/f_q(z) = sum_k sum_j coeffs[k, j] / (z - roots[k])^{j+1}.
 
-    The largest real root is listed first (index 0).
+    Read-only arrays: the roots, the largest real root first (index 0), their
+    multiplicities, and coeffs, one row per root, zero past its multiplicity.
     """
 
-    roots: tuple
-    multiplicities: tuple
-    coeffs: tuple            # coeffs[k][j] = A_kj, j = 0..mult_k-1
+    roots: np.ndarray
+    multiplicities: np.ndarray
+    coeffs: np.ndarray
 
-    def reconstruct(self, z: complex) -> complex:
-        out = 0.0j
-        for r, mu, row in zip(self.roots, self.multiplicities, self.coeffs):
-            d = z - r
-            for j in range(mu):
-                out += row[j] / d ** (j + 1)
-        return out
+    def terms(self, z) -> np.ndarray:
+        """coeffs[k, j] / (z - roots[k])^{j+1} at each z of a number or array, shape z + coeffs."""
+        d = np.asarray(z, dtype=complex)[..., None, None] - self.roots[:, None]
+        return self.coeffs / d ** np.arange(1.0, self.coeffs.shape[1] + 1.0)
+
+    def reconstruct(self, z):
+        """The sum of the partial fractions at a number (a complex back) or an array of z."""
+        out = self.terms(z).sum(axis=(-2, -1))
+        return complex(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -331,46 +334,32 @@ def partial_fractions(poly, m_minus: int) -> PartialFraction:
     roots, mults = roots_with_multiplicity(coeffs)
     der = npoly.polyder(coeffs)
 
-    rows = []
-    for r, mu in zip(roots, mults):
+    pf_coeffs = np.zeros((roots.size, mults.max()), dtype=complex)
+    for k, (r, mu) in enumerate(zip(roots, mults)):
         if mu == 1:
-            rows.append((r ** m_minus / npoly.polyval(r, der),))
+            pf_coeffs[k, 0] = r ** m_minus / npoly.polyval(r, der)
             continue
         # deflate the cluster and expand locally
         h = coeffs.copy()
         for _ in range(mu):
             h = _divide_once(h, r)[1]       # the remainder is near zero
-        order = int(mu)
-        h_taylor = _taylor_coeffs(h, r, order)
         num_taylor = np.array([math.comb(m_minus, i) * r ** (m_minus - i) if i <= m_minus else 0.0
-                               for i in range(order)], dtype=complex)
-        inv_h = series_reciprocal(h_taylor, order)
-        c = series_product(num_taylor, inv_h, order)
-        rows.append(tuple(c[mu - 1 - j] for j in range(mu)))
+                               for i in range(mu)], dtype=complex)
+        c = series_product(num_taylor, series_reciprocal(_taylor_coeffs(h, r, mu), mu), mu)
+        pf_coeffs[k, :mu] = c[::-1]
+    for arr in (roots, mults, pf_coeffs):
+        arr.flags.writeable = False
+    pf = PartialFraction(roots=roots, multiplicities=mults, coeffs=pf_coeffs)
 
-    pf = PartialFraction(roots=tuple(roots), multiplicities=tuple(int(m) for m in mults),
-                         coeffs=tuple(rows))
-
-    rng = np.random.default_rng(20,)
-    radius = 1.0 + 2.0 * max(abs(r) for r in roots)
-    angles = rng.uniform(0.0, 2.0 * math.pi, 32)
-    for ang in angles:
-        z = radius * np.exp(1j * ang)
-        direct = z ** m_minus / npoly.polyval(z, coeffs)
-        rec = 0.0j
-        mag = 0.0
-        for r, mu, row in zip(pf.roots, pf.multiplicities, pf.coeffs):
-            d = z - r
-            for j in range(mu):
-                term = row[j] / d ** (j + 1)
-                rec += term
-                mag += abs(term)
-        # near-degenerate clusters carry large, cancelling coefficients; the
-        # representable accuracy is then limited by eps * sum |terms|
-        tol = 1e-9 * (1.0 + abs(direct)) + 2e-13 * mag
-        if abs(rec - direct) > tol:
-            raise ConditioningError(
-                "partial fraction reconstruction failed; a root cluster may be misclassified")
+    angles = np.random.default_rng(20).uniform(0.0, 2.0 * math.pi, 32)
+    z = (1.0 + 2.0 * np.abs(roots).max()) * np.exp(1j * angles)
+    direct = z ** m_minus / npoly.polyval(z, coeffs)
+    # near-degenerate clusters carry large, cancelling coefficients; the
+    # representable accuracy is then limited by eps * sum |terms|
+    tol = 1e-9 * (1.0 + np.abs(direct)) + 2e-13 * np.abs(pf.terms(z)).sum(axis=(-2, -1))
+    if (np.abs(pf.reconstruct(z) - direct) > tol).any():
+        raise ConditioningError(
+            "partial fraction reconstruction failed; a root cluster may be misclassified")
     return pf
 
 

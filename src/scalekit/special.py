@@ -10,9 +10,9 @@ Provides:
   s^{a*g-b}/(s^a - z)^g on optimal parabolic contours, in one z-by-node pass
   self-checked on a finer step, plus the residue of a pole right of the
   contour.  A high-precision series (mpmath) is the per-z last resort.
-* ``erfc_c`` / ``erfcx_scaled`` / ``eta`` -- complementary error function
-  for complex argument and the scaled combinations e^{u^2} erfc(-u) and
-  e^x erfc(sqrt(x)) that the inverse-Gaussian formulas need in fused form.
+* ``erfc_c`` / ``erfcx_scaled`` -- complementary error function for complex
+  argument and the scaled combination e^{u^2} erfc(-u) that the
+  inverse-Gaussian formulas need in fused form.
 * ``reg_lower_gamma`` / ``upper_gamma`` -- regularized lower incomplete gamma
   P(a, x) and upper incomplete Gamma(s, y), from scipy's ``gammainc``,
   ``gammaincc`` and ``expn``.
@@ -36,7 +36,6 @@ __all__ = [
     "mittag_leffler_deriv",
     "erfc_c",
     "erfcx_scaled",
-    "eta",
     "reg_lower_gamma",
     "fransen_transform",
 ]
@@ -420,6 +419,8 @@ def _ml_deriv(a: float, b: float, j: int, z):
     """j-th z-derivative of E_{a,b} on a number or an array z (j <= 9 checked by callers)."""
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
+    if np.isnan(flat).any():
+        raise ParameterError("Mittag-Leffler argument must be a number, got NaN")
     _check_ml_saturation(a, flat)
     if a <= 1.0:
         out = _ml_a_le_1(a, b, j, flat)
@@ -512,13 +513,6 @@ def erfcx_scaled(u):
     with np.errstate(over="ignore", invalid="ignore"):     # each side is used where it is finite
         out = np.where(right, 2.0 * np.exp(ex) - sps.wofz(1j * us), sps.wofz(-1j * us))
     return complex(out) if out.ndim == 0 else out
-
-
-def eta(x: float) -> float:
-    """e^x erfc(sqrt(x)) for x >= 0, evaluated in scaled form."""
-    if x < 0:
-        raise ParameterError("eta requires x >= 0")
-    return float(sps.erfcx(math.sqrt(x)))
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ class TestCriterion1:
             w = entry.scale
             kinks = tuple(np.arange(1.0, 95.0)) if family == "fixed_jumps" else ()
             rep = verify_laplace_identity(
-                w, entry.psi, [w.phi_q + off for off in (0.5, 1.0, 2.0, 5.0)],
+                w, w.psi, [w.phi_q + off for off in (0.5, 1.0, 2.0, 5.0)],
                 kinks=kinks)
             worst = max(worst, rep.max_rel_err)
             assert rep.max_rel_err <= 1e-6, (family, rep.relative_errors)

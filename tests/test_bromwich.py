@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from scalekit.bromwich import (InversionConfig, classify_integrability, invert,
+from scalekit.bromwich import (_invert_line, classify_integrability, invert, invert_line,
                                laplace_transform_numeric, verify_laplace_identity)
 from scalekit.catalog import build_catalog_entry, w_brownian, w_stable
 from scalekit.cli import CASES
@@ -17,7 +17,6 @@ from scalekit.polyfrac import RationalAlpha
 
 SINH_1 = 1.1752011936438014569
 W_IG_AT_1 = 1.424660216656229247
-LINE = InversionConfig(contour="shifted-line")
 
 
 def quadratic_psi():
@@ -27,7 +26,7 @@ def quadratic_psi():
 
 class TestInvert:
     def test_sinh_line(self):
-        v, e = invert(quadratic_psi(), 1.0, 1.0, LINE)
+        v, e = invert_line(quadratic_psi(), 1.0, 1.0)
         assert v == pytest.approx(SINH_1, rel=1e-9)
         assert e < 1e-7
 
@@ -38,13 +37,14 @@ class TestInvert:
 
     def test_ig_reference(self):
         psi = ig_params(1.0, 1.0).exponent()
-        v, _ = invert(psi, 0.0, 1.0, LINE)
+        v, _ = invert_line(psi, 0.0, 1.0)
         assert v == pytest.approx(W_IG_AT_1, rel=1e-6)
 
     def test_contour_invariance(self):
         psi = ig_params(1.0, 1.0).exponent()
-        v1, e1 = invert(psi, 0.5, 2.0, InversionConfig(contour="shifted-line", r=1.2))
-        v2, e2 = invert(psi, 0.5, 2.0, InversionConfig(contour="shifted-line", r=2.2))
+        phi_q = big_phi(psi, 0.5)
+        v1, e1 = _invert_line(psi, 0.5, 2.0, 1.2, phi_q)
+        v2, e2 = _invert_line(psi, 0.5, 2.0, 2.2, phi_q)
         assert abs(v1 - v2) <= 5.0 * (e1 + e2) + 1e-9 * abs(v1)
 
     def test_principal_value_classification(self):
@@ -59,7 +59,7 @@ class TestInvert:
         # alpha = -1/2 ladder: the rational route cross-checks the PV inversion
         params = GtscParams(alpha=-0.5, gamma=1.0, c=1.0, kappa=1.0)
         w = w_rational(params, RationalAlpha(-1, 2), 0.0)
-        v, _ = invert(params.exponent(), 0.0, 1.5, LINE)
+        v, _ = invert_line(params.exponent(), 0.0, 1.5)
         assert v == pytest.approx(w.eval(1.5), rel=1e-6)
 
     def test_irrational_alpha_validated_by_identity(self):
@@ -87,16 +87,11 @@ class TestInvert:
         assert got == pytest.approx(1.0 / (float(np.real(psi.eval(theta)))), rel=1e-6)
 
     def test_preconditions(self):
-        with pytest.raises(ParameterError):
-            invert(quadratic_psi(), 1.0, 0.0)
-        with pytest.raises(ParameterError):
-            invert(quadratic_psi(), -1.0, 1.0)
-        with pytest.raises(ParameterError):
-            invert(quadratic_psi(), 1.0, 1.0, InversionConfig(contour="shifted-line", r=0.5))
-
-    def test_config_validation(self):
-        with pytest.raises(ParameterError):
-            InversionConfig(contour="circle")
+        for contour in (invert, invert_line):
+            with pytest.raises(ParameterError):
+                contour(quadratic_psi(), 1.0, 0.0)
+            with pytest.raises(ParameterError):
+                contour(quadratic_psi(), -1.0, 1.0)
 
 
 class TestTalbot:
@@ -143,7 +138,7 @@ class TestTalbot:
             invert(psi, 0.0, x)
         s1 = -1.0 + 40.0j
         exact = 1.0 + 2.0 * (np.exp(s1 * x) / psi_deriv(s1)).real
-        assert invert(psi, 0.0, x, LINE)[0] == pytest.approx(exact, rel=1e-7)
+        assert invert_line(psi, 0.0, x)[0] == pytest.approx(exact, rel=1e-7)
 
 
 class TestRealness:
@@ -154,7 +149,7 @@ class TestRealness:
         psi = ig_params(1.0, 1.0).exponent()
         q = 1.2
         w = w_ig(1.0, 1.0, q)
-        v, _ = invert(psi, q, 1.0, LINE)
+        v, _ = invert_line(psi, q, 1.0)
         assert v == pytest.approx(w.eval(1.0), rel=1e-7)
         v2, _ = invert(psi, q, 1.0)
         assert v2 == pytest.approx(w.eval(1.0), rel=1e-6)
@@ -174,7 +169,7 @@ class TestHyperbola:
             psi = params.exponent()
             for x in HYP_XS:
                 v, _ = invert(psi, q, x)
-                ref, _ = invert(psi, q, x, LINE)
+                ref, _ = invert_line(psi, q, x)
                 worst = max(worst, abs(v - ref) / abs(ref))
         assert worst <= 1e-9
 

@@ -70,6 +70,16 @@ class TestStable:
         got, _ = invert(w.psi, 1.0, 1.0)
         assert got == pytest.approx(w.eval(1.0), rel=1e-8)
 
+    @pytest.mark.parametrize("beta", [1.5, 2.0])
+    def test_q0_far_x(self, beta):
+        # at q = 0 the Mittag-Leffler argument is exactly 0, also where x^beta overflows:
+        # W = x^{beta-1}/Gamma(beta) and W' = x^{beta-2}/Gamma(beta-1)
+        w = build_catalog_entry("stable", beta=beta).scale
+        x = 1e300
+        assert w.eval(x) == pytest.approx(x ** (beta - 1.0) / math.gamma(beta), rel=1e-14)
+        assert w.eval_deriv(x) == pytest.approx(x ** (beta - 2.0) / math.gamma(beta - 1.0),
+                                                rel=1e-14)
+
     def test_range_check(self):
         with pytest.raises(ParameterError):
             w_stable(0.9)
@@ -251,7 +261,7 @@ class TestPssmp:
                                     "fixed_jumps", "abate_whitt", "pssmp_drift_down",
                                     "pssmp_conditioned"])
 def test_exponent_accepts_complex_arrays(family):
-    psi = build_catalog_entry(family).psi
+    psi = build_catalog_entry(family).scale.psi
     s = np.array([2.0 + 0.5j, 0.3 + 5.0j, -0.5 - 3.0j, 40.0 + 120.0j])
     got = psi.eval(s)
     ref = np.array([complex(psi.eval(complex(z))) for z in s])
@@ -269,7 +279,7 @@ class TestIdentityAcrossCatalog:
         kinks = ()
         if family == "fixed_jumps":
             kinks = tuple(np.arange(1.0, 95.0))
-        rep = verify_laplace_identity(w, entry.psi,
+        rep = verify_laplace_identity(w, w.psi,
                                       [w.phi_q + 0.5, w.phi_q + 1.0,
                                        w.phi_q + 2.0, w.phi_q + 5.0], kinks=kinks)
         assert rep.max_rel_err <= 1e-6, f"{family}: {rep.relative_errors}"
@@ -373,7 +383,7 @@ def test_exponent_derivative_against_mpmath(family):
     with mp.workdps(60):
         for th in (0.05, 0.25, 0.5, 1.0, 1.5, 3.0, 20.0):
             ref = float(mp.diff(f, th))
-            assert entry.psi.deriv(th) == pytest.approx(ref, rel=1e-12)
+            assert entry.scale.psi.deriv(th) == pytest.approx(ref, rel=1e-12)
         ref0 = float(mp.diff(f, 0, direction=1, h=mp.mpf("1e-45")))
-    assert entry.psi.drift_at_zero == pytest.approx(ref0, rel=1e-12, abs=1e-12)
-    assert entry.psi.deriv(0.0) == pytest.approx(ref0, rel=1e-12, abs=1e-12)
+    assert entry.scale.psi.drift_at_zero == pytest.approx(ref0, rel=1e-12, abs=1e-12)
+    assert entry.scale.psi.deriv(0.0) == pytest.approx(ref0, rel=1e-12, abs=1e-12)

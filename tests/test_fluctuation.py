@@ -7,8 +7,8 @@ import pytest
 
 from scalekit.catalog import w_brownian, w_cramer_lundberg
 from scalekit.errors import NotApplicableError, ParameterError
-from scalekit.fluctuation import (ExitProblem, dividend_barrier, dividend_value,
-                                  mpi1_workload, ruin_probability, two_sided_exit, z_q)
+from scalekit.fluctuation import (dividend_barrier, dividend_value, mpi1_workload,
+                                  ruin_probability, two_sided_exit, z_q)
 from scalekit.gtsc import GtscParams, ScaleFunction, w_ig, w_rational
 from scalekit.polyfrac import RationalAlpha
 
@@ -16,32 +16,32 @@ from scalekit.polyfrac import RationalAlpha
 class TestTwoSidedExit:
     def test_brownian_linear(self):
         w = w_brownian(1.0, 0.0, 0.0)
-        p = two_sided_exit(ExitProblem(scale=w, x=0.5, a=1.0))
+        p = two_sided_exit(w, 0.5, 1.0)
         assert p == pytest.approx(0.5, rel=1e-12)
 
     def test_boundary_values(self):
         w = w_ig(1.0, 1.0, 0.0)
-        assert two_sided_exit(ExitProblem(scale=w, x=2.0, a=2.0)) == pytest.approx(1.0)
-        assert two_sided_exit(ExitProblem(scale=w, x=0.0, a=2.0)) == 0.0
+        assert two_sided_exit(w, 2.0, 2.0) == pytest.approx(1.0)
+        assert two_sided_exit(w, 0.0, 2.0) == 0.0
 
     def test_ig_ratio(self):
         w = w_ig(1.0, 1.0, 0.0)
-        p = two_sided_exit(ExitProblem(scale=w, x=1.0, a=2.0))
+        p = two_sided_exit(w, 1.0, 2.0)
         assert p == pytest.approx(w.eval(1.0) / w.eval(2.0), rel=1e-13)
         assert 0.0 <= p <= 1.0
 
     def test_monotone_in_x(self):
         w = w_ig(1.0, 1.0, 0.3)
-        ps = [two_sided_exit(ExitProblem(scale=w, x=float(x), a=2.0, q=0.3))
+        ps = [two_sided_exit(w, float(x), 2.0)
               for x in np.linspace(0.0, 2.0, 21)]
         assert all(b >= a for a, b in zip(ps, ps[1:]))
 
     def test_validation(self):
         w = w_brownian(1.0, 0.0, 0.0)
         with pytest.raises(ParameterError):
-            ExitProblem(scale=w, x=2.0, a=1.0)
+            two_sided_exit(w, 2.0, 1.0)
         with pytest.raises(ParameterError):
-            ExitProblem(scale=w, x=-0.5, a=1.0)
+            two_sided_exit(w, -0.5, 1.0)
 
 
 class TestRuin:

@@ -150,7 +150,7 @@ class TestCompoundPoisson:
     def test_drift_condition(self):
         tri = cl_triple(ccoef=0.5, lam=1.0, mu=1.0)
         with pytest.raises(NotApplicableError):
-            simulate_ruin(tri, 1.0, SimConfig(n_paths=100))
+            simulate_ruin(tri, 1.0, SimConfig(n_paths=100), a_upper=12.0)
 
     def test_brownian_plus_exponential_jumps(self):
         # sigma = 1 with Exp(beta) claims at rate lam: jump clocks on the grid engine

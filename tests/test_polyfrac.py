@@ -174,6 +174,21 @@ class TestPartialFractions:
             assert np.isfinite(got)
             assert abs(got - direct) <= 1e-9 * (1.0 + abs(direct))
 
+    def test_arrays_read_only_and_zero_padded(self):
+        # a double root and a simple one: one coefficient row per root, padded with zeros
+        poly = npoly.polyfromroots([1.0, 1.0, -2.0])
+        pf = partial_fractions(poly, 0)
+        assert pf.coeffs.shape == (2, 2)
+        assert list(pf.multiplicities) == [2, 1]
+        assert pf.coeffs[1, 1] == 0.0
+        for arr in (pf.roots, pf.multiplicities, pf.coeffs):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        zs = 3.0 * np.exp(1j * np.linspace(0.0, 6.0, 7))
+        direct = zs ** 0 / npoly.polyval(zs, poly)
+        assert np.allclose(pf.reconstruct(zs), direct, rtol=1e-12, atol=0.0)
+        assert [pf.reconstruct(z) for z in zs] == list(pf.reconstruct(zs))
+
     def test_phi_consistency(self):
         # r_1^n - gamma equals big_phi(psi, q)
         for q in (0.0, 0.5, 2.0):

@@ -261,3 +261,25 @@ def test_no_vectorize():
              or isinstance(node, ast.Name) and node.id == "vectorize"
              or isinstance(node, ast.alias) and node.name == "vectorize"]
     assert not found, f"np.vectorize in {found}"
+
+
+def _parameters(func) -> list:
+    args = func.args
+    return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+            + [a for a in (args.vararg, args.kwarg) if a is not None]]
+
+
+def test_no_unused_parameter():
+    # the function-level form of a knob that does nothing: a parameter its body never reads
+    unused = []
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            unused += [f"{module}:{node.lineno} {name}({p})"
+                       for p in _parameters(node) if p not in read]
+    assert not unused, f"parameters their function never reads: {unused}"
