@@ -78,7 +78,9 @@ def _gtsc_from_args(args) -> GtscParams:
                       varphi=args.varphi)
 
 
-def _build_scale(args) -> ScaleFunction:
+def _build_model(args) -> tuple[ScaleFunction, dict]:
+    """The scale function --model names, with the catalog family's resolved parameters
+    ({} for gtsc)."""
     model = args.model
     if model.startswith("catalog:"):
         family = model.split(":", 1)[1]
@@ -87,10 +89,10 @@ def _build_scale(args) -> ScaleFunction:
                                                if v is not None})
         if entry.scale.q != args.q:
             raise ParameterError(f"family '{family}' provides the q = 0 scale function only")
-        return entry.scale
+        return entry.scale, entry.params
     if model != "gtsc":
         raise ParameterError("model must be 'gtsc' or 'catalog:<family>'")
-    return scale_function(_gtsc_from_args(args), args.q, args.route)
+    return scale_function(_gtsc_from_args(args), args.q, args.route), {}
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +100,7 @@ def _build_scale(args) -> ScaleFunction:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
-    scale = _build_scale(args)
+    scale, _ = _build_model(args)
     xs = np.linspace(args.x_min, args.x_max, args.points)
     out = args.output or sys.stdout
     print("x,W,Wprime,route,q", file=out)
@@ -148,14 +150,19 @@ def _check(name, target, achieved, tolerance):
 
 def cmd_verify(args) -> int:
     checks = []
-    scale = _build_scale(args)
-    psi = scale.psi
+    scale, family = _build_model(args)
     suites = ("laplace", "routes", "asymptotics", "mc") if args.suite == "all" \
         else (args.suite,)
 
     if "laplace" in suites:
         thetas = [scale.phi_q + off for off in (0.5, 1.0, 2.0, 5.0)]
-        rep = verify_laplace_identity(scale, psi, thetas)
+        # W of a family with a jump size has a kink at each multiple of it; the forward
+        # quadrature splits its panels at those below 90, the truncation point of the offset
+        # 0.5.  Kink n is a C^(n-1) point, so the first 64 are enough, and a small --jump
+        # adds at most 64 panels
+        jump = family.get("jump")
+        kinks = jump * np.arange(1, min(math.ceil(90.0 / jump), 65)) if jump else ()
+        rep = verify_laplace_identity(scale, thetas, kinks)
         for th, err in zip(rep.thetas, rep.relative_errors):
             checks.append(_check(f"laplace_identity@theta={th:.6g}",
                                  "1/(psi(theta)-q)", err, 1e-6))
@@ -165,7 +172,7 @@ def cmd_verify(args) -> int:
         line = scale.route == "bromwich"
         xs = np.linspace(0.05, 10.0, 25)
         if line:
-            ref = np.array([invert_line(psi, scale.q, float(x))[0] for x in xs])
+            ref = np.array([invert_line(scale.psi, scale.q, float(x))[0] for x in xs])
         else:   # one array pass of the hyperbola, with Phi(q) computed once
             ref = scale_function(_gtsc_from_args(args), scale.q, "bromwich").eval(xs)
         worst = float(np.max(np.abs(scale.eval(xs) - ref) / np.maximum(np.abs(ref), 1e-300)))
@@ -220,8 +227,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_apps(args) -> int:
-    scale = _build_scale(args)
-    psi = scale.psi
+    scale, _ = _build_model(args)
     out = args.output or sys.stdout
     compute = args.compute
     if compute == "exit":
@@ -231,10 +237,10 @@ def cmd_apps(args) -> int:
         json.dump({"compute": "exit", "x": args.x, "a": args.a, "q": args.q,
                    "probability": p}, out)
     elif compute == "ruin":
-        val = ruin_probability(scale, psi, args.x)
+        val = ruin_probability(scale, scale.psi, args.x)
         json.dump({"compute": "ruin", "x": args.x, "probability": val}, out)
     elif compute == "workload":
-        cdf = mpi1_workload(scale, psi)
+        cdf = mpi1_workload(scale)
         json.dump({"compute": "workload", "x": args.x, "cdf": cdf(args.x)}, out)
     elif compute == "zq":
         json.dump({"compute": "zq", "x": args.x, "q": args.q,

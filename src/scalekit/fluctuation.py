@@ -36,25 +36,31 @@ def two_sided_exit(scale: ScaleFunction, x: float, a: float) -> float:
 
 
 def ruin_probability(scale: ScaleFunction, psi: LaplaceExponent, x: float) -> float:
-    """P_x(ruin) = 1 - psi'(0+) W(x); requires positive drift."""
+    """P_x(ruin) = 1 - psi'(0+) W(x); requires positive drift.
+
+    psi must have the drift psi'(0+) of ``scale.psi``, the one value read from it.
+    """
     if scale.q != 0.0:
         raise ParameterError("ruin probability uses the q = 0 scale function")
-    drift = psi.drift_at_zero
+    drift = scale.psi.drift_at_zero
+    if psi.drift_at_zero != drift:
+        raise ParameterError(f"psi'(0+) = {psi.drift_at_zero:.6g} is not the drift "
+                             f"{drift:.6g} of the scale function's exponent")
     if drift <= 0:
         raise NotApplicableError(
             "ruin is certain (or the process oscillates): psi'(0+) <= 0")
     return 1.0 - drift * scale.eval(x)
 
 
-def mpi1_workload(scale: ScaleFunction, psi: LaplaceExponent):
+def mpi1_workload(scale: ScaleFunction):
     """Stationary workload distribution function of the reflected process.
 
-    Returns the cdf x -> psi'(0+) W(x), the exact complement of the ruin
-    probability.
+    Returns the cdf x -> psi'(0+) W(x), psi = scale.psi, the exact complement
+    of the ruin probability.
     """
     if scale.q != 0.0:
         raise ParameterError("workload law uses the q = 0 scale function")
-    drift = psi.drift_at_zero
+    drift = scale.psi.drift_at_zero
     if drift <= 0:
         raise NotApplicableError("no stationary workload: psi'(0+) <= 0")
 

@@ -42,7 +42,7 @@ from .errors import (CapabilityError, NotApplicableError, NumericalError, Parame
                      SaturationError)
 from .levy import LadderParams, LaplaceExponent, big_phi, parent_exponent
 from .polyfrac import RationalAlpha, build_fq, partial_fractions, roots_with_multiplicity
-from .scale import ScaleFunction, on_nonnegative
+from .scale import ScaleFunction
 from .special import (erfcx_scaled, fransen_transform, mittag_leffler,
                       mittag_leffler_deriv, reg_lower_gamma, series_reciprocal, upper_gamma)
 
@@ -53,10 +53,8 @@ __all__ = [
     "InfinityAsymptote",
     "w_rational",
     "w0_closed",
-    "w0_closed_scale",
     "w_ig",
     "w_gamma_case",
-    "w_gamma_scale",
     "asymptote_zero",
     "asymptote_infinity",
 ]
@@ -324,8 +322,6 @@ def _closed_pass(params: GtscParams, x: np.ndarray, deriv: bool) -> np.ndarray:
     E_{abar,abar}(lam x^abar s) ds, s = (y/x)^abar, on fixed Gauss-Kronrod panels.
     """
     a, g, varphi = params.alpha, params.gamma, params.varphi
-    if params.zeta != 0.0 or not -1.0 < a < 1.0 or a == 0.0:
-        raise ParameterError("closed form requires zeta = 0 and alpha in (-1,1) excluding 0")
     cg = params.c * sps.gamma(-a)
     A = params.kappa + cg * g ** a
     abar, lam, base, pref = (a, A / cg, 0.0, -1 / cg) if a > 0 else (-a, cg / A, 1 / A, cg / A / A)
@@ -353,14 +349,11 @@ def _closed_pass(params: GtscParams, x: np.ndarray, deriv: bool) -> np.ndarray:
     return w
 
 
-def w0_closed(params: GtscParams, x):
-    """W(x) for q = 0, zeta = 0 through the single-integral closed form (x a number or array)."""
-    _closed_pass(params, np.zeros(1), False)     # ParameterError off the closed form's domain
-    return on_nonnegative(lambda xs: _closed_pass(params, xs, False), x)
-
-
-def w0_closed_scale(params: GtscParams) -> ScaleFunction:
-    """ScaleFunction of the closed form (route 'closed-form'), W' in closed form too."""
+def w0_closed(params: GtscParams) -> ScaleFunction:
+    """W for q = 0, zeta = 0 through the single-integral closed form (route 'closed-form'),
+    W' in closed form too."""
+    if params.zeta != 0.0 or not -1.0 < params.alpha < 1.0 or params.alpha == 0.0:
+        raise ParameterError("closed form requires zeta = 0 and alpha in (-1,1) excluding 0")
     psi = params.exponent()
     return ScaleFunction(0.0, big_phi(psi, 0.0), "closed-form",
                          lambda x: _closed_pass(params, x, False),
@@ -509,11 +502,12 @@ def _gamma_ladder(c: float, gamma: float, x: np.ndarray, deriv: bool) -> np.ndar
     return out
 
 
-def w_gamma_case(c: float, gamma: float, x):
-    """W(x) of the gamma subordinator ladder (alpha=0, q=0, kappa=zeta=varphi=0), x a number or
-    an array: G(-log(gamma x))/c, G(t) = int_t^inf e^{-e^{-t'}} F(t') dt', F reciprocal-gamma."""
-    GtscParams(alpha=0.0, gamma=gamma, c=c)     # raises ParameterError unless c, gamma > 0
-    return on_nonnegative(lambda xs: _gamma_ladder(c, gamma, xs, False), x)
+def w_gamma_case(c: float, gamma: float) -> ScaleFunction:
+    """W of the gamma subordinator ladder (alpha=0, q=0, kappa=zeta=varphi=0), route 'gamma-case':
+    G(-log(gamma x))/c, G(t) = int_t^inf e^{-e^{-t'}} F(t') dt', F reciprocal-gamma."""
+    return ScaleFunction(0.0, 0.0, "gamma-case", lambda x: _gamma_ladder(c, gamma, x, False),
+                         lambda x: _gamma_ladder(c, gamma, x, True),
+                         GtscParams(alpha=0.0, gamma=gamma, c=c).exponent())
 
 
 def w_gamma_case_dual(c: float, gamma: float, x: float) -> float:
@@ -525,12 +519,6 @@ def w_gamma_case_dual(c: float, gamma: float, x: float) -> float:
     val, _ = quad(lambda t: reg_lower_gamma(c * t, z), 0.0, T, limit=300,
                   epsabs=1e-11, epsrel=1e-10)
     return val
-
-
-def w_gamma_scale(c: float, gamma: float) -> ScaleFunction:
-    return ScaleFunction(0.0, 0.0, "gamma-case", lambda x: _gamma_ladder(c, gamma, x, False),
-                         lambda x: _gamma_ladder(c, gamma, x, True),
-                         GtscParams(alpha=0.0, gamma=gamma, c=c).exponent())
 
 
 # ---------------------------------------------------------------------------
@@ -631,10 +619,10 @@ def scale_function(params: GtscParams, q: float = 0.0, route: str = "auto") -> S
         if a == 0.0:
             if q != 0.0 or not plain:
                 raise ParameterError("alpha = 0 supports only q=0, kappa=zeta=varphi=0")
-            return w_gamma_scale(params.c, params.gamma)
-        if q != 0.0 or params.zeta != 0.0:
-            raise ParameterError("the closed route requires q = 0 and zeta = 0")
-        return w0_closed_scale(params)
+            return w_gamma_case(params.c, params.gamma)
+        if q != 0.0:
+            raise ParameterError("the closed route requires q = 0")
+        return w0_closed(params)
     if route == "bromwich":
         psi = params.exponent()
         phi_q = big_phi(psi, q)

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import ParameterError, SaturationError
 from .levy import LaplaceExponent
 
-__all__ = ["ScaleFunction", "on_nonnegative"]
+__all__ = ["ScaleFunction"]
 
 _CHUNK = 64     # points per route call, which bounds the working set of array routes
 
@@ -19,16 +19,17 @@ class ScaleFunction:
 
     ``w`` and ``dw`` map a 1-D array of x >= 0 to W and W' (each at 0 is the
     route's right limit); every route supplies its own W', and nothing is
-    differentiated numerically.  ``eval`` returns W^(q)(x) and ``eval_deriv``
-    W'; both are 0 for x < 0 and take a number (returning a float) or an
-    array (returning the input's shape), and raise SaturationError on a NaN
-    or, at x > 0, an infinity.  Instances are immutable and safe to share.
+    differentiated numerically.  ``psi`` is the Laplace exponent of the
+    process W belongs to.  ``eval`` returns W^(q)(x) and ``eval_deriv`` W';
+    both are 0 for x < 0 and take a number (returning a float) or an array
+    (returning the input's shape), and raise SaturationError on a NaN or, at
+    x > 0, an infinity.  Instances are immutable and safe to share.
     """
 
     def __init__(self, q: float, phi_q: float, route: str,
                  w: Callable[[np.ndarray], np.ndarray],
                  dw: Callable[[np.ndarray], np.ndarray],
-                 psi: Optional[LaplaceExponent] = None):
+                 psi: LaplaceExponent):
         self.q = q
         self.phi_q = phi_q
         self.route = route
@@ -37,15 +38,15 @@ class ScaleFunction:
         self._dw = dw
 
     def eval(self, x):
-        return on_nonnegative(self._w, x)
+        return _on_nonnegative(self._w, x)
 
     __call__ = eval
 
     def eval_deriv(self, x):
-        return on_nonnegative(self._dw, x)
+        return _on_nonnegative(self._dw, x)
 
 
-def on_nonnegative(f: Callable[[np.ndarray], np.ndarray], x):
+def _on_nonnegative(f: Callable[[np.ndarray], np.ndarray], x):
     """f, an array function of x >= 0, on a number (a float back) or an array; 0 for x < 0."""
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()

@@ -55,8 +55,7 @@ class TestCriterion1:
         worst_at = None
         for (label, fr, q), (params, w) in grid.items():
             rep = verify_laplace_identity(
-                w, params.exponent(),
-                [w.phi_q + off for off in (0.5, 1.0, 2.0, 5.0)])
+                w, [w.phi_q + off for off in (0.5, 1.0, 2.0, 5.0)])
             if rep.max_rel_err > worst:
                 worst, worst_at = rep.max_rel_err, (label, str(fr), q)
             assert rep.max_rel_err <= 1e-6, (label, fr, q, rep.relative_errors)
@@ -73,7 +72,7 @@ class TestCriterion1:
             w = entry.scale
             kinks = tuple(np.arange(1.0, 95.0)) if family == "fixed_jumps" else ()
             rep = verify_laplace_identity(
-                w, w.psi, [w.phi_q + off for off in (0.5, 1.0, 2.0, 5.0)],
+                w, [w.phi_q + off for off in (0.5, 1.0, 2.0, 5.0)],
                 kinks=kinks)
             worst = max(worst, rep.max_rel_err)
             assert rep.max_rel_err <= 1e-6, (family, rep.relative_errors)

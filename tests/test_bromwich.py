@@ -227,7 +227,7 @@ class TestVerifyIdentity:
         from scalekit.catalog import w_brownian
 
         w = w_brownian(math.sqrt(2.0), 0.0, 0.0)
-        rep = verify_laplace_identity(w, w.psi, [1.0])
+        rep = verify_laplace_identity(w, [1.0])
         assert rep.relative_errors[0] <= 1e-9
         assert rep.passed
 
@@ -240,9 +240,9 @@ class TestVerifyIdentity:
         def broken(x):
             raise TypeError("bad call")
 
-        bad = ScaleFunction(q=0.0, phi_q=w.phi_q, route="stub", w=broken, dw=broken)
+        bad = ScaleFunction(q=0.0, phi_q=w.phi_q, route="stub", w=broken, dw=broken, psi=w.psi)
         with pytest.raises(TypeError):
-            verify_laplace_identity(bad, w.psi, [1.0])
+            verify_laplace_identity(bad, [1.0])
 
     def test_numerical_failure_becomes_flag(self):
         from scalekit.catalog import w_brownian
@@ -254,8 +254,8 @@ class TestVerifyIdentity:
         def failing(x):
             raise NumericalError("quadrature stagnated")
 
-        bad = ScaleFunction(q=0.0, phi_q=w.phi_q, route="stub", w=failing, dw=failing)
-        rep = verify_laplace_identity(bad, w.psi, [1.0, 2.0])
+        bad = ScaleFunction(q=0.0, phi_q=w.phi_q, route="stub", w=failing, dw=failing, psi=w.psi)
+        rep = verify_laplace_identity(bad, [1.0, 2.0])
         assert rep.relative_errors == (math.inf, math.inf)
         assert len(rep.flags) == 2 and "quadrature stagnated" in rep.flags[0]
         assert not rep.passed
@@ -263,7 +263,7 @@ class TestVerifyIdentity:
     def test_theta_below_phi_rejected(self):
         w = w_ig(1.0, 1.0, 1.0)
         with pytest.raises(ParameterError):
-            verify_laplace_identity(w, w.psi, [w.phi_q * 0.5])
+            verify_laplace_identity(w, [w.phi_q * 0.5])
 
 
 class TestBromwichDeriv:

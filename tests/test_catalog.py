@@ -103,7 +103,7 @@ class TestStableDrift:
 
     def test_exponent_pairing_via_identity(self):
         w = w_stable_drift(1.5, 1.0)
-        rep = verify_laplace_identity(w, w.psi, [0.5, 2.0])
+        rep = verify_laplace_identity(w, [0.5, 2.0])
         assert rep.max_rel_err <= 1e-6
 
 
@@ -224,7 +224,7 @@ class TestAbateWhitt:
         # the limit formula must still produce a consistent entry there
         w = w_abate_whitt(1e-15, 1.0)
         assert w.eval(0.0) == pytest.approx(1.0, rel=1e-9)
-        rep = verify_laplace_identity(w, w.psi, [0.5, 2.0])
+        rep = verify_laplace_identity(w, [0.5, 2.0])
         assert rep.max_rel_err <= 1e-6
 
 
@@ -279,9 +279,8 @@ class TestIdentityAcrossCatalog:
         kinks = ()
         if family == "fixed_jumps":
             kinks = tuple(np.arange(1.0, 95.0))
-        rep = verify_laplace_identity(w, w.psi,
-                                      [w.phi_q + 0.5, w.phi_q + 1.0,
-                                       w.phi_q + 2.0, w.phi_q + 5.0], kinks=kinks)
+        rep = verify_laplace_identity(w, [w.phi_q + 0.5, w.phi_q + 1.0,
+                                          w.phi_q + 2.0, w.phi_q + 5.0], kinks=kinks)
         assert rep.max_rel_err <= 1e-6, f"{family}: {rep.relative_errors}"
 
     def test_registry(self):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from scalekit.catalog import catalog_families
+from scalekit.catalog import catalog_families, w_brownian
 from scalekit.cli import CASES, main
 
 
@@ -99,7 +99,8 @@ class TestEval:
                 raise NumericalError("no slope beyond 1")
             return np.full(x.shape, 2.0)
 
-        monkeypatch.setattr(cli, "_build_scale", lambda args: ScaleFunction(0.0, 0.0, "stub", w, dw))
+        stub = ScaleFunction(0.0, 0.0, "stub", w, dw, w_brownian(1.0, 0.0).psi)   # W = 2x
+        monkeypatch.setattr(cli, "_build_model", lambda args: (stub, {}))
         code, out = run_cli(["eval", "--x-max", "2", "--points", "5"])
         assert code == 0
         assert calls[:2] == [("w", 5), ("dw", 5)]
@@ -256,6 +257,22 @@ class TestVerify:
         assert rep["checks"][0]["name"] == "limit_at_infinity"
         assert rep["pass"]
 
+    @pytest.mark.parametrize("jump", ["0.3", "0.2"])
+    def test_laplace_fixed_jumps(self, jump):
+        # W has a kink at every multiple of the jump; a panel across one misses the bound here
+        code, out = run_cli(["verify", "--suite", "laplace", "--model", "catalog:fixed_jumps",
+                             "--jump", jump])
+        assert max(chk["achieved"] for chk in json.loads(out)["checks"]) <= 1e-6
+        assert code == 0
+
+    def test_asymptotics_linear_growth(self):
+        # case A at q = 0 has psi'(0+) = 0: W grows with slope 1/phi_L'(0+) = 1/Gamma(3/4)
+        code, out = run_cli(["verify", "--suite", "asymptotics", "--alpha", "1/4", "--q", "0"])
+        check = json.loads(out)["checks"][0]
+        assert check["name"] == "linear_growth_slope"
+        assert check["target"] == pytest.approx(1.0 / math.gamma(0.75), rel=1e-12)
+        assert code == 0
+
     def test_mc_suite(self):
         code, out = run_cli(["verify", "--suite", "mc", "--model", "gtsc",
                              "--alpha", "1/2", "--paths", "8000", "--a", "2.0"])
@@ -311,8 +328,9 @@ class TestApps:
         from scalekit.gtsc import ScaleFunction
 
         stub = ScaleFunction(q=1.0, phi_q=0.0, route="stub",
-                             w=lambda x: 1.0 - np.exp(-x), dw=lambda x: np.exp(-x))
-        monkeypatch.setattr(cli, "_build_scale", lambda args: stub)
+                             w=lambda x: 1.0 - np.exp(-x), dw=lambda x: np.exp(-x),
+                             psi=w_brownian(1.0, 0.0).psi)
+        monkeypatch.setattr(cli, "_build_model", lambda args: (stub, {}))
         code, _ = run_cli(["apps", "--compute", "barrier", "--q", "1"])
         assert code == 1
 
@@ -322,6 +340,31 @@ class TestApps:
         assert code == 0
         assert json.loads(out)["probability"] == pytest.approx(
             0.5 * math.exp(-0.5), rel=1e-10)
+
+
+    def test_workload_cl(self):
+        # the stationary workload cdf is the complement of the ruin probability
+        code, out = run_cli(["apps", "--compute", "workload", "--model",
+                             "catalog:cramer_lundberg", "--x", "1"])
+        assert code == 0
+        assert json.loads(out)["cdf"] == pytest.approx(1.0 - 0.5 * math.exp(-0.5), rel=1e-10)
+
+    @pytest.mark.parametrize("a,x", [(None, 0.2), (2.0, 3.0)])
+    def test_value(self, a, x):
+        from scalekit.fluctuation import dividend_barrier
+        from scalekit.gtsc import scale_function
+
+        scale = scale_function(CASES["E"].params(0.5), 1.0)
+        argv = ["apps", "--compute", "value", "--alpha", "1/2", "--case", "E", "--q", "1",
+                "--x", str(x)]
+        code, out = run_cli(argv + ([] if a is None else ["--a", str(a)]))
+        assert code == 0
+        rep = json.loads(out)
+        a = dividend_barrier(scale) if a is None else a
+        assert rep["a"] == a
+        # reflected at a: W(x)/W'(a) below a, and one unit per unit of x above it
+        ref = scale.eval(min(x, a)) / scale.eval_deriv(a) + max(x - a, 0.0)
+        assert rep["value"] == pytest.approx(ref, rel=1e-12)
 
 
 class TestParser:

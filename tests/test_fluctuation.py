@@ -63,6 +63,12 @@ class TestRuin:
         with pytest.raises(NotApplicableError):
             ruin_probability(w, params.exponent(), 1.0)
 
+    def test_mismatched_exponent_rejected(self):
+        # 1 - psi'(0+) W(x) with the Brownian psi'(0+) = 0.5 would read 0.652, not 0.303
+        w = w_cramer_lundberg(2.0, 1.0, 1.0)
+        with pytest.raises(ParameterError):
+            ruin_probability(w, w_brownian(1.0, 0.5).psi, 1.0)
+
     def test_tsc_ruin_via_closed_form(self):
         # claims arriving at compound-Poisson intensity lam_cp with gamma(nu)
         # sizes, premium rate kappa + lam_cp, kappa = 1: the alpha = -nu
@@ -78,7 +84,7 @@ class TestRuin:
         lam_cp = c * sps.gamma(nu) * gamma ** (-nu)
         rho = lam_cp / (kappa + lam_cp)
         for x in (0.5, 2.0):
-            w_val = w0_closed(params, x)
+            w_val = w0_closed(params).eval(x)
             direct = 1.0 - kappa * w_val
             integrand = lambda y: y ** (nu - 1.0) * math.exp(-gamma * y) \
                 * mittag_leffler(nu, nu, rho * gamma ** nu * y ** nu).real
@@ -89,7 +95,7 @@ class TestRuin:
 
     def test_workload_complement(self):
         w = w_cramer_lundberg(2.0, 1.0, 1.0)
-        cdf = mpi1_workload(w, w.psi)
+        cdf = mpi1_workload(w)
         for x in (0.0, 0.7, 2.0, 10.0):
             assert cdf(x) + ruin_probability(w, w.psi, x) == pytest.approx(1.0, abs=1e-14)
         assert cdf(-1.0) == 0.0
@@ -152,7 +158,7 @@ class TestDividends:
     def test_no_minimizer_on_grid_not_applicable(self):
         # W' = e^{-x} keeps decreasing over the whole search grid
         w = ScaleFunction(q=1.0, phi_q=0.0, route="stub", w=lambda x: 1.0 - np.exp(-x),
-                          dw=lambda x: np.exp(-x))
+                          dw=lambda x: np.exp(-x), psi=w_brownian(1.0, 0.0).psi)
         with pytest.raises(NotApplicableError):
             dividend_barrier(w)
 

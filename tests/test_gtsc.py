@@ -10,8 +10,7 @@ from scalekit.bromwich import verify_laplace_identity
 from scalekit.errors import ParameterError
 from scalekit.gtsc import (GtscParams, asymptote_infinity, asymptote_zero,
                            ig_params, ig_q0_threshold, scale_function, w0_closed,
-                           w0_closed_scale, w_gamma_case, w_gamma_case_dual,
-                           w_gamma_scale, w_ig, w_rational)
+                           w_gamma_case, w_gamma_case_dual, w_ig, w_rational)
 from scalekit.polyfrac import RationalAlpha
 
 W_IG_AT_1 = 1.424660216656229247   # (1/2)[2 erfc(-1/sqrt 2) + sqrt(2/pi) e^{-1/2} - 1]
@@ -179,8 +178,7 @@ class TestRationalRoute:
         params = GtscParams(alpha=alpha, gamma=1.0, c=1.0,
                             kappa=0.5 if alpha < 0 else 0.0)
         w = w_rational(params, RationalAlpha(*frac), 0.7)
-        rep = verify_laplace_identity(w, params.exponent(),
-                                      [w.phi_q + 0.5, w.phi_q + 2.0])
+        rep = verify_laplace_identity(w, [w.phi_q + 0.5, w.phi_q + 2.0])
         assert rep.max_rel_err <= 1e-6
 
 
@@ -225,7 +223,7 @@ class TestClosedForms:
             ref = sps.gammainc(a, g * x) * sps.gamma(a) / (sps.gamma(a) * kappa) \
                 * 1.0  # (1/kappa) int_0^x (g^a/Gamma(a)) y^{a-1}e^{-gy} dy
             ref = sps.gammainc(a, g * x) / kappa
-            assert w0_closed(params, x) == pytest.approx(ref, rel=1e-9)
+            assert w0_closed(params).eval(x) == pytest.approx(ref, rel=1e-9)
 
     def test_stable_limit(self):
         # deviation from the stable form scales like gamma^alpha
@@ -233,12 +231,12 @@ class TestClosedForms:
         c = -1.0 / sps.gamma(-a)
         params = GtscParams(alpha=a, gamma=1e-6, c=c)
         for x in (0.5, 2.0):
-            assert w0_closed(params, x) == pytest.approx(x ** a / sps.gamma(1 + a),
-                                                         rel=1e-3)
+            assert w0_closed(params).eval(x) == pytest.approx(x ** a / sps.gamma(1 + a),
+                                                              rel=1e-3)
 
     def test_alpha_negative_value_at_zero(self):
         params = GtscParams(alpha=-0.4, gamma=1.0, c=1.0, kappa=0.3)
-        val = w0_closed(params, 0.0)
+        val = w0_closed(params).eval(0.0)
         assert val == pytest.approx(1.0 / (0.3 + sps.gamma(0.4)), rel=1e-12)
 
     def test_matches_rational_route(self):
@@ -246,7 +244,7 @@ class TestClosedForms:
                                            (-0.5, (-1, 2), 0.4, 0.0)):
             params = GtscParams(alpha=alpha, gamma=1.0, c=1.0,
                                 kappa=kappa, varphi=varphi)
-            w_cl = w0_closed_scale(params)
+            w_cl = w0_closed(params)
             w_ml = w_rational(params, RationalAlpha(*frac), 0.0)
             for x in (0.1, 0.8, 3.0, 8.0):
                 a, b = w_cl.eval(x), w_ml.eval(x)
@@ -255,7 +253,7 @@ class TestClosedForms:
     def test_wrong_branch_errors(self):
         params = GtscParams(alpha=0.5, gamma=1.0, c=1.0, zeta=1.0)
         with pytest.raises(ParameterError):
-            w0_closed(params, 1.0)
+            w0_closed(params).eval(1.0)
 
 
 def _quad_closed(params, x):
@@ -301,9 +299,10 @@ class TestClosedFormPanels:
         from scalekit.errors import NumericalError
 
         params = GtscParams(alpha=sign * abar, gamma=0.8, c=1.1, **extra)
-        got = w0_closed(params, np.array(self.XS))
+        scale = w0_closed(params)
+        got = scale.eval(np.array(self.XS))
         for x, g in zip(self.XS, got):
-            one = w0_closed(params, x)
+            one = scale.eval(x)
             assert type(one) is float and one == pytest.approx(g, rel=1e-13)
             ref = invert(params.exponent(), 0.0, x)[0]
             assert abs(g - ref) <= 1e-9 * abs(ref), ("bromwich", x)
@@ -332,12 +331,12 @@ class TestClosedFormPanels:
         params = GtscParams(alpha=0.5, gamma=1.0, c=1.0, zeta=1.0)
         for x in (-1.0, np.array([-2.0, -1.0])):
             with pytest.raises(ParameterError):
-                w0_closed(params, x)
+                w0_closed(params).eval(x)
 
     @pytest.mark.parametrize("alpha,extra", [(1 / 3, {}), (-1 / 3, {}), (0.7, {"varphi": 1.0}),
                                              (-0.25, {"kappa": 1.0}), (0.1, {"varphi": 1.0})])
     def test_derivative_matches_richardson(self, alpha, extra):
-        scale = w0_closed_scale(GtscParams(alpha=alpha, gamma=0.8, c=1.1, **extra))
+        scale = w0_closed(GtscParams(alpha=alpha, gamma=0.8, c=1.1, **extra))
         for x in (0.05, 0.7, 2.6, 9.0):
             h = 1e-3 * x
             d1 = (scale.eval(x + h) - scale.eval(x - h)) / (2.0 * h)
@@ -347,29 +346,30 @@ class TestClosedFormPanels:
     @pytest.mark.parametrize("alpha", [1 / 3, -1 / 3, 0.9])
     def test_derivative_infinite_at_zero(self, alpha):
         params = GtscParams(alpha=alpha, gamma=1.0, c=1.0)
-        scale = w0_closed_scale(params)
+        scale = w0_closed(params)
         assert scale.eval_deriv(0.0) == asymptote_zero(params).wprime0 == math.inf
         assert scale.eval(0.0) == asymptote_zero(params).w0
 
 
 class TestGammaCase:
     def test_zero_at_origin(self):
-        assert w_gamma_case(1.0, 1.0, 0.0) == 0.0
+        assert w_gamma_case(1.0, 1.0).eval(0.0) == 0.0
 
     def test_dual_route_agreement(self):
-        val_a = w_gamma_case(1.0, 1.0, 1.0)
+        val_a = w_gamma_case(1.0, 1.0).eval(1.0)
         val_b = w_gamma_case_dual(1.0, 1.0, 1.0)
         assert val_a == pytest.approx(val_b, rel=1e-7)
 
     def test_monotone(self):
-        assert w_gamma_case(1.0, 1.0, 2.0) > w_gamma_case(1.0, 1.0, 1.0)
+        assert w_gamma_case(1.0, 1.0).eval(2.0) > w_gamma_case(1.0, 1.0).eval(1.0)
 
     @pytest.mark.parametrize("c,gamma", [(1.0, 1.0), (1.3, 0.7), (0.6, 2.0)])
     def test_dual_route_agreement_grid(self, c, gamma):
         xs = np.geomspace(1e-8, 600.0, 12) / gamma
-        got = w_gamma_case(c, gamma, xs)
+        scale = w_gamma_case(c, gamma)
+        got = scale.eval(xs)
         for x, g in zip(xs, got):
-            one = w_gamma_case(c, gamma, float(x))
+            one = scale.eval(float(x))
             assert type(one) is float and one == g
             assert g == pytest.approx(w_gamma_case_dual(c, gamma, float(x)), rel=1e-9)
 
@@ -377,13 +377,13 @@ class TestGammaCase:
         from scalekit.errors import SaturationError
 
         with pytest.raises(SaturationError):
-            w_gamma_case(1.0, 0.5, 1400.0)
+            w_gamma_case(1.0, 0.5).eval(1400.0)
         with pytest.raises(SaturationError):
-            w_gamma_scale(1.0, 0.5).eval_deriv(np.array([1.0, 1400.0]))
+            w_gamma_case(1.0, 0.5).eval_deriv(np.array([1.0, 1400.0]))
 
     def test_derivative_is_scale_density(self):
         # W'(x) = h(t)/(c x) with t = -log(gamma x), against a Richardson difference of W
-        scale = w_gamma_scale(1.3, 0.7)
+        scale = w_gamma_case(1.3, 0.7)
         assert scale.eval_deriv(0.0) == math.inf
         for x in (1e-4, 0.3, 4.0, 200.0):
             h = 1e-3 * x
@@ -392,8 +392,8 @@ class TestGammaCase:
             assert scale.eval_deriv(x) == pytest.approx((4.0 * d2 - d1) / 3.0, rel=1e-7)
 
     def test_laplace_identity(self):
-        w = w_gamma_scale(1.0, 1.0)
-        rep = verify_laplace_identity(w, w.psi, [1.0])
+        w = w_gamma_case(1.0, 1.0)
+        rep = verify_laplace_identity(w, [1.0])
         assert rep.max_rel_err <= 1e-5
 
 
@@ -541,8 +541,8 @@ def _one_path_scales():
     yield "rational-negative", w_rational(GtscParams(alpha=-0.5, gamma=1.0, c=1.0), None, 0.0)
     for q in (0.0, q0, 1.0):
         yield f"ig-q{q:.3g}", w_ig(1.0, 1.0, q)
-    yield "closed", w0_closed_scale(GtscParams(alpha=-1 / 3, gamma=1.0, c=1.0))
-    yield "gamma", w_gamma_scale(1.0, 1.0)
+    yield "closed", w0_closed(GtscParams(alpha=-1 / 3, gamma=1.0, c=1.0))
+    yield "gamma", w_gamma_case(1.0, 1.0)
     yield "bromwich", scale_function(GtscParams(alpha=1 / math.sqrt(2.0), gamma=1.0, c=1.0),
                                      1.0, "bromwich")
     for family in catalog_families():
@@ -581,8 +581,8 @@ class TestOnePath:
         # the panels of every x share one Mittag-Leffler call, yet no x depends on the others
         xs = np.array(TestClosedFormPanels.XS)
         for alpha in (0.1, -0.1, 1.0 / math.pi, -0.9):
-            params = GtscParams(alpha=alpha, gamma=0.8, c=1.1)
-            assert np.array_equal(w0_closed(params, xs), [w0_closed(params, x) for x in xs])
+            scale = w0_closed(GtscParams(alpha=alpha, gamma=0.8, c=1.1))
+            assert np.array_equal(scale.eval(xs), [scale.eval(x) for x in xs])
 
     def test_rational_working_set_bounded(self):
         import tracemalloc
@@ -609,8 +609,7 @@ class TestOnePath:
             return ref.eval(x)
 
         scale = ScaleFunction(ref.q, ref.phi_q, "recording", w, ref.eval_deriv, psi=ref.psi)
-        rep = verify_laplace_identity(scale, ref.psi,
-                                      [ref.phi_q + off for off in (0.5, 1.0, 2.0, 5.0)])
+        rep = verify_laplace_identity(scale, [ref.phi_q + off for off in (0.5, 1.0, 2.0, 5.0)])
         xs = np.concatenate(asked)
         assert rep.passed
         assert np.unique(xs).size == xs.size

@@ -283,3 +283,13 @@ def test_no_unused_parameter():
             unused += [f"{module}:{node.lineno} {name}({p})"
                        for p in _parameters(node) if p not in read]
     assert not unused, f"parameters their function never reads: {unused}"
+
+
+def test_no_restated_exponent():
+    # a ScaleFunction carries its exponent as scale.psi; a psi next to it can only disagree.
+    # ruin_probability keeps its psi for the callers of that signature and checks it.
+    both = [f"{module}:{node.lineno} {node.name}" for module, tree in TREES.items()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and {"scale", "psi"} <= set(_parameters(node)) and node.name != "ruin_probability"]
+    assert not both, f"functions taking both scale and psi: {both}"

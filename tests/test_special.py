@@ -178,6 +178,48 @@ class TestBlockSeries:
         assert maxsize is not None and maxsize <= 256
 
 
+def _ml_series_mp(a, b, z):
+    """E_{a,b}(z) by its power series in mpmath, with digits enough for the cancellation.
+
+    The largest term is about e^{|z|^{1/a}}; when 1/a is an integer m the reciprocal
+    gammas come from 1/Gamma(x + 1) = (1/Gamma(x))/x, m terms back.
+    """
+    import mpmath as mp
+
+    big = abs(z) ** (1.0 / a)
+    m = round(1.0 / a)
+    step = m if abs(m * a - 1.0) < 1e-15 else 0
+    with mp.workdps(int(30 + big / math.log(10.0))):
+        zz, aa, bb = mp.mpc(z), mp.mpf(a), mp.mpf(b)
+        tol = mp.mpf(10) ** -25
+        total, power, rg, k = mp.mpc(0), mp.mpc(1), [], 0
+        while True:
+            rg.append(rg[k - step] / (aa * (k - step) + bb) if step and k >= step
+                      else mp.rgamma(aa * k + bb))
+            term = power * rg[k]
+            total += term
+            if k > big and abs(term) < tol * abs(total):
+                return complex(total)
+            power *= zz
+            k += 1
+
+
+class TestIndexLowering:
+    """b > a + 1 at |z| > 2: E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a))/z, until b < a + 1."""
+
+    ZS = [-3.0, -10.0, -40.0, 3j, 12j, -12 + 5j, 8.0, 20.0, 6 + 6j, -6 - 6j]
+
+    @pytest.mark.parametrize("a,b", [(0.5, 2.0), (0.7, 1.9), (0.8, 3.0), (0.9, 2.5),
+                                     (1.0, 2.2)])
+    def test_matches_mpmath_series(self, a, b):
+        zs = np.array(self.ZS, dtype=complex)
+        block = mittag_leffler(a, b, zs)
+        assert np.array_equal(block, [mittag_leffler(a, b, z) for z in self.ZS])
+        for z, got in zip(self.ZS, block):
+            ref = _ml_series_mp(a, b, complex(z))
+            assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), z
+
+
 # contour-only arguments (|z| > 5, off the positive axis) for a = 1/2: the first
 # ray has a pole on the principal sheet, the second none
 CONTOUR_Z = np.concatenate([np.linspace(5.5, 12.0, 32) * np.exp(0.4j),
@@ -409,11 +451,11 @@ class TestFransenTransform:
     def test_gamma_ladder_interpolant(self):
         # the alpha = 0 route interpolates h(t) = e^{-e^{-t}} F(t) once per process;
         # W'(x) = h(t)/(c x) at t = -log(gamma x) shows it between its nodes
-        from scalekit.gtsc import w_gamma_scale
+        from scalekit.gtsc import w_gamma_case
 
         c, gamma = 1.3, 0.7
         ts = np.concatenate([np.linspace(-6.4, 23.9, 37), [24.5, 31.0, 77.0, 300.0, 700.0]])
         xs = np.exp(-ts) / gamma
-        got = c * xs * w_gamma_scale(c, gamma).eval_deriv(xs) * np.exp(gamma * xs)
+        got = c * xs * w_gamma_case(c, gamma).eval_deriv(xs) * np.exp(gamma * xs)
         for x, g in zip(xs, got):
             assert g == pytest.approx(fransen_transform(-math.log(gamma * x)), rel=1e-12)
