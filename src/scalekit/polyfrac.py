@@ -5,9 +5,12 @@ Builds f_q(z) = (z^n - gamma - varphi) * B(z) - q z^{m_-} with
     B(z) = (kappa - zeta*gamma + c*Gamma(-alpha)*gamma^alpha) z^{m_-}
            + zeta z^{n+m_-} - c*Gamma(-alpha) z^{m_+},
 
-finds its roots with multiplicities (companion matrix + multiplicity-aware
-Newton polishing in extended precision) and produces the partial fraction
-decomposition of z^{m_-} / f_q(z).
+finds its roots with multiplicities (companion matrix, array clustering, and
+one multiplicity-aware Newton pass over all cluster centres in complex long
+double) and produces the partial fraction decomposition of z^{m_-} / f_q(z).
+The polish needs the 64-bit mantissa of x87 extended precision,
+np.finfo(np.longdouble).nmant >= 63; on any other host roots_with_multiplicity
+and partial_fractions raise CapabilityError instead of losing digits.
 
 The bracket constant carries -zeta*gamma: that is what the defining identity
 f_q(z) = z^{m_-} (psi(z^n - gamma) - q) requires, and the identity is checked
@@ -21,12 +24,11 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy import special as sps
 
-from .errors import ConditioningError, NumericalError, ParameterError
+from .errors import CapabilityError, ConditioningError, NumericalError, ParameterError
 from .special import series_product, series_reciprocal
 
 __all__ = [
@@ -39,6 +41,8 @@ __all__ = [
 
 _CLUSTER_TOL = 1e-6     # cluster radius factor: tol = _CLUSTER_TOL * (1 + |r|)
 _REAL_SNAP = 1e-7       # |Im r| below this * (1+|r|) counts as real
+_POLISH_STEP = 1e-12    # a Newton step below this * |r| leaves an error far below long double
+_LONG_DOUBLE_NMANT = np.finfo(np.longdouble).nmant   # 63 for x87 extended precision
 
 
 @dataclass(frozen=True)
@@ -188,134 +192,111 @@ def _newton_sweep(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
 
 
 def _cluster_and_validate(coeffs: np.ndarray, raw: np.ndarray, tol: float):
-    # single-linkage clustering at radius tol*(1+|r|)
-    pts = list(raw)
-    assigned = [-1] * len(pts)
-    nclust = 0
-    for i in range(len(pts)):
-        if assigned[i] >= 0:
-            continue
-        assigned[i] = nclust
-        stack = [i]
-        while stack:
-            a = stack.pop()
-            for b in range(len(pts)):
-                if assigned[b] < 0 and abs(pts[a] - pts[b]) <= tol * (1.0 + abs(pts[a])):
-                    assigned[b] = nclust
-                    stack.append(b)
-        nclust += 1
+    # single-linkage clustering at radius tol*(1+|r|): the connected components of the
+    # link graph, found by squaring its reachability matrix; first[i] is the first member
+    # of i's cluster, and clusters are numbered in the order of their first members
+    size = np.abs(raw)
+    link = np.abs(raw[:, None] - raw) <= tol * (1.0 + np.maximum(size[:, None], size))
+    while not ((wider := link @ link) == link).all():
+        link = wider
+    first = link.argmax(axis=1)
+    member = np.searchsorted(np.flatnonzero(first == np.arange(first.size)), first)
+    mults = np.bincount(member)
+    centers = (np.bincount(member, raw.real) + 1j * np.bincount(member, raw.imag)) / mults
 
-    roots, mults = [], []
-    for c in range(nclust):
-        members = [pts[i] for i in range(len(pts)) if assigned[i] == c]
-        mu = len(members)
-        center = sum(members) / mu
-        center = _polish_center(coeffs, center, mu)
-        if abs(center.imag) <= _REAL_SNAP * (1.0 + abs(center)):
-            center = complex(center.real, 0.0)
-        roots.append(center)
-        mults.append(mu)
-
-    roots, mults = _enforce_conjugacy(roots, mults)
+    roots = _polish_centers(coeffs, centers, mults)
+    snap = np.abs(roots.imag) <= _REAL_SNAP * (1.0 + np.abs(roots))
+    roots = _enforce_conjugacy(np.where(snap, roots.real + 0j, roots), mults)
 
     der = npoly.polyder(coeffs)
-    abs_c = np.abs(coeffs)
-    abs_d = np.abs(der)
-    for r, mu in zip(roots, mults):
-        res = abs(npoly.polyval(r, coeffs))
-        # scale against the local evaluation magnitude S(r) = sum |c_k| |r|^k;
-        # an m-fold pseudo-root carries residual ~ (cluster radius)^m
-        scale = float(npoly.polyval(abs(r), abs_c)) + 1e-300
-        bound = max(1e-8, (3.0 * _CLUSTER_TOL) ** mu) * scale
-        if res > bound:
-            raise NumericalError(
-                f"root residual {res:.3g} exceeds tolerance at {r:.6g} (multiplicity {mu})")
-        if mu == 1:
-            # |f'(r)| = |lead| prod |r - r_j|: far below its evaluation scale
-            # means an unresolved multiple hides at r
-            dscale = float(npoly.polyval(abs(r), abs_d)) + 1e-300
-            if abs(npoly.polyval(r, der)) < 1e-7 * dscale:
-                raise NumericalError(
-                    f"simple-root classification inconsistent at {r:.6g} (nearly multiple)")
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if abs(roots[i] - roots[j]) < 1e-5 * (1.0 + abs(roots[i])):
-                raise NumericalError("distinct reported roots are closer than the "
-                                     "classification can support")
+    size = np.abs(roots)
+    # scale against the local evaluation magnitude S(r) = sum |c_k| |r|^k;
+    # an m-fold pseudo-root carries residual ~ (cluster radius)^m
+    res = np.abs(npoly.polyval(roots, coeffs))
+    bound = np.maximum(1e-8, (3.0 * _CLUSTER_TOL) ** mults) \
+        * (npoly.polyval(size, np.abs(coeffs)) + 1e-300)
+    over = res > bound
+    if over.any():
+        k = over.argmax()
+        raise NumericalError(f"root residual {res[k]:.3g} exceeds tolerance at {roots[k]:.6g} "
+                             f"(multiplicity {mults[k]})")
+    # |f'(r)| = |lead| prod |r - r_j|: far below its evaluation scale at a simple root
+    # means an unresolved multiple hides at r
+    flat = (mults == 1) & (np.abs(npoly.polyval(roots, der))
+                           < 1e-7 * (npoly.polyval(size, np.abs(der)) + 1e-300))
+    if flat.any():
+        raise NumericalError(f"simple-root classification inconsistent at "
+                             f"{roots[flat.argmax()]:.6g} (nearly multiple)")
+    idx = np.arange(roots.size)
+    if (np.abs(roots[:, None] - roots) < 1e-5 * (1.0 + size[:, None]))[idx[:, None] < idx].any():
+        raise NumericalError("distinct reported roots are closer than the "
+                             "classification can support")
 
-    real_idx = [i for i, r in enumerate(roots) if r.imag == 0.0]
-    if not real_idx:
+    real = roots.imag == 0.0
+    if not real.any():
         raise NumericalError("no real root found; invalid parameters or numerical failure")
-    i1 = max(real_idx, key=lambda i: roots[i].real)
-    r1 = roots[i1].real
+    i1 = np.flatnonzero(real)[roots.real[real].argmax()]
+    if (~real & (np.abs(roots.real) >= roots.real[i1] * (1.0 + 1e-9) + 1e-12)).any():
+        warnings.warn(
+            "non-real root with |Re| >= largest real root detected; "
+            "the largest-real-root identification may be ambiguous",
+            stacklevel=3)
 
-    for i, r in enumerate(roots):
-        if r.imag != 0.0 and abs(r.real) >= r1 * (1.0 + 1e-9) + 1e-12:
-            warnings.warn(
-                "non-real root with |Re| >= largest real root detected; "
-                "the largest-real-root identification may be ambiguous",
-                stacklevel=3)
-
-    order = [i1] + sorted((i for i in range(len(roots)) if i != i1),
-                          key=lambda i: (-roots[i].real, -abs(roots[i].imag), roots[i].imag))
-    return (np.array([roots[i] for i in order]),
-            np.array([mults[i] for i in order], dtype=int))
+    order = sorted(idx, key=lambda i: (i != i1, -roots[i].real,
+                                       -abs(roots[i].imag), roots[i].imag))
+    return roots[order], mults[order]
 
 
-def _polish_center(coeffs: np.ndarray, z0: complex, mu: int) -> complex:
-    """Refine a cluster center as a root of the (mu-1)-th derivative.
+def _polish_centers(coeffs: np.ndarray, z0: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """Refine each cluster center as a root of f's (mu-1)-th derivative, all in one Newton pass.
 
     For an exact m-fold root of f that derivative has a simple root there, so
     plain Newton converges quadratically; for a rounding-split cluster it
-    lands on the center that minimizes the reconstruction error.
+    lands on the center that minimizes the reconstruction error.  The pass
+    runs in complex long double, which needs the 64-bit mantissa of x87
+    extended precision (nmant >= 63); a shorter one would lose digits silently.
     """
-    work = coeffs
-    for _ in range(mu - 1):
-        work = npoly.polyder(work)
-    cs = [mp.mpc(c) for c in work]
-    dcs = [mp.mpc(c) for c in npoly.polyder(work)]
-    with mp.workdps(50):
-        z = mp.mpc(z0)
-        for _ in range(40):
-            fp = mp.polyval(dcs[::-1], z)
-            if fp == 0:
-                break
-            step = mp.polyval(cs[::-1], z) / fp
-            z -= step
-            if abs(step) < mp.mpf("1e-35") * (1 + abs(z)):
-                break
-        return complex(z)
+    if _LONG_DOUBLE_NMANT < 63:
+        raise CapabilityError(f"root polishing needs np.finfo(np.longdouble).nmant >= 63; "
+                              f"this host's is {_LONG_DOUBLE_NMANT}")
+    # one row of descending coefficients per center, zero-padded at the leading end
+    work = np.zeros((mults.size, coeffs.size), dtype=np.clongdouble)
+    for mu in set(mults.tolist()):
+        row = npoly.polyder(coeffs, mu - 1)
+        work[mults == mu, coeffs.size - row.size:] = row[::-1]
+    z = z0.astype(np.clongdouble)
+    for _ in range(40):
+        f, fp = work[:, 0], np.zeros_like(z)
+        for col in work.T[1:]:       # Horner for the row and its derivative together
+            fp = fp * z + f
+            f = f * z + col
+        stall = fp == 0              # no step where the derivative vanishes
+        step = np.where(stall, 0, f) / np.where(stall, 1, fp)
+        z -= step
+        if (np.abs(step) <= _POLISH_STEP * np.abs(z)).all():
+            break
+    return z.astype(complex)
 
 
-def _enforce_conjugacy(roots, mults):
-    """Pair complex roots into exact conjugates (real-coefficient polynomials)."""
-    out_r, out_m = [], []
-    used = [False] * len(roots)
-    for i, r in enumerate(roots):
-        if used[i]:
-            continue
-        if r.imag == 0.0:
-            out_r.append(r)
-            out_m.append(mults[i])
-            used[i] = True
-            continue
-        best, best_d = None, np.inf
-        for j in range(len(roots)):
-            if j == i or used[j] or roots[j].imag == 0.0:
-                continue
-            d = abs(roots[j] - r.conjugate())
-            if d < best_d:
-                best, best_d = j, d
-        if best is not None and best_d <= 1e-6 * (1.0 + abs(r)) and mults[best] == mults[i]:
-            avg = 0.5 * (r + roots[best].conjugate())
-            out_r.extend([avg, avg.conjugate()])
-            out_m.extend([mults[i], mults[i]])
-            used[i] = used[best] = True
-        else:
-            out_r.append(r)
-            out_m.append(mults[i])
-            used[i] = True
-    return out_r, out_m
+def _enforce_conjugacy(roots: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """Pair complex roots into exact conjugates (real-coefficient polynomials).
+
+    A complex root and the complex root nearest its conjugate are replaced by
+    their average and its conjugate when each is the other's nearest, their
+    multiplicities agree and they lie within 1e-6*(1+|r|) of the first one.
+    """
+    cplx = np.flatnonzero(roots.imag != 0.0)
+    if cplx.size < 2:
+        return roots
+    rc, own = roots[cplx], np.arange(cplx.size)
+    gap = np.abs(rc - rc[:, None].conj())        # gap[a, b] = |r_b - conj(r_a)|, symmetric
+    np.fill_diagonal(gap, np.inf)
+    best = gap.argmin(axis=1)
+    near = gap[own, best] <= 1e-6 * (1.0 + np.abs(rc))
+    pair = (best[best] == own) & (mults[cplx][best] == mults[cplx]) & near[np.minimum(own, best)]
+    out = roots.copy()
+    out[cplx] = np.where(pair, 0.5 * (rc + rc[best].conj()), rc)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,13 @@ class TestVerify:
         assert rep["checks"][0]["name"] == "limit_at_infinity"
         assert rep["pass"]
 
+    def test_asymptotics_power_law_approach_refused(self, capsys):
+        # untempered jumps (gamma = 0): W(50) = 0.477 is still far from W(inf) = 1/kappa = 1
+        code, out = run_cli(["verify", "--suite", "asymptotics", "--alpha", "1/3",
+                             "--gamma", "0", "--kappa", "1"])
+        assert code == 1 and out == ""
+        assert "power law" in capsys.readouterr().err
+
     @pytest.mark.parametrize("jump", ["0.3", "0.2"])
     def test_laplace_fixed_jumps(self, jump):
         # W has a kink at every multiple of the jump; a panel across one misses the bound here

@@ -376,6 +376,11 @@ class TestGammaCase:
     def test_saturation_beyond_range(self):
         from scalekit.errors import SaturationError
 
+        # the envelope the README states: the ladder covers gamma*x <= e^6.45
+        scale = w_gamma_case(1.0, 1.0)
+        assert math.isfinite(scale.eval(math.exp(6.44)))
+        with pytest.raises(SaturationError):
+            scale.eval(math.exp(6.46))
         with pytest.raises(SaturationError):
             w_gamma_case(1.0, 0.5).eval(1400.0)
         with pytest.raises(SaturationError):

@@ -2,18 +2,25 @@
 
 import math
 import warnings
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from scalekit.errors import NumericalError, ParameterError
-from scalekit.gtsc import GtscParams, ig_params
+from scalekit import polyfrac
+from scalekit.cli import CASES
+from scalekit.errors import CapabilityError, NumericalError, ParameterError
+from scalekit.gtsc import GtscParams, ig_params, scale_function
 from scalekit.levy import big_phi
 from scalekit.polyfrac import (RationalAlpha, build_fq, partial_fractions,
                                roots_with_multiplicity)
+
+ORACLE_ALPHAS = [Fraction(f) for f in ("1/2", "-1/2", "1/3", "-1/3", "2/3", "-2/3", "1/4",
+                                       "-3/4", "1/5", "5/7", "-5/12", "7/12", "11/12")]
 
 
 class TestRationalAlpha:
@@ -130,6 +137,82 @@ class TestRoots:
         p5 = npoly.polyfromroots([0.5, 2.0 + 1.0j, 2.0 - 1.0j])
         with pytest.warns(UserWarning, match="largest real root"):
             roots_with_multiplicity(p5)
+
+
+def _mp_polish(coeffs, z0, mu):
+    """Reference: scalar 50-digit Newton on the (mu-1)-th derivative from one cluster center."""
+    work = coeffs
+    for _ in range(mu - 1):
+        work = npoly.polyder(work)
+    cs = [mp.mpc(c) for c in work]
+    dcs = [mp.mpc(c) for c in npoly.polyder(work)]
+    with mp.workdps(50):
+        z = mp.mpc(z0)
+        for _ in range(40):
+            fp = mp.polyval(dcs[::-1], z)
+            if fp == 0:
+                break
+            step = mp.polyval(cs[::-1], z) / fp
+            z -= step
+            if abs(step) < mp.mpf("1e-35") * (1 + abs(z)):
+                break
+        return complex(z)
+
+
+class TestPolish:
+    """The long-double Newton pass against the 50-digit reference, center by center."""
+
+    @staticmethod
+    def _polished(monkeypatch, polys) -> list:
+        """(coeffs, centers, mults, polished) of the accepted clustering of each polynomial.
+
+        A cluster radius the validation rejects can leave a multiple root split into
+        simple ones, where Newton converges only linearly; the last polish is the one
+        whose roots come back.
+        """
+        calls, polish = [], polyfrac._polish_centers
+
+        def record(coeffs, z0, mults):
+            out = polish(coeffs, z0, mults)
+            calls[-1] = (coeffs, z0, mults, out)
+            return out
+
+        monkeypatch.setattr(polyfrac, "_polish_centers", record)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for poly in polys:
+                calls.append(None)
+                roots_with_multiplicity(poly)
+        return calls
+
+    def _assert_within_spacing(self, calls):
+        for coeffs, z0, mults, out in calls:
+            for z, mu, got in zip(z0, mults, out):
+                ref = _mp_polish(coeffs, z, int(mu))
+                assert abs(got - ref) <= np.spacing(abs(ref)), (coeffs, z, mu)
+
+    def test_case_grid(self, monkeypatch):
+        polys = [build_fq(case.params(float(a)), RationalAlpha(a.numerator, a.denominator), q)
+                 for case in CASES.values() for a in ORACLE_ALPHAS for q in (0.0, 1.0)]
+        calls = self._polished(monkeypatch, polys)
+        assert sum(c[1].size for c in calls) >= 1500
+        self._assert_within_spacing(calls)
+
+    def test_multiple_roots(self, monkeypatch):
+        # the IG double root at q0 = 16/27 and a planted triple root
+        polys = [build_fq(ig_params(1.0, 1.0), RationalAlpha(1, 2), 16.0 / 27.0),
+                 npoly.polyfromroots([0.7, 0.7, 0.7, -1.2, 2.5])]
+        calls = self._polished(monkeypatch, polys)
+        assert {2, 3} <= {int(mu) for c in calls for mu in c[2]}
+        self._assert_within_spacing(calls)
+
+    def test_short_long_double_refused(self, monkeypatch):
+        # a long double without x87's 64-bit mantissa would lose digits silently
+        monkeypatch.setattr(polyfrac, "_LONG_DOUBLE_NMANT", 52)
+        with pytest.raises(CapabilityError, match="nmant"):
+            partial_fractions([-1.0, 0.0, 1.0], 0)
+        with pytest.raises(CapabilityError, match="nmant"):
+            scale_function(GtscParams(alpha=0.5, gamma=1.0, c=1.0, kappa=1.0), 0.0, "rational")
 
 
 class TestPartialFractions:

@@ -293,3 +293,13 @@ def test_no_restated_exponent():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and {"scale", "psi"} <= set(_parameters(node)) and node.name != "ruin_probability"]
     assert not both, f"functions taking both scale and psi: {both}"
+
+
+def test_polyfrac_without_mpmath():
+    # root polishing runs as one long-double Newton pass; a scalar 50-digit mpmath loop per
+    # cluster was the slow path it replaced
+    found = [node.lineno for node in ast.walk(TREES["polyfrac.py"])
+             if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "mpmath"
+                                                     for a in node.names)
+             or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath"]
+    assert not found, f"polyfrac imports mpmath at lines {found}"
