@@ -50,17 +50,6 @@ __all__ = [
 ]
 
 
-def classify_integrability(psi: LaplaceExponent, q: float, probe_r: float) -> str:
-    """'lebesgue' when |1/(psi-q)| decays faster than 1/u along the contour."""
-    u1, u2 = 1e3, 1e6
-    f1 = abs(1.0 / (complex(psi.eval(probe_r + 1j * u1)) - q))
-    f2 = abs(1.0 / (complex(psi.eval(probe_r + 1j * u2)) - q))
-    if f2 <= 0 or f1 <= 0:
-        return "lebesgue"
-    p = math.log(f1 / f2) / math.log(u2 / u1)
-    return "lebesgue" if p > 1.05 else "principal-value"
-
-
 def _phi_q(psi: LaplaceExponent, q: float, x: float) -> float:
     """Phi(q), after the preconditions x > 0 and q >= 0 shared by both contours."""
     if x <= 0:
@@ -166,10 +155,9 @@ def _invert_hyperbola(psi, q, x: np.ndarray, sigma: np.ndarray,
         i = int(np.argmax(failed))      # the first row that fails, as one x at a time finds it
         if winding[i] != 0:
             raise InversionError("psi - q has a zero right of the hyperbolic contour; "
-                                 "use the shifted-line contour", best_value=float(value[i]),
-                                 error_estimate=math.inf)
-        raise InversionError("hyperbolic-contour inversion error estimate above tolerance",
-                             best_value=float(value[i]), error_estimate=float(err[i]))
+                                 "use the shifted-line contour")
+        raise InversionError(f"hyperbolic-contour inversion error estimate {err[i]:.3g} above "
+                             f"tolerance at best value {value[i]:.10g}")
     return value, err
 
 
@@ -177,21 +165,20 @@ def _invert_hyperbola(psi, q, x: np.ndarray, sigma: np.ndarray,
 # shifted line with Fourier-weight quadrature
 # ---------------------------------------------------------------------------
 
-def _line_pass(psi, q, x, r, mode) -> tuple[float, float]:
+def _line_pass(psi, q, x, r) -> tuple[float, float]:
     def f_re(u: float) -> float:
         return (1.0 / (complex(psi.eval(r + 1j * u)) - q)).real
 
     def f_im(u: float) -> float:
         return (1.0 / (complex(psi.eval(r + 1j * u)) - q)).imag
 
-    limit_cycles = 600 if mode == "principal-value" else 300
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         vc, ec, *_ = quad(f_re, 0.0, np.inf, weight="cos", wvar=x,
-                          limlst=limit_cycles, limit=400, epsabs=1e-12,
+                          limlst=600, limit=400, epsabs=1e-12,
                           full_output=True)
         vs, es, *_ = quad(f_im, 0.0, np.inf, weight="sin", wvar=x,
-                          limlst=limit_cycles, limit=400, epsabs=1e-12,
+                          limlst=600, limit=400, epsabs=1e-12,
                           full_output=True)
     scale = math.exp(r * x) / math.pi
     return scale * (vc - vs), scale * (abs(ec) + abs(es))
@@ -206,10 +193,9 @@ def _invert_line(psi, q, x, r, phi_q) -> tuple[float, float]:
         cand = phi_q + min(max(margin, 0.01), 1.0)
         if cand < ladder[-1] * (1.0 - 1e-9):
             ladder.append(cand)
-    mode = classify_integrability(psi, q, r)
     results = []
     for ri in ladder:
-        value, err = _line_pass(psi, q, x, ri, mode)
+        value, err = _line_pass(psi, q, x, ri)
         results.append((err, value))
         if err <= 1e-9 * (1.0 + abs(value)):
             break
@@ -220,8 +206,8 @@ def _invert_line(psi, q, x, r, phi_q) -> tuple[float, float]:
     if len(ranked) > 1 and ranked[1][0] <= 1e-3 * (1.0 + abs(ranked[1][1])):
         err = max(err, 0.25 * abs(value - ranked[1][1]))
     if err > 1e-5 * (1.0 + abs(value)):
-        raise InversionError("line-contour inversion error estimate above tolerance",
-                             best_value=value, error_estimate=err)
+        raise InversionError(f"line-contour inversion error estimate {err:.3g} above "
+                             f"tolerance at best value {value:.10g}")
     return value, err
 
 

@@ -25,10 +25,6 @@ class NumericalError(ScalekitError):
 class SaturationError(NumericalError):
     """An intermediate quantity exceeded floating-point range."""
 
-    def __init__(self, msg: str, magnitude: float | None = None):
-        super().__init__(msg)
-        self.magnitude = magnitude
-
 
 class ConditioningError(NumericalError):
     """A linear solve was too ill-conditioned; a tolerance change may help."""
@@ -37,14 +33,8 @@ class ConditioningError(NumericalError):
 class InversionError(NumericalError):
     """Numerical Laplace inversion did not meet its error target.
 
-    Carries the best value obtained so far in ``best_value``.
+    The tolerance messages name the best value and its error estimate.
     """
-
-    def __init__(self, msg: str, best_value: float | None = None,
-                 error_estimate: float | None = None):
-        super().__init__(msg)
-        self.best_value = best_value
-        self.error_estimate = error_estimate
 
 
 class NotApplicableError(ScalekitError):

@@ -490,7 +490,7 @@ def _gamma_ladder(c: float, gamma: float, x: np.ndarray, deriv: bool) -> np.ndar
     out = np.full(x.shape, math.inf if deriv else 0.0)
     t = -np.log(gamma * x[pos])
     if (t < -6.45).any():
-        raise SaturationError("gamma-ladder W needs gamma*x <= e^6.45", float(-t.min()))
+        raise SaturationError(f"gamma-ladder W needs gamma*x <= e^6.45, not e^{-t.min():.4g}")
     v = 1.0 / (10.0 + t)
     row = np.searchsorted(_LADDER_EDGES, v) - 1
     val = np.empty(v.shape)

@@ -86,7 +86,7 @@ class _ComponentSampler:
         self.eps = eps
         if kind == "tempered_power":
             _, c, a, gamma = comp
-            self.c, self.a, self.gamma = c, a, gamma
+            self.a, self.gamma = a, gamma
             if gamma > 0:
                 self.rate = c * gamma ** a * upper_gamma(-a, gamma * eps)
                 self.moment1 = c * gamma ** (a - 1.0) * upper_gamma(1.0 - a, gamma * eps)

@@ -5,9 +5,12 @@ Builds f_q(z) = (z^n - gamma - varphi) * B(z) - q z^{m_-} with
     B(z) = (kappa - zeta*gamma + c*Gamma(-alpha)*gamma^alpha) z^{m_-}
            + zeta z^{n+m_-} - c*Gamma(-alpha) z^{m_+},
 
-finds its roots with multiplicities (companion matrix, array clustering, and
-one multiplicity-aware Newton pass over all cluster centres in complex long
-double) and produces the partial fraction decomposition of z^{m_-} / f_q(z).
+finds its roots with multiplicities (the real companion-matrix eigensolve,
+array clustering, and one multiplicity-aware Newton pass over all cluster
+centres in complex long double) and produces the partial fraction
+decomposition of z^{m_-} / f_q(z).  f_q has real coefficients, and the real
+eigensolver returns each root either with an imaginary part of exactly 0 or
+as one of an exact conjugate pair; clustering and the polish keep both.
 The polish needs the 64-bit mantissa of x87 extended precision,
 np.finfo(np.longdouble).nmant >= 63; on any other host roots_with_multiplicity
 and partial_fractions raise CapabilityError instead of losing digits.
@@ -40,7 +43,6 @@ __all__ = [
 ]
 
 _CLUSTER_TOL = 1e-6     # cluster radius factor: tol = _CLUSTER_TOL * (1 + |r|)
-_REAL_SNAP = 1e-7       # |Im r| below this * (1+|r|) counts as real
 _POLISH_STEP = 1e-12    # a Newton step below this * |r| leaves an error far below long double
 _LONG_DOUBLE_NMANT = np.finfo(np.longdouble).nmant   # 63 for x87 extended precision
 
@@ -145,20 +147,17 @@ def build_fq(params, alpha: RationalAlpha, q: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def roots_with_multiplicity(poly) -> tuple[np.ndarray, np.ndarray]:
-    """All roots of the polynomial, clustered into multiple roots.
+    """All roots of the real polynomial, clustered into multiple roots.
 
     Returns (roots, multiplicities) with the largest real root first.  The
     guaranteed real root must exist; its absence signals invalid parameters.
     Companion-matrix eigenvalue splitting of an exact m-fold root grows like
     eps^(1/m), so the clustering radius is widened automatically until every
-    reported root passes its residual bound.
+    reported root passes its residual bound.  Real roots come back with an
+    imaginary part of exactly 0, complex ones in exact conjugate pairs.
     """
-    coeffs = np.asarray(np.trim_zeros(np.asarray(poly, dtype=complex), "b"))
-    if coeffs.size < 2:
-        raise ParameterError("polynomial degree must be at least 1")
+    coeffs = _real_coeffs(poly)
     raw = npoly.polyroots(coeffs)
-    raw = _newton_sweep(coeffs, raw)
-
     last_err: NumericalError | None = None
     for tol in (_CLUSTER_TOL, 1e-5, 3e-5, 3e-4, 1e-3):
         try:
@@ -168,27 +167,17 @@ def roots_with_multiplicity(poly) -> tuple[np.ndarray, np.ndarray]:
     raise last_err
 
 
-def _newton_sweep(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Vectorized plain-Newton refinement of all raw roots (double precision).
-
-    Updates are only accepted while |f| decreases; near a multiple root the
-    iteration stagnates at the noise floor instead of being kicked away.
-    """
-    der = npoly.polyder(coeffs)
-    z = roots.astype(complex)
-    fz = np.abs(npoly.polyval(z, coeffs))
-    for _ in range(50):
-        fp = npoly.polyval(z, der)
-        fp = np.where(fp == 0, 1.0, fp)
-        step = npoly.polyval(z, coeffs) / fp
-        znew = z - step
-        fnew = np.abs(npoly.polyval(znew, coeffs))
-        improve = fnew <= fz
-        z = np.where(improve, znew, z)
-        fz = np.where(improve, fnew, fz)
-        if np.all(np.abs(step) < 1e-15 * (1.0 + np.abs(z))):
-            break
-    return z
+def _real_coeffs(poly) -> np.ndarray:
+    """Ascending float coefficients, trailing zeros trimmed; a complex dtype must be real."""
+    coeffs = np.asarray(poly)
+    if np.iscomplexobj(coeffs):
+        if (coeffs.imag != 0.0).any():
+            raise ParameterError("polynomial coefficients must be real")
+        coeffs = coeffs.real
+    coeffs = np.trim_zeros(coeffs.astype(float), "b")
+    if coeffs.size < 2:
+        raise ParameterError("polynomial degree must be at least 1")
+    return coeffs
 
 
 def _cluster_and_validate(coeffs: np.ndarray, raw: np.ndarray, tol: float):
@@ -204,9 +193,9 @@ def _cluster_and_validate(coeffs: np.ndarray, raw: np.ndarray, tol: float):
     mults = np.bincount(member)
     centers = (np.bincount(member, raw.real) + 1j * np.bincount(member, raw.imag)) / mults
 
+    # the link graph is closed under conjugation, so a cluster is real or one of a pair;
+    # the polish keeps real centres real and conjugate centres exact conjugates
     roots = _polish_centers(coeffs, centers, mults)
-    snap = np.abs(roots.imag) <= _REAL_SNAP * (1.0 + np.abs(roots))
-    roots = _enforce_conjugacy(np.where(snap, roots.real + 0j, roots), mults)
 
     der = npoly.polyder(coeffs)
     size = np.abs(roots)
@@ -278,27 +267,6 @@ def _polish_centers(coeffs: np.ndarray, z0: np.ndarray, mults: np.ndarray) -> np
     return z.astype(complex)
 
 
-def _enforce_conjugacy(roots: np.ndarray, mults: np.ndarray) -> np.ndarray:
-    """Pair complex roots into exact conjugates (real-coefficient polynomials).
-
-    A complex root and the complex root nearest its conjugate are replaced by
-    their average and its conjugate when each is the other's nearest, their
-    multiplicities agree and they lie within 1e-6*(1+|r|) of the first one.
-    """
-    cplx = np.flatnonzero(roots.imag != 0.0)
-    if cplx.size < 2:
-        return roots
-    rc, own = roots[cplx], np.arange(cplx.size)
-    gap = np.abs(rc - rc[:, None].conj())        # gap[a, b] = |r_b - conj(r_a)|, symmetric
-    np.fill_diagonal(gap, np.inf)
-    best = gap.argmin(axis=1)
-    near = gap[own, best] <= 1e-6 * (1.0 + np.abs(rc))
-    pair = (best[best] == own) & (mults[cplx][best] == mults[cplx]) & near[np.minimum(own, best)]
-    out = roots.copy()
-    out[cplx] = np.where(pair, 0.5 * (rc + rc[best].conj()), rc)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # partial fractions
 # ---------------------------------------------------------------------------
@@ -311,7 +279,7 @@ def partial_fractions(poly, m_minus: int) -> PartialFraction:
     solve on the cluster.  A reconstruction check at 32 sample points guards
     against misclassified clusters.
     """
-    coeffs = np.asarray(np.trim_zeros(np.asarray(poly, dtype=complex), "b"))
+    coeffs = _real_coeffs(poly)
     roots, mults = roots_with_multiplicity(coeffs)
     der = npoly.polyder(coeffs)
 
@@ -320,13 +288,11 @@ def partial_fractions(poly, m_minus: int) -> PartialFraction:
         if mu == 1:
             pf_coeffs[k, 0] = r ** m_minus / npoly.polyval(r, der)
             continue
-        # deflate the cluster and expand locally
-        h = coeffs.copy()
-        for _ in range(mu):
-            h = _divide_once(h, r)[1]       # the remainder is near zero
+        # Taylor coefficients of f_q/(z - r)^mu at r: the first mu of f_q's are near zero
         num_taylor = np.array([math.comb(m_minus, i) * r ** (m_minus - i) if i <= m_minus else 0.0
                                for i in range(mu)], dtype=complex)
-        c = series_product(num_taylor, series_reciprocal(_taylor_coeffs(h, r, mu), mu), mu)
+        local = _taylor_coeffs(coeffs, r, 2 * mu)[mu:]
+        c = series_product(num_taylor, series_reciprocal(local, mu), mu)
         pf_coeffs[k, :mu] = c[::-1]
     for arr in (roots, mults, pf_coeffs):
         arr.flags.writeable = False
@@ -344,28 +310,16 @@ def partial_fractions(poly, m_minus: int) -> PartialFraction:
     return pf
 
 
-def _divide_once(coeffs: np.ndarray, r: complex):
-    """(remainder, quotient) of division by (z - r); ascending coefficients."""
-    d = coeffs.size - 1
-    q = np.zeros(max(d, 0), dtype=complex)
-    if d >= 1:
-        q[d - 1] = coeffs[d]
-        for k in range(d - 1, 0, -1):
-            q[k - 1] = coeffs[k] + r * q[k]
-        rem = coeffs[0] + r * q[0]
-    else:
-        rem = coeffs[0]
-    return rem, q
-
-
 def _taylor_coeffs(coeffs: np.ndarray, r: complex, order: int) -> np.ndarray:
-    """First ``order`` Taylor coefficients of the polynomial at z = r."""
+    """First ``order`` Taylor coefficients of the polynomial at z = r.
+
+    Repeated synthetic division by (z - r) in place: pass i leaves the i-th
+    remainder in work[i] and the quotient above it.
+    """
     work = np.asarray(coeffs, dtype=complex).copy()
     out = np.zeros(order, dtype=complex)
-    for i in range(order):
-        rem, work = _divide_once(work, r)
-        out[i] = rem
-        if work.size == 0:
-            break
+    for i in range(min(order, work.size)):
+        for k in range(work.size - 2, i - 1, -1):
+            work[k] += r * work[k + 1]
+        out[i] = work[i]
     return out
-

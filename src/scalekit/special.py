@@ -346,8 +346,7 @@ def _mp_series(a: float, bp: float, g: int, z: complex) -> complex:
     dps = int(30 + 0.45 * need)
     if dps > 600:
         raise SaturationError(
-            f"Mittag-Leffler argument too large for stable evaluation: |z|^(1/a) = {need:.3g}",
-            magnitude=need)
+            f"Mittag-Leffler argument too large for stable evaluation: |z|^(1/a) = {need:.3g}")
     with mp.workdps(dps):
         zz = mp.mpc(z)
         # the gamma argument must be formed in working precision: double
@@ -411,8 +410,7 @@ def _check_ml_saturation(a: float, z: np.ndarray) -> None:
         re = np.where(np.abs(ang) <= math.pi, np.abs(big) ** (1.0 / a) * np.cos(ang), -np.inf)
         if re.max() > 705.0:
             raise SaturationError(
-                f"Mittag-Leffler overflow: Re(z^(1/a)) = {re.max():.4g} beyond floating range",
-                magnitude=float(re.max()))
+                f"Mittag-Leffler overflow: Re(z^(1/a)) = {re.max():.4g} beyond floating range")
 
 
 def _ml_deriv(a: float, b: float, j: int, z):
@@ -509,7 +507,7 @@ def erfcx_scaled(u):
     right = us.real > 0.0
     ex = np.where(right, us * us, 0.0)
     if ex.real.max(initial=0.0) > 709.0:
-        raise SaturationError("e^{u^2} erfc(-u) overflow", magnitude=float(ex.real.max()))
+        raise SaturationError(f"e^{{u^2}} erfc(-u) overflow at Re u^2 = {ex.real.max():.4g}")
     with np.errstate(over="ignore", invalid="ignore"):     # each side is used where it is finite
         out = np.where(right, 2.0 * np.exp(ex) - sps.wofz(1j * us), sps.wofz(-1j * us))
     return complex(out) if out.ndim == 0 else out
@@ -568,8 +566,8 @@ def fransen_transform(theta: float) -> float:
     from scipy.integrate import quad
 
     if theta < -6.45:
-        raise SaturationError("fransen_transform integrand overflows for theta < -6.45",
-                              magnitude=theta)
+        raise SaturationError(f"fransen_transform integrand overflows at theta = {theta:.4g}, "
+                              f"below -6.45")
 
     def integrand(x: float) -> float:
         if x <= 0.0:

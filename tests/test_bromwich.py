@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from scalekit.bromwich import (_invert_line, classify_integrability, invert, invert_line,
-                               laplace_transform_numeric, verify_laplace_identity)
+from scalekit.bromwich import (_invert_line, invert, invert_line, laplace_transform_numeric,
+                               verify_laplace_identity)
 from scalekit.catalog import build_catalog_entry, w_brownian, w_stable
 from scalekit.cli import CASES
 from scalekit.errors import InversionError, ParameterError
@@ -46,14 +46,6 @@ class TestInvert:
         v1, e1 = _invert_line(psi, 0.5, 2.0, 1.2, phi_q)
         v2, e2 = _invert_line(psi, 0.5, 2.0, 2.2, phi_q)
         assert abs(v1 - v2) <= 5.0 * (e1 + e2) + 1e-9 * abs(v1)
-
-    def test_principal_value_classification(self):
-        # zeta=0, alpha<0: |1/(psi-q)| ~ u^{-(1+alpha)} decays slower than 1/u
-        params = GtscParams(alpha=-0.5, gamma=1.0, c=1.0, kappa=1.0)
-        psi = params.exponent()
-        assert classify_integrability(psi, 0.0, 1.0) == "principal-value"
-        params2 = GtscParams(alpha=0.5, gamma=1.0, c=1.0, zeta=1.0)
-        assert classify_integrability(params2.exponent(), 0.0, 1.0) == "lebesgue"
 
     def test_principal_value_case_inverts(self):
         # alpha = -1/2 ladder: the rational route cross-checks the PV inversion

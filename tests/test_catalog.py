@@ -7,7 +7,7 @@ import pytest
 from scipy import special as sps
 from scipy.integrate import quad
 
-from scalekit.bromwich import invert, verify_laplace_identity
+from scalekit.bromwich import _invert_hyperbola, invert, verify_laplace_identity
 from scalekit.catalog import (CORRECTIONS, build_catalog_entry, catalog_families,
                               w_abate_whitt, w_brownian, w_cramer_lundberg,
                               w_fixed_jumps, w_pssmp, w_stable, w_stable_drift)
@@ -20,9 +20,12 @@ STABLE_DRIFT_AT_1 = 0.57241642384419299559   # 1 - E_{1/2,1}(-1)
 
 class TestBrownian:
     def test_linear_case(self):
-        w = w_brownian(math.sqrt(2.0), 0.0, 0.0)
+        # mu = q = 0: W = 2x/sigma^2 and W' = 2/sigma^2 exactly
+        sigma = math.sqrt(2.0)
+        w = w_brownian(sigma, 0.0, 0.0)
         for x in (0.0, 0.5, 3.0):
             assert w.eval(x) == pytest.approx(x, abs=1e-14)
+            assert w.eval_deriv(x) == 2.0 / (sigma * sigma)
 
     def test_sinh_case_with_inversion_oracle(self):
         w = w_brownian(math.sqrt(2.0), 0.0, 1.0)
@@ -69,6 +72,15 @@ class TestStable:
         assert w.eval(1.0) == pytest.approx(1.5 * E_PRIME_3HALF_AT_1, rel=1e-10)
         got, _ = invert(w.psi, 1.0, 1.0)
         assert got == pytest.approx(w.eval(1.0), rel=1e-8)
+
+    @pytest.mark.parametrize("beta", [1.3, 1.5, 1.8, 2.0])
+    @pytest.mark.parametrize("q", [0.5, 2.0])
+    def test_deriv_against_hyperbola(self, beta, q):
+        # W' at q > 0 carries the E''_{beta,1} term; the hyperbola inverts s/(psi - q)
+        w = w_stable(beta, q)
+        xs = np.array([0.3, 1.0, 2.5, 5.0])
+        ref, _ = _invert_hyperbola(w.psi, q, xs, w.phi_q + 1.0 / xs, True)
+        assert np.allclose(w.eval_deriv(xs), ref, rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("beta", [1.5, 2.0])
     def test_q0_far_x(self, beta):

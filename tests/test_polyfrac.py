@@ -127,11 +127,30 @@ class TestRoots:
             assert res <= 1e-8 * (1.0 + lead * max(1.0, abs(r)) ** deg)
 
     def test_conjugate_closure(self):
-        fq = build_fq(ig_params(1.0, 1.0), RationalAlpha(1, 2), 2.0)
-        roots, _ = roots_with_multiplicity(fq)
-        conj_sorted = sorted(np.conj(roots), key=lambda v: (v.real, v.imag))
-        orig_sorted = sorted(roots, key=lambda v: (v.real, v.imag))
-        assert np.allclose(conj_sorted, orig_sorted)
+        # real coefficients: every complex root has its exact conjugate, of the same
+        # multiplicity, and a real root has an imaginary part of exactly 0
+        polys = [build_fq(ig_params(1.0, 1.0), RationalAlpha(1, 2), q)
+                 for q in (0.3, 16.0 / 27.0, 2.0)]
+        polys += [build_fq(case.params(float(a)), RationalAlpha(a.numerator, a.denominator), q)
+                  for case in CASES.values() for a in ORACLE_ALPHAS for q in (0.0, 1.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for fq in polys:
+                roots, mults = roots_with_multiplicity(fq)
+                assert sorted(zip(roots.real, roots.imag, mults)) \
+                    == sorted(zip(roots.real, -roots.imag, mults))
+                near = np.abs(roots.imag) <= 1e-7 * (1.0 + np.abs(roots))
+                assert (roots.imag[near] == 0.0).all(), roots
+        # the IG cubic above q0: one real root and one conjugate pair
+        roots, _ = roots_with_multiplicity(polys[2])
+        assert (roots.imag == 0.0).sum() == 1 and roots[1] == np.conj(roots[2])
+
+    def test_non_real_coefficient_refused(self):
+        # f_q is real; a complex dtype is accepted only with all imaginary parts zero
+        with pytest.raises(ParameterError, match="real"):
+            roots_with_multiplicity([-1.0, 1e-3j, 1.0])
+        with pytest.raises(ParameterError, match="real"):
+            partial_fractions(np.array([-1.0, 0.0, 1.0 + 1e-300j]), 0)
 
     def test_largest_real_root_warning(self):
         p5 = npoly.polyfromroots([0.5, 2.0 + 1.0j, 2.0 - 1.0j])

@@ -1,5 +1,5 @@
 """Source hygiene of the package: no unused import, no orphaned private name, no dead knob,
-no write-only field, and no shared code between the gamma-ladder route and its oracle.
+no write-only field or attribute, and no shared code between the gamma-ladder route and its oracle.
 
 A stand-in for a linter: each module under src/scalekit is parsed with ``ast``.
 An import counts as used when its name is read in the module or listed in
@@ -9,9 +9,10 @@ used when any module of the package reads it.  A knob -- a defaulted parameter
 or dataclass field -- counts as used when some call in src/, tests/ or
 perfbench/ passes it.  A dataclass field counts as read when some code in
 src/, tests/ or perfbench/ reads an attribute of its name, directly or through
-``getattr``.  A function reaches every module-level function or class method
-whose name it reads, other than the bare names it binds itself, and what those
-reach in turn.
+``getattr``; so does an attribute a method sets as ``self.<name> = ...``.
+A function reaches every module-level function or class method whose name it
+reads, other than the bare names it binds itself, and what those reach in
+turn.
 """
 
 import ast
@@ -180,6 +181,29 @@ def test_no_write_only_field():
     unread = [f"{module}:{line} {cls}.{name}" for module, tree in TREES.items()
               for cls, name, line in _dataclass_fields(tree) if name not in read]
     assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
+def _self_attributes(tree) -> list:
+    """(class, attribute, line) of every ``self.<name> = ...`` in a method of a class."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for func in node.body:
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and func.args.args:
+                me = func.args.args[0].arg
+                out += [(node.name, n.attr, n.lineno) for n in ast.walk(func)
+                        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                        and isinstance(n.value, ast.Name) and n.value.id == me]
+    return out
+
+
+def test_no_write_only_attribute():
+    # the plain-class form of a write-only field: set on the instance, read by nothing
+    read = _attributes_read(CALLERS)
+    unread = sorted({f"{module}:{line} {cls}.{name}" for module, tree in TREES.items()
+                     for cls, name, line in _self_attributes(tree) if name not in read})
+    assert not unread, f"instance attributes nothing reads: {unread}"
 
 
 def _bound_names(func) -> set:
