@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import InversionError, ParameterError, ScalekitError
 from .levy import LaplaceExponent, big_phi
@@ -166,20 +165,17 @@ def _invert_hyperbola(psi, q, x: np.ndarray, sigma: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _line_pass(psi, q, x, r) -> tuple[float, float]:
-    def f_re(u: float) -> float:
-        return (1.0 / (complex(psi.eval(r + 1j * u)) - q)).real
+    from scipy.integrate import IntegrationWarning, quad
 
-    def f_im(u: float) -> float:
-        return (1.0 / (complex(psi.eval(r + 1j * u)) - q)).imag
+    def f(u: float, part: str) -> float:
+        return getattr(1.0 / (complex(psi.eval(r + 1j * u)) - q), part)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        vc, ec, *_ = quad(f_re, 0.0, np.inf, weight="cos", wvar=x,
-                          limlst=600, limit=400, epsabs=1e-12,
-                          full_output=True)
-        vs, es, *_ = quad(f_im, 0.0, np.inf, weight="sin", wvar=x,
-                          limlst=600, limit=400, epsabs=1e-12,
-                          full_output=True)
+        vc, ec, *_ = quad(f, 0.0, np.inf, args=("real",), weight="cos", wvar=x,
+                          limlst=600, limit=400, epsabs=1e-12, full_output=True)
+        vs, es, *_ = quad(f, 0.0, np.inf, args=("imag",), weight="sin", wvar=x,
+                          limlst=600, limit=400, epsabs=1e-12, full_output=True)
     scale = math.exp(r * x) / math.pi
     return scale * (vc - vs), scale * (abs(ec) + abs(es))
 

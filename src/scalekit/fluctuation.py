@@ -8,11 +8,12 @@ global minimizer of W^(q)') with its value function.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .bromwich import gauss_panel
-from .errors import NotApplicableError, ParameterError
+from .errors import NotApplicableError, ParameterError, ScalekitError
 from .levy import LaplaceExponent
 from .scale import ScaleFunction
 
@@ -99,34 +100,79 @@ def z_q(scale: ScaleFunction, x: float) -> float:
 def dividend_barrier(scale: ScaleFunction) -> float:
     """a* = global minimizer of W^(q)' on [0, inf), q > 0.
 
-    Valid for parents whose dual jump density is completely monotone
-    (W^(q)' is then convex, so a bracketed golden-section search suffices).
-    Raises NotApplicableError when W^(q)' is still decreasing at the end of
-    the search grid, x = 1e-3 * 1.6^39.
+    Valid for parents whose dual jump density is completely monotone (W^(q)'
+    is then convex, so Brent's bounded method on a bracket suffices).  The
+    bracket comes from a walk up the grid x = 1e-3 * 1.6^k, k < 40, to the
+    first increase of W^(q)'; NotApplicableError when there is none.
     """
     if scale.q <= 0:
         raise ParameterError("the dividend barrier needs q > 0")
-    d0 = scale.eval_deriv(1e-9)
-    grid = 1e-3 * (1.6 ** np.arange(0, 40))
-    prev_x, prev_d = 1e-9, d0
-    bracket = None
-    for g in grid:
-        d = scale.eval_deriv(float(g))
-        if d > prev_d:
-            bracket = (max(prev_x / 1.6, 0.0), g)
+    xs = np.r_[1e-9, 1e-3 * (1.6 ** np.arange(0, 40))]
+    ds = np.full(xs.size, np.nan)
+    ds[0] = scale.eval_deriv(1e-9)
+    for i in range(1, xs.size, 8):      # eight grid points per W' call
+        at = slice(i, i + 8)
+        try:
+            ds[at] = scale.eval_deriv(xs[at])
+        except ScalekitError:       # raise where the one-point walk would, if it gets there
+            for j, x in enumerate(xs[at], i):
+                ds[j] = scale.eval_deriv(float(x))
+                if ds[j] > ds[j - 1]:
+                    break
+        rise = np.flatnonzero(np.diff(ds[i - 1:i + 8]) > 0.0)
+        if rise.size:
+            up = i + int(rise[0])
             break
-        prev_x, prev_d = g, d
-    if bracket is None:
+    else:
         raise NotApplicableError(
-            f"W^(q)' is still decreasing at x = {grid[-1]:.4g}: no minimizer on the search grid")
-    lo, hi = bracket
-    if hi <= 2e-3 and scale.eval_deriv(1e-9) <= scale.eval_deriv(2e-3):
+            f"W^(q)' is still decreasing at x = {xs[-1]:.4g}: no minimizer on the search grid")
+    lo, hi = max(xs[up - 1] / 1.6, 0.0), float(xs[up])
+    if hi <= 2e-3 and ds[0] <= scale.eval_deriv(2e-3):
         # increasing from the start: minimizer at the origin
         return 0.0
-    res = minimize_scalar(lambda y: scale.eval_deriv(float(y)),
-                          bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-8})
-    return float(res.x)
+    return _bounded_minimum(lambda y: scale.eval_deriv(float(y)), lo, hi)
+
+
+def _bounded_minimum(f, a: float, b: float) -> float:
+    """Minimizer of f on [a, b] by Brent's bounded method (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 5), step for step scipy's minimize_scalar
+    (method="bounded") at xatol = 1e-8 and 500 evaluations, so the same double comes out."""
+    sqrt_eps, golden_mean, xatol = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0)), 1e-8
+    nfc = xf = fulc = a + golden_mean * (b - a)
+    ffulc = fnfc = fx = f(xf)
+    rat = e = 0.0
+    num = 1
+    while True:
+        xm, tol1 = 0.5 * (a + b), sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(xf - xm) <= tol2 - 0.5 * (b - a) or num >= 500:
+            return float(xf)
+        golden = True
+        if abs(e) > tol1:           # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p, q, r, e = (-p if q > 0.0 else p), abs(q), e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden, rat = False, p / q
+                if xf + rat - a < tol2 or b - (xf + rat) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (max(abs(rat), tol1) if rat >= 0.0 else -max(abs(rat), tol1))
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
 
 
 def dividend_value(scale: ScaleFunction, a: float, x: float) -> float:

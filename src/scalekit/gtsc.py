@@ -35,7 +35,6 @@ from typing import Optional
 
 import numpy as np
 from scipy import special as sps
-from scipy.integrate import quad
 
 from .bromwich import _invert_hyperbola
 from .errors import (CapabilityError, NotApplicableError, NumericalError, ParameterError,
@@ -43,7 +42,7 @@ from .errors import (CapabilityError, NotApplicableError, NumericalError, Parame
 from .levy import LadderParams, LaplaceExponent, big_phi, parent_exponent
 from .polyfrac import RationalAlpha, build_fq, partial_fractions, roots_with_multiplicity
 from .scale import ScaleFunction
-from .special import (erfcx_scaled, fransen_transform, mittag_leffler,
+from .special import (_gauss_kronrod, erfcx_scaled, fransen_transform, mittag_leffler,
                       mittag_leffler_deriv, reg_lower_gamma, series_reciprocal, upper_gamma)
 
 __all__ = [
@@ -292,19 +291,6 @@ def _inverse_expansion(fq: np.ndarray, m_minus: int, nterms: int) -> np.ndarray:
 # closed forms for q=0, zeta=0, alpha in (-1,1)\{0}
 # ---------------------------------------------------------------------------
 
-# Gauss-Kronrod 10/21-point pair on [-1, 1] (QUADPACK qk21): the Gauss points interlaced
-# with eleven more, and the Kronrod weights from the ends to the centre
-_G_X, _G_W = np.polynomial.legendre.leggauss(10)
-_K_X = np.array([0.99565716302580808, 0.93015749135570823, 0.78081772658641690,
-                 0.56275713466860468, 0.29439286270146020, 0.0])
-_GK_X = np.sort(np.r_[_G_X, _K_X, -_K_X[:-1]])
-_K_W = np.array([0.011694638867371874, 0.032558162307964727, 0.054755896574351996,
-                 0.075039674810919953, 0.093125454583697606, 0.10938715880229764,
-                 0.12349197626206585, 0.13470921731147333, 0.14277593857706008,
-                 0.14773910490133849, 0.14944555400291691])
-_GK_W = np.r_[_K_W, _K_W[-2::-1]]
-
-
 def _closed_panels(abar: float, lam: float, rate: float, x: float) -> np.ndarray:
     """Edges in s on [0, 1]: graded in y = x s^{1/abar} (ratio 0.35) down to y_lo, where rate*y
     and |lam| y^abar are small, then in s (five levels of 0.2), plus s* = 5/(|lam| x^abar)."""
@@ -331,14 +317,14 @@ def _closed_pass(params: GtscParams, x: np.ndarray, deriv: bool) -> np.ndarray:
         edges = [_closed_panels(abar, lam, g + varphi, xi) for xi in xp]
         lo, hi = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
         counts = [e.size - 1 for e in edges]
-        half = 0.5 * (hi - lo)
-        s = 0.5 * (hi + lo)[:, None] + half[:, None] * _GK_X
-        y = np.repeat(xp, counts)[:, None] * s ** (1.0 / abar)
-        f = np.exp(-(g + varphi) * y) * mittag_leffler(abar, abar, lam * y ** abar).real
-        # weights applied row by row, not by a BLAS product, so no x depends on the others
-        kron, gauss = half * (f * _GK_W).sum(axis=1), half * (f[:, 1::2] * _G_W).sum(axis=1)
+
+        def f(s: np.ndarray) -> np.ndarray:
+            y = np.repeat(xp, counts)[:, None] * s ** (1.0 / abar)
+            return np.exp(-(g + varphi) * y) * mittag_leffler(abar, abar, lam * y ** abar).real
+
+        kron, err = _gauss_kronrod(f, lo, hi)
         starts = np.cumsum(counts) - counts
-        val, est = xp ** abar / abar * np.add.reduceat(np.c_[kron, abs(kron - gauss)], starts).T
+        val, est = xp ** abar / abar * np.add.reduceat(np.c_[kron, err], starts).T
         if (est > 1e-9 * (1.0 + np.abs(val))).any():
             raise NumericalError(f"closed-form quadrature error estimate {est.max():.2g} too large")
         w[x > 0.0] = np.exp(varphi * xp) * (base + pref * val)
@@ -512,6 +498,8 @@ def w_gamma_case(c: float, gamma: float) -> ScaleFunction:
 
 def w_gamma_case_dual(c: float, gamma: float, x: float) -> float:
     """Oracle route: W(x) = int_0^inf P(c t, gamma x) dt by direct quadrature."""
+    from scipy.integrate import quad
+
     if x <= 0.0:
         return 0.0
     z = gamma * x

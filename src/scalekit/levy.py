@@ -23,8 +23,6 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import NumericalError, ParameterError
 
@@ -161,8 +159,47 @@ def big_phi(psi: LaplaceExponent, q: float) -> float:
         hi *= 2.0
     else:
         raise NumericalError("big_phi: could not bracket the root (malformed exponent?)")
-    root = brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=300)
-    return float(root)
+    return _brentq(f, lo, hi)
+
+
+def _brentq(f, xpre: float, xcur: float) -> float:
+    """Root of f between xpre and xcur, where f changes sign, by Brent's method (R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4), step for step the C loop of
+    scipy's brentq at xtol = 1e-300, rtol = 4 eps and 300 iterations: the same double comes out."""
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NumericalError("big_phi: psi - q does not change sign on the bracket")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(300):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (1e-300 + 4.0 * np.finfo(float).eps * abs(xcur)) / 2     # xtol, rtol
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise NumericalError(f"big_phi: Brent's method did not converge, last iterate {xcur!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +253,8 @@ def _triple_location(pi_tail, pi_density, sigma, kappa, varphi) -> float:
     """The location parameter a of the Levy-Khintchine form (truncation at 1)."""
     # int_{(-inf,-1)} x Pi(dx) = -int_1^inf u pi(u) du = -(Pi(-inf,-1) + int_1^inf pi_tail)
     # by parts: int_1^inf u pi(u) du = pi_tail(1) + int_1^inf pi_tail(u) du
+    from scipy.integrate import quad
+
     if varphi == 0:
         tail_int, _ = quad(pi_tail, 1.0, np.inf, limit=200)
         return -(pi_tail(1.0) + tail_int) - kappa
@@ -259,6 +298,8 @@ def levy_khintchine_exponent(triple: LevyTriple, theta: float) -> float:
     Splits at |x| = 1 and compensates the integrand near zero, matching the
     truncation convention of the Levy-Khintchine form used throughout.
     """
+    from scipy.integrate import quad
+
     if triple.pi_density is None:
         raise ParameterError("levy_khintchine_exponent needs a jump density")
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sps
-from scipy.integrate import quad
 
 from .errors import NotApplicableError, NumericalError, ParameterError
 from .levy import LevyTriple
@@ -258,6 +257,8 @@ class _Exits:
 
 def _mean_of_triple(triple: LevyTriple) -> float:
     """E X_1 = -a + int_{(-inf,-1)} x Pi(dx) (Levy-Khintchine location)."""
+    from scipy.integrate import quad
+
     tail_int, _ = quad(triple.pi_tail, 1.0, np.inf, limit=200)
     return -triple.a - (triple.pi_tail(1.0) + tail_int)
 

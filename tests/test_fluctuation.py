@@ -166,3 +166,70 @@ class TestDividends:
         w = w_brownian(1.0, 0.0, 0.0)
         with pytest.raises(ParameterError):
             dividend_barrier(w)
+
+def _scalar_walk_barrier(scale):
+    """The barrier as a one-point grid walk and scipy's bounded minimize_scalar."""
+    from scipy.optimize import minimize_scalar
+
+    d0 = scale.eval_deriv(1e-9)
+    grid = 1e-3 * (1.6 ** np.arange(0, 40))
+    prev_x, prev_d = 1e-9, d0
+    for g in grid:
+        d = scale.eval_deriv(float(g))
+        if d > prev_d:
+            lo, hi = max(prev_x / 1.6, 0.0), g
+            break
+        prev_x, prev_d = g, d
+    else:
+        raise NotApplicableError("no minimizer on the search grid")
+    if hi <= 2e-3 and d0 <= scale.eval_deriv(2e-3):
+        return 0.0
+    return float(minimize_scalar(lambda y: scale.eval_deriv(float(y)), bounds=(lo, hi),
+                                 method="bounded", options={"xatol": 1e-8}).x)
+
+
+class TestBarrierParity:
+    # a* from the block walk and the in-module bounded Brent loop is the double the
+    # one-point walk and scipy's minimize_scalar(method="bounded") give
+    def test_tabulate_configs(self):
+        from scalekit.cli import CASES
+
+        for label, case in CASES.items():
+            for num, den in ((1, 4), (1, 3), (1, 2), (2, 3), (3, 4)):
+                w = w_rational(case.params(num / den), RationalAlpha(num, den), 1.0)
+                assert dividend_barrier(w) == _scalar_walk_barrier(w), (label, num, den)
+
+    def test_fluctuation_cases(self):
+        params = GtscParams(alpha=0.5, gamma=1.0, c=1.0, kappa=1.0, zeta=1.0)
+        for w in (w_brownian(math.sqrt(2.0), 0.0, 1.0), w_rational(params, RationalAlpha(1, 2), 1.0),
+                  w_ig(1.0, 1.0, 1.0), w_ig(0.5, 2.0, 0.3)):
+            assert dividend_barrier(w) == _scalar_walk_barrier(w)
+
+    def test_bounded_minimum_on_wavy_functions(self):
+        # many local minima exercise every branch of the parabolic and golden steps
+        from scipy.optimize import minimize_scalar
+
+        from scalekit.fluctuation import _bounded_minimum
+
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            k, c, s, lo = rng.uniform(0.5, 30.0), rng.normal(), rng.uniform(0.0, 3.0), rng.uniform(-2, 1)
+            hi = lo + rng.uniform(1e-6, 5.0)
+
+            def f(x):
+                return math.sin(k * x) + c * x * x + s * abs(x - 0.3)
+
+            ref = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-8}).x
+            assert _bounded_minimum(f, lo, hi) == float(ref)
+
+    def test_saturating_block_walked_point_by_point(self):
+        # W' rises at x = 1e-3 * 1.6^3 and is infinite from 1.6^5 on: the block of the first
+        # eight grid points saturates, yet the bracket ends before the one-point walk gets there
+        def dw(x):
+            with np.errstate(over="ignore"):
+                return np.where(x < 1e-3 * 1.6 ** 4.5, (x - 1e-3 * 1.6 ** 2.2) ** 2, np.inf)
+
+        w = ScaleFunction(q=1.0, phi_q=0.0, route="stub", w=lambda x: x, dw=dw,
+                          psi=w_brownian(1.0, 0.0).psi)
+        assert dividend_barrier(w) == _scalar_walk_barrier(w)
+        assert dividend_barrier(w) == pytest.approx(1e-3 * 1.6 ** 2.2, rel=1e-4)

@@ -319,7 +319,7 @@ class TestClosedFormPanels:
             assert abs(g - oracle) <= 1e-9 * abs(oracle), ("quad", x)
 
     def test_gauss_kronrod_pair_exact(self):
-        from scalekit.gtsc import _G_W, _GK_W, _GK_X
+        from scalekit.special import _G_W, _GK_W, _GK_X
 
         for d in range(32):
             exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0

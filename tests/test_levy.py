@@ -6,7 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from scalekit.errors import ParameterError
+from scalekit import cli, levy
+from scalekit.catalog import build_catalog_entry, catalog_families
+from scalekit.errors import NumericalError, ParameterError
 from scalekit.gtsc import GtscParams
 from scalekit.levy import (LaplaceExponent, PathVariation, big_phi, build_parent,
                            classify_variation, levy_khintchine_exponent)
@@ -61,6 +63,53 @@ class TestBigPhi:
         for varphi in (0.0, 1.0):
             params = GtscParams(alpha=0.5, gamma=1.0, c=1.0, varphi=varphi)
             assert abs(complex(params.exponent().eval(0.0))) <= 1e-15
+
+
+def _scipy_brentq(f, lo, hi):
+    from scipy.optimize import brentq
+
+    return brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=300)
+
+
+class TestBigPhiParity:
+    # Phi(q) from the in-module Brent loop is the double scipy's brentq gives on the same bracket
+    QS = (0.0, 1e-3, 0.1, 0.5, 1.0, 3.0, 10.0)
+
+    def _pairs(self, monkeypatch, exponents):
+        own = [big_phi(psi, q) for psi in exponents for q in self.QS]
+        monkeypatch.setattr(levy, "_brentq", _scipy_brentq)
+        return own, [big_phi(psi, q) for psi in exponents for q in self.QS]
+
+    def test_case_grid(self, monkeypatch):
+        alphas = (-0.9, -3 / 4, -2 / 3, -1 / 2, -1 / 3, -1 / 4, 1 / 4, 1 / 3, 1 / 2, 2 / 3, 3 / 4)
+        exponents = [GtscParams(alpha=a, gamma=g, c=c, kappa=case.kappa, varphi=case.varphi,
+                                zeta=case.zeta).exponent()
+                     for case in cli.CASES.values() for a in alphas
+                     for g, c in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.5))]
+        own, ref = self._pairs(monkeypatch, exponents)
+        assert len(own) == 1386
+        assert own == ref
+
+    def test_catalog_exponents(self, monkeypatch):
+        own, ref = self._pairs(monkeypatch, [build_catalog_entry(f).scale.psi
+                                             for f in catalog_families()])
+        assert own == ref
+
+    def test_random_brackets(self):
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            a, b, r = rng.normal(), rng.normal(), rng.uniform(0.01, 10.0)
+
+            def f(x):
+                return math.exp(a * x) * (x - r) + b * (x - r) ** 3
+
+            if (f(0.0) < 0.0) == (f(20.0) < 0.0):
+                continue
+            assert levy._brentq(f, 0.0, 20.0) == _scipy_brentq(f, 0.0, 20.0)
+
+    def test_sign_change_required(self):
+        with pytest.raises(NumericalError):
+            levy._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 class TestMeanDrift:

@@ -16,6 +16,9 @@ turn.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -259,8 +262,9 @@ def _names(reached: set) -> set:
 
 
 def test_gamma_oracle_independent():
-    # the dual route checks the interpolated one; sharing F would make them agree by construction
-    shared = {"_ladder_table", "fransen_transform"}
+    # the dual route checks the interpolated one; sharing F, or the Gauss-Kronrod rule that
+    # integrates F, would make them agree by construction
+    shared = {"_ladder_table", "fransen_transform", "_gauss_kronrod"}
     assert shared <= _names(_reach("w_gamma_case"))
     reached = _names(_reach("w_gamma_case_dual"))
     assert "reg_lower_gamma" in reached
@@ -327,3 +331,38 @@ def test_polyfrac_without_mpmath():
                                                      for a in node.names)
              or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath"]
     assert not found, f"polyfrac imports mpmath at lines {found}"
+
+
+def test_no_scipy_optimize():
+    # Phi(q) and a* come from in-module Brent loops; scipy.optimize costs every process its import
+    found = [f"{module}:{node.lineno}" for module, tree in TREES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Import) and any(a.name.startswith("scipy.optimize")
+                                                     for a in node.names)
+             or isinstance(node, ast.ImportFrom) and ((node.module or "").startswith(
+                 "scipy.optimize") or node.module == "scipy"
+                 and any(a.name == "optimize" for a in node.names))]
+    assert not found, f"scipy.optimize imported at {found}"
+
+
+_SOLVER_MODULES = """
+import sys
+from scalekit import cli, fluctuation, gtsc, levy, polyfrac, special
+def loaded(stage):
+    mods = sorted(m for m in sys.modules if m.split(".")[:2] in (["scipy", "optimize"],
+                                                                 ["scipy", "integrate"]))
+    print(stage, mods)
+loaded("import")
+scale = gtsc.w_rational(cli.CASES["E"].params(0.5), polyfrac.RationalAlpha(1, 2), 1.0)
+fluctuation.dividend_barrier(scale)
+special.fransen_transform(-3.0)
+gtsc.w_gamma_case(1.0, 1.0).eval(2.0)
+loaded("work")
+"""
+
+
+def test_cli_import_and_solvers_skip_scipy_optimize_and_integrate():
+    # the import, Phi(q), the barrier and the reciprocal-gamma transform load neither module;
+    # Monte Carlo set-up, the line contour and the quadrature oracles import quad themselves
+    out = subprocess.run([sys.executable, "-c", _SOLVER_MODULES], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True).stdout
+    assert out.split("\n")[:2] == ["import []", "work []"], out

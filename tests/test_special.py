@@ -447,6 +447,34 @@ class TestFransenTransform:
     def test_saturation_guard(self):
         with pytest.raises(SaturationError):
             fransen_transform(-7.0)
+        with pytest.raises(SaturationError):
+            fransen_transform(-6.4501)
+        assert math.isfinite(fransen_transform(-6.45))
+
+    def test_against_adaptive_quad(self):
+        # the array-pass Gauss-Kronrod bisection against QUADPACK on the same knot panels
+        from scipy.integrate import quad
+
+        def by_quad(theta):
+            def integrand(x):
+                e = -theta * x - sps.gammaln(x)
+                return math.exp(e) if x > 0.0 and e > -745.0 else 0.0
+
+            if theta >= 0:
+                knots = [0.0, 0.5, 1.5, 3.0, 8.0, 20.0, 60.0, 171.0]
+            else:
+                peak = math.exp(-theta)
+                half = 30.0 * math.sqrt(peak) + 50.0
+                knots = sorted({0.0, 0.5, 1.5, 3.0, 8.0, 20.0, max(20.0, peak - half), peak,
+                                peak + half})
+            scale = max(integrand(x) for x in [0.5, 1.5, 2.5] + knots[1:])
+            return sum(quad(integrand, lo, hi, limit=200, epsabs=scale * 1e-12,
+                            epsrel=1e-12)[0] for lo, hi in zip(knots[:-1], knots[1:]) if hi > lo)
+
+        thetas = np.r_[np.linspace(-6.45, 0.0, 60), np.geomspace(1e-3, 1000.0, 60)]
+        for theta in thetas:
+            ref = by_quad(float(theta))
+            assert abs(fransen_transform(float(theta)) - ref) <= 1e-12 * ref, theta
 
     def test_gamma_ladder_interpolant(self):
         # the alpha = 0 route interpolates h(t) = e^{-e^{-t}} F(t) once per process;
