@@ -67,10 +67,10 @@ class CatalogEntry:
 
 def w_brownian(sigma: float, mu: float, q: float = 0.0) -> ScaleFunction:
     """W^(q) for psi(theta) = sigma^2 theta^2 / 2 + mu theta."""
-    if sigma <= 0:
+    if not sigma > 0:
         raise ParameterError("sigma must be positive")
-    if q < 0:
-        raise ParameterError("q must be nonnegative")
+    if not 0.0 <= q < math.inf:
+        raise ParameterError(f"q must be finite and nonnegative, got {q}")
     s2 = sigma * sigma
     disc = mu * mu + 2.0 * q * s2
     rt = math.sqrt(disc)
@@ -110,8 +110,8 @@ def w_stable(beta: float, q: float = 0.0) -> ScaleFunction:
     """
     if not 1.0 < beta <= 2.0:
         raise ParameterError("stable index beta must lie in (1, 2]")
-    if q < 0:
-        raise ParameterError("q must be nonnegative")
+    if not 0.0 <= q < math.inf:
+        raise ParameterError(f"q must be finite and nonnegative, got {q}")
 
     def arg(x: np.ndarray) -> np.ndarray:
         # exactly 0 at q = 0, also where x^beta overflows
@@ -145,7 +145,7 @@ def w_stable_drift(beta: float, c: float) -> ScaleFunction:
     """
     if not 1.0 < beta < 2.0:
         raise ParameterError("stable index beta must lie in (1, 2)")
-    if c <= 0:
+    if not c > 0:
         raise ParameterError("drift c must be positive")
     bm1 = beta - 1.0
 
@@ -175,7 +175,7 @@ def w_cramer_lundberg(ccoef: float, lam: float, mu: float) -> ScaleFunction:
     Requires positive net drift c - lambda/mu > 0.  W(0+) = 1/c and
     W(inf) = 1/(c - lambda/mu).
     """
-    if ccoef <= 0 or lam <= 0 or mu <= 0:
+    if not (ccoef > 0 and lam > 0 and mu > 0):
         raise ParameterError("ccoef, lambda, mu must be positive")
     if ccoef - lam / mu <= 0:
         raise ParameterError("net drift must be positive: ccoef - lambda/mu > 0")
@@ -212,7 +212,7 @@ def w_fixed_jumps(ccoef: float, lam: float, jump: float) -> ScaleFunction:
     k = 1 the first complex pair.  Where that pair weighs below 1e-16 W(inf), the alternating
     sum gives way to the two-pole tail W = 1/psi'(0+) + e^{theta2 x}/psi'(theta2).
     """
-    if ccoef <= 0 or lam < 0 or jump <= 0:
+    if not (ccoef > 0 and lam >= 0 and jump > 0):
         raise ParameterError("ccoef, jump must be positive and lambda nonnegative")
     if ccoef - lam * jump <= 0:
         raise ParameterError("net drift must be positive: ccoef - lambda*jump > 0")
@@ -282,7 +282,7 @@ def w_abate_whitt(lam: float, mu: float) -> ScaleFunction:
     with eta(x) = e^x erfc(sqrt(x)), and W' in closed form, W'(0) = lambda.
     Coalescing nu1 = nu2 is handled by the limit formula.
     """
-    if lam <= 0 or mu <= 0:
+    if not (lam > 0 and mu > 0):
         raise ParameterError("lambda and mu must be positive")
     rho = lam / mu
     if rho >= 1.0:
@@ -425,8 +425,8 @@ _BUILDERS: dict[str, Callable[..., ScaleFunction]] = {
     "cramer_lundberg": w_cramer_lundberg,
     "fixed_jumps": w_fixed_jumps,
     "abate_whitt": w_abate_whitt,
-    "pssmp_drift_down": lambda beta, conditioned=False: w_pssmp(beta, conditioned),
-    "pssmp_conditioned": lambda beta, conditioned=True: w_pssmp(beta, conditioned),
+    "pssmp_drift_down": w_pssmp,
+    "pssmp_conditioned": w_pssmp,
 }
 
 
@@ -446,4 +446,6 @@ def build_catalog_entry(family: str, **overrides) -> CatalogEntry:
                              f"choose from {', '.join(catalog_families())}")
     params = dict(_DEFAULTS[family])
     params.update(overrides)
+    if not all(map(math.isfinite, params.values())):
+        raise ParameterError(f"catalog parameters must be finite, got {params}")
     return CatalogEntry(params=params, scale=_BUILDERS[family](**params))

@@ -20,6 +20,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -99,11 +100,16 @@ def _build_model(args) -> tuple[ScaleFunction, dict]:
 # eval
 # ---------------------------------------------------------------------------
 
+def _grid(x_min: float, x_max: float, points: int) -> np.ndarray:
+    if points < 0:
+        raise ParameterError(f"--points must be nonnegative, got {points}")
+    return np.linspace(x_min, x_max, points)
+
+
 def cmd_eval(args) -> int:
     scale, _ = _build_model(args)
-    xs = np.linspace(args.x_min, args.x_max, args.points)
-    out = args.output or sys.stdout
-    print("x,W,Wprime,route,q", file=out)
+    xs = _grid(args.x_min, args.x_max, args.points)
+    print("x,W,Wprime,route,q")
     ws = scale.eval(xs)
     try:
         wps = scale.eval_deriv(xs)
@@ -113,7 +119,7 @@ def cmd_eval(args) -> int:
             with contextlib.suppress(ScalekitError):
                 wps[i] = scale.eval_deriv(float(x))
     for x, w, wp in zip(xs, ws, wps):
-        print(f"{x:.12g},{w:.12g},{wp:.12g},{scale.route},{scale.q:.12g}", file=out)
+        print(f"{x:.12g},{w:.12g},{wp:.12g},{scale.route},{scale.q:.12g}")
     return 0
 
 
@@ -125,7 +131,7 @@ def cmd_figures(args) -> int:
     alphas = [_parse_fraction(tok) for tok in args.alphas.split(",") if tok]
     q = float(args.q)
     os.makedirs(args.out, exist_ok=True)
-    xs = np.linspace(0.0, args.x_max, args.points)
+    xs = _grid(0.0, args.x_max, args.points)
     for label, case in CASES.items():
         path = os.path.join(args.out, f"case_{label}_q{args.q}.csv")
         with open(path, "w", newline="\n") as fh:
@@ -221,8 +227,8 @@ def cmd_verify(args) -> int:
 
     report = {"suite": args.suite, "model": args.model,
               "checks": checks, "pass": all(c["pass"] for c in checks)}
-    json.dump(report, args.output or sys.stdout, indent=2)
-    print(file=args.output or sys.stdout)
+    json.dump(report, sys.stdout, indent=2)
+    print()
     return 0 if report["pass"] else 1
 
 
@@ -232,34 +238,32 @@ def cmd_verify(args) -> int:
 
 def cmd_apps(args) -> int:
     scale, _ = _build_model(args)
-    out = args.output or sys.stdout
     compute = args.compute
     if compute == "exit":
         if args.a is None:
             raise ParameterError("--a is required for the exit computation")
         p = two_sided_exit(scale, args.x, args.a)
-        json.dump({"compute": "exit", "x": args.x, "a": args.a, "q": args.q,
-                   "probability": p}, out)
+        report = {"compute": "exit", "x": args.x, "a": args.a, "q": args.q, "probability": p}
     elif compute == "ruin":
         val = ruin_probability(scale, scale.psi, args.x)
-        json.dump({"compute": "ruin", "x": args.x, "probability": val}, out)
+        report = {"compute": "ruin", "x": args.x, "probability": val}
     elif compute == "workload":
         cdf = mpi1_workload(scale)
-        json.dump({"compute": "workload", "x": args.x, "cdf": cdf(args.x)}, out)
+        report = {"compute": "workload", "x": args.x, "cdf": cdf(args.x)}
     elif compute == "zq":
-        json.dump({"compute": "zq", "x": args.x, "q": args.q,
-                   "Z": z_q(scale, args.x)}, out)
+        report = {"compute": "zq", "x": args.x, "q": args.q, "Z": z_q(scale, args.x)}
     elif compute == "barrier":
         a_star = dividend_barrier(scale)
-        json.dump({"compute": "barrier", "a_star": a_star,
-                   "Wq_prime_at_a_star": scale.eval_deriv(a_star)}, out)
+        report = {"compute": "barrier", "a_star": a_star,
+                  "Wq_prime_at_a_star": scale.eval_deriv(a_star)}
     elif compute == "value":
         a = args.a if args.a is not None else dividend_barrier(scale)
-        json.dump({"compute": "value", "a": a, "x": args.x,
-                   "value": dividend_value(scale, a, args.x)}, out)
+        report = {"compute": "value", "a": a, "x": args.x,
+                  "value": dividend_value(scale, a, args.x)}
     else:
         raise ParameterError(f"unknown computation '{compute}'")
-    print(file=out)
+    json.dump(report, sys.stdout)
+    print()
     return 0
 
 
@@ -288,7 +292,9 @@ def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--jump", type=float, default=None)
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change it."""
     ap = argparse.ArgumentParser(prog="scalekit",
                                  description="scale functions of spectrally negative "
                                              "Levy processes")
@@ -299,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-min", type=float, default=0.0)
     p.add_argument("--x-max", type=float, default=5.0)
     p.add_argument("--points", type=int, default=101)
-    p.set_defaults(func=cmd_eval, output=None)
+    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("figures", help="six-case scale-function grid as CSV files")
     p.add_argument("--q", choices=["0", "1"], default="0")
@@ -307,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--x-max", type=float, default=5.0)
     p.add_argument("--points", type=int, default=501)
-    p.set_defaults(func=cmd_figures, output=None)
+    p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser("verify", help="verification suites with a JSON report")
     _add_model_args(p)
@@ -317,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=20_240_901)
     p.add_argument("--a", type=float, default=2.0)
-    p.set_defaults(func=cmd_verify, output=None)
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("apps", help="applied quantities")
     _add_model_args(p)
@@ -326,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, default=1.0)
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--case", default=None, help="use a reference case label A-F")
-    p.set_defaults(func=cmd_apps, output=None)
+    p.set_defaults(func=cmd_apps)
 
     return ap
 

@@ -12,10 +12,10 @@ import math
 
 import numpy as np
 
-from .bromwich import gauss_panel
 from .errors import NotApplicableError, ParameterError, ScalekitError
 from .levy import LaplaceExponent
 from .scale import ScaleFunction
+from .special import _gauss_kronrod
 
 __all__ = [
     "two_sided_exit",
@@ -78,19 +78,18 @@ def mpi1_workload(scale: ScaleFunction):
 # ---------------------------------------------------------------------------
 
 def z_q(scale: ScaleFunction, x: float) -> float:
-    """Z^(q)(x) = 1 + q int_0^x W^(q)(y) dy."""
+    """Z^(q)(x) = 1 + q int_0^x W^(q)(y) dy, by one W call on the Gauss-Kronrod nodes of
+    panels graded toward 0, which cope with the x^{alpha}-type derivative blow-up there."""
+    if not x < math.inf:
+        raise ParameterError(f"x must be a finite number, got {x}")
     if x <= 0 or scale.q == 0.0:
         return 1.0
-    # graded panels cope with the x^{alpha}-type derivative blow-up at zero
-    edges = [0.0]
-    e = min(1e-6, x / 4.0)
-    while e < x:
-        edges.append(e)
-        e *= 2.0
-    edges.append(x)
-    total = sum(gauss_panel(scale.eval, lo, hi)
-                for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo)
-    return 1.0 + scale.q * total
+    edges = [0.0, min(1e-6, x / 4.0)]
+    while edges[-1] < x:
+        edges.append(2.0 * edges[-1])
+    edges[-1] = x
+    kron, _ = _gauss_kronrod(scale.eval, np.array(edges[:-1]), np.array(edges[1:]))
+    return 1.0 + scale.q * float(kron.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +179,6 @@ def dividend_value(scale: ScaleFunction, a: float, x: float) -> float:
     wpa = scale.eval_deriv(a)
     if not wpa > 0:
         raise ParameterError("W^(q)'(a) must be positive")
-    if x <= a:
+    if not x > a:      # a NaN x goes to eval, which raises ParameterError
         return scale.eval(x) / wpa
     return x - a + scale.eval(a) / wpa

@@ -73,6 +73,8 @@ class GtscParams:
     varphi: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ParameterError(f"GTSC parameters must be finite, got {self}")
         if self.kappa > 0 and self.varphi > 0:
             raise ParameterError("kappa*varphi must be 0")
         if self.kappa < 0 or self.varphi < 0 or self.zeta < 0:
@@ -178,8 +180,8 @@ def w_rational(params: GtscParams, alpha: Optional[RationalAlpha] = None,
         raise CapabilityError(
             "denominator n > 12 is numerically fragile in the rational route; "
             "use the bromwich route instead")
-    if q < 0:
-        raise ParameterError("q must be nonnegative")
+    if not 0.0 <= q < math.inf:
+        raise ParameterError(f"q must be finite and nonnegative, got {q}")
     n = alpha.n
     gamma = params.gamma
     fq = build_fq(params, alpha, q)
@@ -367,10 +369,10 @@ def w_ig(delta: float, gamma: float, q: float = 0.0) -> ScaleFunction:
     1e-9 relative) uses the double-root branch.  W' is in closed form on
     every branch, with W'(0+) = inf.
     """
-    if delta <= 0 or gamma <= 0:
+    if not (delta > 0 and gamma > 0):
         raise ParameterError("delta and gamma must be positive")
-    if q < 0:
-        raise ParameterError("q must be nonnegative")
+    if not 0.0 <= q < math.inf:
+        raise ParameterError(f"q must be finite and nonnegative, got {q}")
     params = ig_params(delta, gamma)
     psi = params.exponent()
     q0 = ig_q0_threshold(delta, gamma)

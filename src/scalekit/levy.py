@@ -53,9 +53,6 @@ class LaplaceExponent:
     deriv: Callable[[float], float]
     drift_at_zero: float
 
-    def __call__(self, theta):
-        return self.eval(theta)
-
 
 @dataclass(frozen=True)
 class LadderParams:
@@ -132,8 +129,8 @@ def big_phi(psi: LaplaceExponent, q: float) -> float:
     For q = 0 this is 0 when psi'(0+) >= 0 and the strictly positive root
     otherwise.  Convexity makes the bracketing globally convergent.
     """
-    if q < 0:
-        raise ParameterError("big_phi requires q >= 0")
+    if not 0.0 <= q < math.inf:
+        raise ParameterError(f"big_phi requires a finite q >= 0, got {q}")
 
     def f(th: float) -> float:
         return float(np.real(psi.eval(th))) - q

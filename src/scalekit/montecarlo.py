@@ -60,16 +60,16 @@ class SimConfig:
     seed: int = 20_240_901
 
     def __post_init__(self):
-        if self.n_paths <= 0 or self.dt <= 0 or self.small_jump_cutoff <= 0 \
-                or self.horizon <= 0:
-            raise ParameterError("simulation parameters must be positive")
+        if not (self.n_paths > 0 and all(0.0 < v < math.inf for v in
+                                         (self.dt, self.small_jump_cutoff, self.horizon))):
+            raise ParameterError("simulation parameters must be positive and finite")
 
 
 @dataclass(frozen=True)
 class ExitEstimate:
     p_hat: float
     stderr: float
-    n_censored: int = 0
+    n_censored: int
 
 
 # ---------------------------------------------------------------------------
@@ -135,36 +135,26 @@ class _ComponentSampler:
     def _sample_mid(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Power proposal on (eps, u0], thinned by the tempering factor."""
         a, gamma, eps, u0 = self.a, self.gamma, self.eps, self.u0
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            batch = max(64, 2 * (n - filled))
+
+        def draw(batch: int) -> np.ndarray:
             v = rng.random(batch)
-            if abs(a) > 1e-12:
-                hi = u0 ** (-a) if math.isfinite(u0) else (0.0 if a > 0 else np.inf)
-                u = (eps ** (-a) + v * (hi - eps ** (-a))) ** (-1.0 / a)
+            if abs(a) > 1e-12:      # u0 = inf only when gamma = 0 < a, and inf^(-a) = 0
+                u = (eps ** (-a) + v * (u0 ** (-a) - eps ** (-a))) ** (-1.0 / a)
             else:
                 u = eps * (u0 / eps) ** v
-            if gamma > 0:
-                u = u[rng.random(batch) <= np.exp(-gamma * (u - eps))]
-            take = min(n - filled, u.size)
-            out[filled:filled + take] = u[:take]
-            filled += take
-        return out
+            return u[rng.random(batch) <= np.exp(-gamma * (u - eps))] if gamma > 0 else u
+
+        return _accept_reject(draw, n)
 
     def _sample_tail(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Shifted-exponential proposal beyond u0, thinned by the power factor."""
         a, gamma, u0 = self.a, self.gamma, self.u0
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            batch = max(64, 2 * (n - filled))
+
+        def draw(batch: int) -> np.ndarray:
             u = u0 + rng.exponential(1.0 / gamma, size=batch)
-            u = u[rng.random(batch) <= (u / u0) ** (-a - 1.0)]
-            take = min(n - filled, u.size)
-            out[filled:filled + take] = u[:take]
-            filled += take
-        return out
+            return u[rng.random(batch) <= (u / u0) ** (-a - 1.0)]
+
+        return _accept_reject(draw, n)
 
     def _sample_tempered(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # choose the piece by its true mass, then retry *within* the piece:
@@ -176,6 +166,18 @@ class _ComponentSampler:
         out = np.concatenate([self._sample_mid(rng, n_mid),
                               self._sample_tail(rng, n - n_mid)])
         return rng.permutation(out)
+
+
+def _accept_reject(draw, n: int) -> np.ndarray:
+    """n accepted sizes; draw(batch) makes batch proposals and returns those it accepts."""
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        u = draw(max(64, 2 * (n - filled)))
+        take = min(n - filled, u.size)
+        out[filled:filled + take] = u[:take]
+        filled += take
+    return out
 
 
 class _JumpModel:

@@ -109,8 +109,8 @@ class PartialFraction:
 
 def build_fq(params, alpha: RationalAlpha, q: float) -> np.ndarray:
     """Ascending coefficient array of f_q(z) for a GTSC parameter set."""
-    if q < 0:
-        raise ParameterError("q must be nonnegative")
+    if not 0.0 <= q < math.inf:
+        raise ParameterError(f"q must be finite and nonnegative, got {q}")
     if abs(params.alpha - alpha.value) > 1e-12:
         raise ParameterError("params.alpha does not match the rational m/n")
     n, m_minus, m_plus = alpha.n, alpha.m_minus, alpha.m_plus

@@ -40,8 +40,6 @@ class ScaleFunction:
     def eval(self, x):
         return _on_nonnegative(self._w, x)
 
-    __call__ = eval
-
     def eval_deriv(self, x):
         return _on_nonnegative(self._dw, x)
 

@@ -18,6 +18,8 @@ Provides:
   ``gammaincc`` and ``expn``.
 * ``fransen_transform`` -- the Laplace transform of the reciprocal gamma
   function, int_0^inf exp(-theta*x)/Gamma(x) dx.
+* ``_gauss_kronrod`` -- QUADPACK's 10/21 Gauss-Kronrod pair on an array of panels, the
+  one quadrature rule: of the q = 0 closed form, this transform, the identity and Z^(q).
 """
 
 from __future__ import annotations

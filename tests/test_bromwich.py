@@ -252,6 +252,21 @@ class TestVerifyIdentity:
         assert len(rep.flags) == 2 and "quadrature stagnated" in rep.flags[0]
         assert not rep.passed
 
+    def test_one_w_call_for_all_thetas(self):
+        # W is evaluated once, on the union of the Kronrod nodes and truncation points of
+        # every theta; each theta then takes one row sum over its panels
+        w = w_brownian(math.sqrt(2.0), 0.0, 0.0)
+        calls = []
+
+        def counting(x):
+            calls.append(np.size(x))
+            return w.eval(x)
+
+        thetas = [0.5, 1.0, 2.0, 5.0]
+        got = laplace_transform_numeric(counting, thetas, 0.0, kinks=[3.0, 7.5])
+        assert len(calls) == 1
+        assert got == pytest.approx([1.0 / th ** 2 for th in thetas], rel=1e-13)
+
     def test_theta_below_phi_rejected(self):
         w = w_ig(1.0, 1.0, 1.0)
         with pytest.raises(ParameterError):

@@ -9,6 +9,10 @@ import pytest
 
 from scalekit.catalog import catalog_families, w_brownian
 from scalekit.cli import CASES, main
+from scalekit.errors import ParameterError
+from scalekit.fluctuation import dividend_value
+from scalekit.gtsc import GtscParams
+from scalekit.levy import big_phi
 
 
 def run_cli(argv):
@@ -392,3 +396,35 @@ class TestParser:
     def test_outside_input_exits_2(self, argv):
         code, _ = run_cli(["eval", "--points", "3"] + argv)
         assert code == 2
+
+    @pytest.mark.parametrize("case", [
+        *[pytest.param(argv, id=" ".join(argv)) for argv in (
+            ["eval", "--points", "-1"],
+            ["figures", "--out", "{tmp}", "--points", "-2"],
+            ["eval", "--alpha", "1/3", "--gamma", "nan"],
+            ["eval", "--alpha", "1/3", "--gamma", "inf"],
+            ["eval", "--alpha", "1/3", "--q", "nan"],
+            ["eval", "--alpha", "1/3", "--q", "inf"],
+            ["eval", "--model", "catalog:brownian", "--sigma", "nan"],
+            ["eval", "--model", "catalog:brownian", "--mu", "inf"],
+            ["apps", "--compute", "zq", "--x", "nan", "--q", "1"],
+            ["verify", "--suite", "mc", "--dt", "inf", "--paths", "200"])],
+        pytest.param(lambda: big_phi(w_brownian(1.0, 0.5).psi, math.nan), id="big_phi-nan"),
+        pytest.param(lambda: dividend_value(w_brownian(1.0, 0.5, 1.0), 1.0, math.nan),
+                     id="dividend_value-nan"),
+        *[pytest.param(lambda name=name, v=v: GtscParams(**{"alpha": 1 / 3, "gamma": 1.0,
+                                                            "c": 1.0, name: v}),
+                       id=f"GtscParams-{name}-{v}")
+          for name, v in (("gamma", math.nan), ("gamma", math.inf), ("zeta", math.nan),
+                          ("kappa", math.nan), ("varphi", math.nan))],
+    ])
+    def test_non_finite_or_negative_input_is_a_parameter_error(self, case, tmp_path, capsys):
+        # a typed ParameterError, exit 2 on the command line: not a traceback from numpy,
+        # a NumericalError, an exit 1 or a silent value
+        if callable(case):
+            with pytest.raises(ParameterError):
+                case()
+        else:
+            code, _ = run_cli([tok.replace("{tmp}", str(tmp_path)) for tok in case])
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error: ")

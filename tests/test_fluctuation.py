@@ -1,6 +1,7 @@
 """Exit probabilities, ruin, integrated scale and the dividend barrier."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -118,6 +119,19 @@ class TestIntegratedScale:
         x, h = 1.3, 1e-4
         dz = (z_q(w, x + h) - z_q(w, x - h)) / (2.0 * h)
         assert dz == pytest.approx(0.7 * w.eval(x), rel=1e-6)
+
+    def test_one_w_call(self):
+        # every panel's Kronrod nodes go to W in one array call, not one call per panel
+        w = w_brownian(math.sqrt(2.0), 0.0, 1.0)
+        shapes = []
+
+        def counting(x):
+            shapes.append(np.shape(x))
+            return w.eval(x)
+
+        stub = types.SimpleNamespace(q=w.q, eval=counting)
+        assert z_q(stub, 2.5) == pytest.approx(math.cosh(2.5), rel=1e-9)
+        assert len(shapes) == 1 and shapes[0][1] == 21
 
 
 class TestDividends:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scalekit import cli, levy
-from scalekit.catalog import build_catalog_entry, catalog_families
+from scalekit.catalog import build_catalog_entry, catalog_families, w_brownian
 from scalekit.errors import NumericalError, ParameterError
 from scalekit.gtsc import GtscParams
 from scalekit.levy import (LaplaceExponent, PathVariation, big_phi, build_parent,
@@ -45,6 +45,13 @@ class TestBigPhi:
             assert float(np.real(psi.eval(phi))) == pytest.approx(q, rel=1e-10, abs=1e-10)
             assert phi >= prev
             prev = phi
+
+    def test_tiny_negative_drift_halves_the_bracket(self):
+        # psi = theta^2/2 - 1e-10 theta is positive at the first lower end 1e-8, which is
+        # halved until it lies below Phi(0) = 2e-10
+        psi = w_brownian(1.0, -1e-10).psi
+        assert psi.eval(1e-8) > 0.0
+        assert big_phi(psi, 0.0) == pytest.approx(2e-10, rel=1e-12)
 
     def test_negative_q_rejected(self):
         with pytest.raises(ParameterError):

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special as sps
 
 from scalekit.errors import NotApplicableError, NumericalError, ParameterError
 from scalekit.gtsc import GtscParams, w_rational
@@ -62,6 +63,32 @@ class TestSampler:
             se = math.sqrt(ana * (1.0 - ana) / n)
             assert abs(emp - ana) <= 4.0 * se
         assert smp.mean() == pytest.approx(s.moment1 / s.rate, rel=0.01)
+
+    def test_untempered_pareto_tail(self):
+        # gamma = 0: density c u^{-a-1} above eps, a Pareto law with no tail piece
+        c, a, eps, n = 1.0, 1.5, 0.02, 200_000
+        s = _ComponentSampler(("tempered_power", c, a, 0.0), eps)
+        assert s.u0 == math.inf
+        assert s.rate == pytest.approx(c * eps ** (-a) / a, rel=1e-15)
+        assert s.moment1 == pytest.approx(c * eps ** (1.0 - a) / (a - 1.0), rel=1e-15)
+        assert s.small_var == pytest.approx(c * eps ** (2.0 - a) / (2.0 - a), rel=1e-15)
+        smp = s.sample(np.random.default_rng(3), n)
+        assert smp.min() > eps
+        for u in (0.03, 0.1, 1.0):
+            ana = (u / eps) ** (-a)
+            assert abs((smp > u).mean() - ana) <= 4.0 * math.sqrt(ana * (1.0 - ana) / n)
+
+    def test_alpha_zero_exponential_integral_tail(self):
+        # a = 0: density c u^{-1} e^{-gamma u}, the log-uniform proposal below u0 = 1/gamma
+        c, gamma, eps, n = 1.0, 1.0, 0.02, 200_000
+        s = _ComponentSampler(("tempered_power", c, 0.0, gamma), eps)
+        assert s.rate == pytest.approx(c * sps.exp1(gamma * eps), rel=1e-14)
+        assert s.moment1 == pytest.approx(c * math.exp(-gamma * eps) / gamma, rel=1e-14)
+        smp = s.sample(np.random.default_rng(3), n)
+        assert smp.min() > eps
+        for u in (0.05, 0.5, 1.0, 3.0):
+            ana = sps.exp1(gamma * u) / sps.exp1(gamma * eps)
+            assert abs((smp > u).mean() - ana) <= 4.0 * math.sqrt(ana * (1.0 - ana) / n)
 
     def test_exponential_component(self):
         s = _ComponentSampler(("exponential", 1.0, 2.0), 0.01)

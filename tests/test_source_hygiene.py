@@ -280,6 +280,21 @@ def test_hyperbola_oracle_independent():
     assert not shared, f"_invert_hyperbola reaches {shared}"
 
 
+def test_one_quadrature_rule():
+    # the Gauss-Kronrod pair of special integrates the closed form, the reciprocal-gamma
+    # transform, the transform identity and Z^(q); a second rule is a second copy of one job
+    rules = [f"{module}:{node.lineno}" for module, tree in TREES.items() if module != "special.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "leggauss"
+             or isinstance(node, ast.Name) and node.id == "leggauss"]
+    assert not rules, f"leggauss outside special.py at {rules}"
+    from_bromwich = [node.lineno for node in ast.walk(TREES["fluctuation.py"])
+                     if isinstance(node, (ast.Import, ast.ImportFrom))
+                     and ("bromwich" in (getattr(node, "module", None) or "")
+                          or any("bromwich" in a.name for a in node.names))]
+    assert not from_bromwich, f"fluctuation imports bromwich at lines {from_bromwich}"
+
+
 def test_no_vectorize():
     # every route and catalog family evaluates a block of x natively; np.vectorize would
     # hide a per-point Python loop behind an array signature

@@ -165,6 +165,18 @@ class TestBlockSeries:
             one = mittag_leffler_deriv(a, b, j, complex(z))
             assert abs(one - got) <= 1e-12 * max(1.0, abs(got))
 
+    def test_rows_past_double_range_leave_the_series(self):
+        # E_{1/2,1}(u) = e^{u^2} erfc(-u): for u^2 in (650, 705) the largest series term
+        # overflows double, so those rows leave the block and the contour takes them, while
+        # the rows below stay on the series
+        us = np.array([1.0, 25.4, 25.6, 26.0, 26.5, 26.55])
+        _, ok = _series_block(0.5, 1.0, 1, us.astype(complex))
+        assert ok.tolist() == [True, True, False, False, False, False]
+        got = mittag_leffler(0.5, 1.0, us)
+        ref = erfcx_scaled(us)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+        assert [mittag_leffler(0.5, 1.0, u) for u in us] == got.tolist()
+
     def test_shape_and_real_axis(self):
         zs = np.array([[0.5, -2.0], [1.0 + 1.0j, 3.0]])
         got = mittag_leffler(0.5, 1.0, zs)
