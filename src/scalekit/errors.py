@@ -27,7 +27,9 @@ class SaturationError(NumericalError):
 
 
 class ConditioningError(NumericalError):
-    """A linear solve was too ill-conditioned; a tolerance change may help."""
+    """A result failed its own accuracy check: a Mittag-Leffler contour sum against its
+    finer-step self-check (or no contour fits), a partial fraction against its rational
+    function, or a series reciprocal whose leading coefficient vanishes."""
 
 
 class InversionError(NumericalError):

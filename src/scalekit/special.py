@@ -9,7 +9,7 @@ Provides:
   all other z go together through the inverse Laplace transform
   s^{a*g-b}/(s^a - z)^g on optimal parabolic contours, in one z-by-node pass
   self-checked on a finer step, plus the residue of a pole right of the
-  contour.  A high-precision series (mpmath) is the per-z last resort.
+  contour.  A z that fails the self-check raises ConditioningError.
 * ``erfc_c`` / ``erfcx_scaled`` -- complementary error function for complex
   argument and the scaled combination e^{u^2} erfc(-u) that the
   inverse-Gaussian formulas need in fused form.
@@ -39,6 +39,7 @@ __all__ = [
     "erfc_c",
     "erfcx_scaled",
     "reg_lower_gamma",
+    "upper_gamma",
     "fransen_transform",
 ]
 
@@ -310,8 +311,8 @@ def _contour_block(a: float, bp: float, g: int, z: np.ndarray) -> np.ndarray:
     """E^g_{a,bp}(z) by contour inversion on a 1-D array z, self-checked.
 
     For 0 < a <= 1 at most one pole, s = z^{1/a} where |arg z| <= a pi, is on
-    the principal sheet.  A row whose two sums differ by more than 1e-10, or
-    that has no admissible contour, falls back to the mpmath series.
+    the principal sheet.  The first row whose two sums differ by more than
+    1e-10 max(1, |E|), or that has no admissible contour, raises ConditioningError.
     """
     p0 = max(0.0, -2.0 * (a * g - bp + 1.0))   # strength of the origin
     mu, h, N = prm = np.repeat(np.array(_free_contour(p0))[:, None], z.size, axis=1)
@@ -324,48 +325,20 @@ def _contour_block(a: float, bp: float, g: int, z: np.ndarray) -> np.ndarray:
         poles, s, phi = poles[phi > 1e-15], s[phi > 1e-15], phi[phi > 1e-15]
         prm[:, poles], left = _contours(phi, g, p0)
         inner, s = poles[left], s[left]
-    out = np.zeros(z.size, dtype=complex)
-    err = np.full(z.size, np.inf)
-    good = np.flatnonzero(N > 0)
-    if good.size:
-        val, out[good] = _contour_sums(a, bp, g, z[good], mu[good], h[good], N[good])
-        err[good] = np.abs(val - out[good])
-        if inner.size:
-            out[inner] += _poles_residue(a, bp, g, s)
-    for i in np.flatnonzero(~(err <= 1e-10 * np.maximum(1.0, np.abs(out)))):
-        out[i] = _mp_series(a, bp, g, complex(z[i]))
+    sums = np.full((2, z.size), np.nan, dtype=complex)   # NaN where no contour fits
+    good = N > 0
+    sums[:, good] = _contour_sums(a, bp, g, z[good], mu[good], h[good], N[good])
+    out = sums[1].copy()
+    if inner.size:
+        out[inner] += _poles_residue(a, bp, g, s)
+    bad = np.flatnonzero(~(np.abs(sums[0] - sums[1]) <= 1e-10 * np.maximum(1.0, np.abs(out))))
+    if bad.size:
+        i = bad[0]
+        why = ("no admissible contour" if N[i] == 0 else
+               f"contour sums {sums[0, i]:.17g} and {sums[1, i]:.17g} disagree")
+        raise ConditioningError(f"Mittag-Leffler contour self-check failed at a = {a!r}, "
+                                f"bp = {bp!r}, g = {g}, z = {complex(z[i])!r}: {why}")
     return out
-
-
-# ---------------------------------------------------------------------------
-# mpmath fallback
-# ---------------------------------------------------------------------------
-
-def _mp_series(a: float, bp: float, g: int, z: complex) -> complex:
-    import mpmath as mp
-
-    need = abs(z) ** (1.0 / a)
-    dps = int(30 + 0.45 * need)
-    if dps > 600:
-        raise SaturationError(
-            f"Mittag-Leffler argument too large for stable evaluation: |z|^(1/a) = {need:.3g}")
-    with mp.workdps(dps):
-        zz = mp.mpc(z)
-        # the gamma argument must be formed in working precision: double
-        # rounding of a*k + bp is amplified by the series cancellation
-        aa, bb = mp.mpf(a), mp.mpf(bp)
-        total = mp.mpc(0)
-        k = 0
-        while True:
-            coeff = mp.rf(g, k) / mp.factorial(k)
-            t = coeff * zz ** k * mp.rgamma(aa * k + bb)
-            total += t
-            if k > 8 and abs(t) < mp.mpf(10) ** (-dps) * (1 + abs(total)):
-                break
-            if k > 2_000_000:
-                raise NumericalError("mpmath Mittag-Leffler series did not converge")
-            k += 1
-        return complex(total)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +432,8 @@ def mittag_leffler(a: float, b: float, z):
     z is a number or an array; an array is evaluated in one block pass and
     returned as a complex array of the same shape.  Accurate to about 1e-10
     relative over the arguments the scale-function formulas generate; raises
-    SaturationError when exp(z^(1/a)) exceeds floating-point range.
+    SaturationError when exp(z^(1/a)) exceeds floating-point range, and
+    ConditioningError where the contour inversion fails its self-check.
     """
     if not a > 0:
         raise ParameterError(f"Mittag-Leffler index a must be positive, got {a}")

@@ -350,6 +350,22 @@ class TestClosedFormPanels:
         assert scale.eval_deriv(0.0) == asymptote_zero(params).wprime0 == math.inf
         assert scale.eval(0.0) == asymptote_zero(params).w0
 
+    @pytest.mark.parametrize("gamma,c,kappa,varphi", [(1.0, 1.0, 0.0, 0.0), (0.5, 2.0, 1.0, 0.0),
+                                                      (2.0, 0.5, 0.0, 1.0), (1.0, 1.0, 1.0, 0.0)])
+    def test_small_alpha_envelope(self, gamma, c, kappa, varphi):
+        from scalekit.errors import NumericalError
+
+        # the envelope the README states: on these sets the closed form meets its 1e-9 error
+        # bound for |alpha| >= 0.0631; at |alpha| = 0.05 it raises and returns nothing
+        xs = np.geomspace(1e-4, 50.0, 60)
+        for alpha in (-0.065, 0.065):
+            params = GtscParams(alpha=alpha, gamma=gamma, c=c, kappa=kappa, varphi=varphi)
+            assert np.isfinite(w0_closed(params).eval(xs)).all()
+        for alpha in (-0.05, 0.05):
+            params = GtscParams(alpha=alpha, gamma=gamma, c=c, kappa=kappa, varphi=varphi)
+            with pytest.raises(NumericalError, match="closed-form quadrature error estimate"):
+                w0_closed(params).eval(xs)
+
 
 class TestGammaCase:
     def test_zero_at_origin(self):

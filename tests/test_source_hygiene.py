@@ -338,14 +338,49 @@ def test_no_restated_exponent():
     assert not both, f"functions taking both scale and psi: {both}"
 
 
-def test_polyfrac_without_mpmath():
-    # root polishing runs as one long-double Newton pass; a scalar 50-digit mpmath loop per
-    # cluster was the slow path it replaced
-    found = [node.lineno for node in ast.walk(TREES["polyfrac.py"])
+def test_package_without_mpmath():
+    # every Mittag-Leffler row has one certified path, the block series or the self-checked
+    # contour; mpmath is the tests' reference, not a runtime fallback
+    found = [f"{module}:{node.lineno}" for module, tree in TREES.items() for node in ast.walk(tree)
              if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "mpmath"
                                                      for a in node.names)
              or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath"]
-    assert not found, f"polyfrac imports mpmath at lines {found}"
+    assert not found, f"mpmath imported at {found}"
+
+
+_WITHOUT_MPMATH = """
+import sys, tempfile
+import numpy as np
+sys.modules["mpmath"] = None
+from scalekit import catalog, cli, gtsc, polyfrac, special
+contour, block = [], special._contour_block
+def counted(a, bp, g, z):
+    contour.append(z.size)
+    return block(a, bp, g, z)
+special._contour_block = counted
+xs = np.linspace(0.5, 10.0, 40)[1:]
+scales = [gtsc.w_rational(cli.CASES["E"].params(0.5), polyfrac.RationalAlpha(1, 2), 1.0),
+          gtsc.w0_closed(gtsc.GtscParams(alpha=-1/3, gamma=1.0, c=1.0, kappa=1.0)),
+          catalog.build_catalog_entry("stable").scale]
+for scale in scales:
+    w, dw = scale.eval(xs), scale.eval_deriv(xs)
+    print(scale.route, bool(np.isfinite(w).all() and np.isfinite(dw).all() and (w > 0).all()))
+print("contour rows", sum(contour))
+with tempfile.TemporaryDirectory() as out:
+    print("figures", cli.main(["figures", "--q", "1", "--out", out, "--points", "41"]))
+print("mpmath", sys.modules["mpmath"])
+"""
+
+
+def test_runs_with_mpmath_blocked():
+    # with ``import mpmath`` failing, the rational route (on rows that reach the contour), the
+    # q = 0 closed form, the stable family and ``figures --q 1`` all evaluate
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_MPMATH], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True).stdout
+    lines = out.split("\n")
+    assert lines[:3] == ["rational-ML True", "closed-form True", "catalog True"], out
+    assert lines[3].startswith("contour rows ") and int(lines[3].split()[-1]) > 0, out
+    assert lines[4:6] == ["figures 0", "mpmath None"], out
 
 
 def test_no_scipy_optimize():
