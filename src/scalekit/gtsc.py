@@ -123,11 +123,14 @@ class GtscParams:
                                             + g * x ** (-a - 1.0))
 
         mass = math.inf if a >= 0 else c * sps.gamma(-a) * g ** a
-        return LadderParams(kill_rate=self.kappa, drift=self.zeta,
-                            levy_density=density, tail=tail,
+        # int_0^1 u density(u) du
+        m1 = c * g ** (a - 1.0) * math.gamma(1.0 - a) * reg_lower_gamma(1.0 - a, g) \
+            if g > 0 else c / (1.0 - a)
+        return LadderParams(drift=self.zeta, levy_density=density, tail=tail,
                             exponent=self.ladder_exponent,
                             exponent_deriv=self.ladder_exponent_deriv,
-                            activity_mass=mass, levy_density_deriv=density_deriv)
+                            activity_mass=mass, levy_density_deriv=density_deriv,
+                            small_jump_mean=m1)
 
     def parent_triple(self):
         """(LevyTriple, LaplaceExponent) of the parent process.

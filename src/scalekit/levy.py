@@ -11,8 +11,8 @@ process has
 Gaussian coefficient sigma = sqrt(2*zeta) and jump tail
 Pi(-inf, -x) = varphi * Upsilon(x, inf) + dUpsilon/dx (x).  ``parent_exponent``
 forms psi, psi' and psi'(0+) from phi and phi'; every ``LaplaceExponent``
-carries psi' and psi'(0+) in closed form, and nothing here differentiates
-numerically.
+carries psi' and psi'(0+) in closed form.  Nothing here differentiates
+numerically, and only the Levy-Khintchine oracle integrates numerically.
 """
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ class LadderParams:
     The Levy density must be non-increasing on (0, inf); that is what makes
     the parent construction valid.  The exponent's derivative and the
     density's derivative are given in closed form: they become the parent's
-    psi' and jump density.
+    psi' and jump density.  The kill rate is phi(0) and ``small_jump_mean``
+    is int_0^1 u upsilon(u) du.
     """
 
-    kill_rate: float
     drift: float
     levy_density: Callable[[float], float]
     tail: Callable[[float], float]
@@ -73,9 +73,10 @@ class LadderParams:
     levy_density_deriv: Callable[[float], float]
     # total jump mass Upsilon(0, inf); math.inf for infinite activity
     activity_mass: float
+    small_jump_mean: float
 
     def __post_init__(self):
-        if self.kill_rate < 0 or self.drift < 0:
+        if complex(self.exponent(0.0)).real < 0 or self.drift < 0:
             raise ParameterError("ladder kill rate and drift must be nonnegative")
         # spot-check the structural requirements on a coarse grid
         xs = [1e-3, 1e-2, 0.1, 0.5, 1.0, 3.0]
@@ -83,9 +84,6 @@ class LadderParams:
         for lo, hi in zip(dens[1:], dens[:-1]):
             if lo > hi * (1 + 1e-9) + 1e-12:
                 raise ParameterError("ladder Levy density must be non-increasing")
-        phi0 = complex(self.exponent(0.0)).real
-        if abs(phi0 - self.kill_rate) > 1e-8 * (1.0 + self.kill_rate):
-            raise ParameterError("ladder exponent must satisfy phi(0) = kill rate")
 
 
 @dataclass(frozen=True)
@@ -93,8 +91,8 @@ class LevyTriple:
     """(a, sigma, Pi) of a spectrally negative process.
 
     ``pi_tail(x)`` is Pi(-inf, -x) for x > 0; ``pi_density(x)`` the density of
-    the jump magnitude at x when available.  ``jump_components`` optionally
-    carries a structured description used by the Monte Carlo sampler.
+    the jump magnitude at x when available.  ``jump_components`` gives the
+    jump law in closed form; Monte Carlo reads its jumps and E X_1 from them.
     """
 
     a: float
@@ -226,11 +224,14 @@ def build_parent(ladder: LadderParams, varphi: float) -> tuple[LevyTriple, Lapla
 
     ``varphi`` is the kill rate of the (unit-drift) ascending ladder and equals
     Phi(0) of the parent when positive.  At most one of the two ladder
-    processes may be killed, hence ``varphi * kill_rate`` must vanish.
+    processes may be killed, hence ``varphi * kappa`` must vanish.  The location
+    a = -kappa + varphi (zeta + m_1) - upsilon(1) - Upsilon(1), m_1 = ``small_jump_mean``,
+    follows by parts from E X_1 = -a - int_1^inf u pi(u) du = psi'(0+).
     """
     if varphi < 0:
         raise ParameterError("varphi must be nonnegative")
-    if varphi > 0 and ladder.kill_rate > 0:
+    kappa = complex(ladder.exponent(0.0)).real
+    if varphi > 0 and kappa > 0:
         raise ParameterError("both ladder processes killed: varphi * kappa must be 0")
 
     sigma = math.sqrt(2.0 * ladder.drift)
@@ -241,28 +242,10 @@ def build_parent(ladder: LadderParams, varphi: float) -> tuple[LevyTriple, Lapla
     def pi_density(x: float) -> float:
         return varphi * ladder.levy_density(x) - ladder.levy_density_deriv(x)
 
-    a = _triple_location(pi_tail, pi_density, sigma, ladder.kill_rate, varphi)
+    a = (-kappa + varphi * (ladder.drift + ladder.small_jump_mean)
+         - ladder.levy_density(1.0) - ladder.tail(1.0))
     triple = LevyTriple(a=a, sigma=sigma, pi_tail=pi_tail, pi_density=pi_density)
     return triple, parent_exponent(ladder.exponent, ladder.exponent_deriv, varphi)
-
-
-def _triple_location(pi_tail, pi_density, sigma, kappa, varphi) -> float:
-    """The location parameter a of the Levy-Khintchine form (truncation at 1)."""
-    # int_{(-inf,-1)} x Pi(dx) = -int_1^inf u pi(u) du = -(Pi(-inf,-1) + int_1^inf pi_tail)
-    # by parts: int_1^inf u pi(u) du = pi_tail(1) + int_1^inf pi_tail(u) du
-    from scipy.integrate import quad
-
-    if varphi == 0:
-        tail_int, _ = quad(pi_tail, 1.0, np.inf, limit=200)
-        return -(pi_tail(1.0) + tail_int) - kappa
-    # a*varphi = sigma^2 varphi^2/2 + int (exp(varphi x)-1-x varphi 1_{x>-1}) Pi(dx)
-    def integrand(u: float) -> float:
-        comp = math.exp(-varphi * u) - 1.0 + (varphi * u if u < 1.0 else 0.0)
-        return comp * pi_density(u)
-
-    j1, _ = quad(integrand, 0.0, 1.0, limit=200)
-    j2, _ = quad(integrand, 1.0, np.inf, limit=200)
-    return (0.5 * sigma ** 2 * varphi ** 2 + j1 + j2) / varphi
 
 
 def classify_variation(ladder: LadderParams, varphi: float = 0.0) -> VariationReport:
@@ -274,7 +257,7 @@ def classify_variation(ladder: LadderParams, varphi: float = 0.0) -> VariationRe
         return VariationReport(variation=PathVariation.UNBOUNDED,
                                gaussian=math.sqrt(2.0 * zeta),
                                activity_mass=None if math.isinf(mass) else mass)
-    drift = ladder.kill_rate + mass - zeta * varphi
+    drift = complex(ladder.exponent(0.0)).real + mass - zeta * varphi
 
     def nu_tail(x: float) -> float:
         return varphi * ladder.tail(x) + ladder.levy_density(x)

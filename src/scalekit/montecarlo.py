@@ -17,7 +17,8 @@ reach of a barrier; for the others it is below e^-40 (see ``_BRIDGE_CUT``).
 With ``q > 0`` an upward exit at time t has weight e^{-q t}; the grid engine
 takes t as the end of the exit step.
 
-Jump components are read from ``LevyTriple.jump_components``:
+The jump law and the mean E X_1 = -a - int_{u>1} u Pi(du) are read from
+``LevyTriple.jump_components``, which a triple with jumps must carry:
 
 * ("tempered_power", c, a, gamma)  -- density c u^{-a-1} e^{-gamma u};
   sampled by inverse-power proposals with exponential-tempering thinning.
@@ -257,14 +258,6 @@ class _Exits:
         return ExitEstimate(p_hat=p, stderr=se, n_censored=censored)
 
 
-def _mean_of_triple(triple: LevyTriple) -> float:
-    """E X_1 = -a + int_{(-inf,-1)} x Pi(dx) (Levy-Khintchine location)."""
-    from scipy.integrate import quad
-
-    tail_int, _ = quad(triple.pi_tail, 1.0, np.inf, limit=200)
-    return -triple.a - (triple.pi_tail(1.0) + tail_int)
-
-
 # ---------------------------------------------------------------------------
 # the path engines
 # ---------------------------------------------------------------------------
@@ -279,12 +272,19 @@ def _check_cutoff(triple: LevyTriple, jumps: _JumpModel, cfg: SimConfig) -> None
     if significant and abs(v1 - v2) > 0.05 * v1:
         warnings.warn(
             "small-jump variance changes by more than 5% when the cutoff is "
-            "halved; the Gaussian approximation may be coarse", stacklevel=3)
+            "halved; the Gaussian approximation may be coarse", stacklevel=4)
 
 
-def _run_exit(triple: LevyTriple, jumps: _JumpModel, x: float, a: float, q: float,
-              cfg: SimConfig, rng: np.random.Generator) -> ExitEstimate:
-    mean_x1 = _mean_of_triple(triple)
+def _run_exit(triple: LevyTriple, mean_x1: float, x: float, a: float, q: float,
+              cfg: SimConfig) -> ExitEstimate:
+    if not 0.0 <= x <= a:
+        raise ParameterError("need 0 <= x <= a")
+    if not q >= 0.0 or not math.isfinite(q):
+        raise ParameterError("need a finite q >= 0")
+    # jump models draw no random numbers when built, so one serves the check and the run
+    jumps = _JumpModel(triple, cfg.small_jump_cutoff)
+    _check_cutoff(triple, jumps, cfg)
+    rng = np.random.default_rng(cfg.seed)
     small_var = jumps.small_var
     if small_var < 1e-5 * (1.0 + triple.sigma ** 2 + abs(mean_x1)):
         small_var = 0.0   # negligible folded variance: allow the exact engine
@@ -393,6 +393,13 @@ def _run_exit_event_driven(jumps: _JumpModel, drift: float, x: float, a: float,
 # public operations
 # ---------------------------------------------------------------------------
 
+def _triple_mean(triple: LevyTriple, cfg: SimConfig) -> float:
+    """E X_1 = -a - M(1), M(t) = int_{u>t} u Pi(du) from the closed forms of the components."""
+    if not triple.jump_components and triple.pi_tail(cfg.small_jump_cutoff) > 0:
+        raise ParameterError("the triple has jumps above the cutoff but no jump_components")
+    return -triple.a - _JumpModel(triple, 1.0).moment1
+
+
 def simulate_exit(triple: LevyTriple, x: float, a: float, cfg: SimConfig,
                   q: float = 0.0) -> ExitEstimate:
     """Estimate E_x[e^{-q tau_a^+}; tau_a^+ < tau_0^-] over the paths that exit.
@@ -401,15 +408,7 @@ def simulate_exit(triple: LevyTriple, x: float, a: float, cfg: SimConfig,
     at q > 0 the stderr is the sample standard error of the path weights.
     Raises ``NumericalError`` when every path is censored at the horizon.
     """
-    if not 0.0 <= x <= a:
-        raise ParameterError("need 0 <= x <= a")
-    if not q >= 0.0 or not math.isfinite(q):
-        raise ParameterError("need a finite q >= 0")
-    # jump models draw no random numbers when built, so one serves the check and the run
-    jumps = _JumpModel(triple, cfg.small_jump_cutoff)
-    _check_cutoff(triple, jumps, cfg)
-    rng = np.random.default_rng(cfg.seed)
-    return _run_exit(triple, jumps, x, a, q, cfg, rng)
+    return _run_exit(triple, _triple_mean(triple, cfg), x, a, q, cfg)
 
 
 def simulate_ruin(triple: LevyTriple, x: float, cfg: SimConfig,
@@ -419,8 +418,9 @@ def simulate_ruin(triple: LevyTriple, x: float, cfg: SimConfig,
     ``a_upper`` should be chosen so that the residual mass W(x)/W(a_upper) is
     below 1e-3 of the target.
     """
-    if _mean_of_triple(triple) <= 0:
+    mean_x1 = _triple_mean(triple, cfg)
+    if mean_x1 <= 0:
         raise NotApplicableError("ruin estimation requires psi'(0+) > 0")
-    est = simulate_exit(triple, x, a_upper, cfg)
+    est = _run_exit(triple, mean_x1, x, a_upper, 0.0, cfg)
     return ExitEstimate(p_hat=1.0 - est.p_hat, stderr=est.stderr,
                         n_censored=est.n_censored)

@@ -171,10 +171,10 @@ class TestBuildParent:
     def test_pure_gaussian(self):
         from scalekit.levy import LadderParams
 
-        ladder = LadderParams(kill_rate=0.0, drift=1.0,
-                              levy_density=lambda x: 0.0, tail=lambda x: 0.0,
+        ladder = LadderParams(drift=1.0, levy_density=lambda x: 0.0, tail=lambda x: 0.0,
                               exponent=lambda th: th, exponent_deriv=lambda th: 1.0,
-                              levy_density_deriv=lambda x: 0.0, activity_mass=0.0)
+                              levy_density_deriv=lambda x: 0.0, activity_mass=0.0,
+                              small_jump_mean=0.0)
         triple, psi = build_parent(ladder, 0.0)
         assert triple.sigma == pytest.approx(math.sqrt(2.0))
         assert triple.pi_tail(0.5) == 0.0
@@ -198,17 +198,18 @@ class TestBuildParent:
         assert params.ladder().tail(1.0) == pytest.approx(3.0, rel=1e-15)
         triple, psi = params.parent_triple()
         assert triple.pi_tail(1.0) == pytest.approx(1.0, rel=1e-15)
-        assert triple.a == pytest.approx(-5.0, rel=1e-9)
+        assert triple.a == pytest.approx(-5.0, rel=1e-14)
         assert psi.drift_at_zero == 1.0
 
     def test_untempered_tilted_triple_quiet(self):
-        # for varphi > 0 the location comes from the tilted integral alone; the
-        # tail integral int_1^inf pi_tail diverges at gamma = 0 and is not formed
+        # gamma = 0, alpha = 1/3, varphi = 1: a = varphi m_1 - upsilon(1) - Upsilon(1)
+        # = 3/2 - 1 - 3 = -5/2 with m_1 = int_0^1 u^{-1/3} du, although the parent has
+        # infinite mean (int_1^inf u pi(u) du diverges); no warning is raised
         params = GtscParams(alpha=1.0 / 3.0, gamma=0.0, c=1.0, varphi=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             triple, _ = params.parent_triple()
-        assert triple.a == pytest.approx(-2.500000004075182, rel=1e-12)
+        assert triple.a == pytest.approx(-2.5, rel=1e-14)
 
     def test_killed_both_sides_rejected(self):
         params = GtscParams(alpha=0.5, gamma=1.0, c=1.0, kappa=1.0)
@@ -232,7 +233,8 @@ class TestBuildParent:
         _, psi = build_parent(params.ladder(), 1.0)
         assert big_phi(psi, 0.0) == pytest.approx(1.0, rel=1e-10)
 
-    @pytest.mark.parametrize("alpha,varphi", [(0.5, 0.0), (-0.5, 0.0), (0.25, 1.0)])
+    @pytest.mark.parametrize("alpha,varphi", [(0.5, 0.0), (-0.5, 0.0), (0.25, 1.0),
+                                              (0.75, 1.0)])
     def test_levy_khintchine_roundtrip(self, alpha, varphi):
         # the triple returned by the construction reproduces the exponent by
         # quadrature of the Levy-Khintchine jump integral

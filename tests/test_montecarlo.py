@@ -9,8 +9,8 @@ from scipy import special as sps
 
 from scalekit.errors import NotApplicableError, NumericalError, ParameterError
 from scalekit.gtsc import GtscParams, w_rational
-from scalekit.levy import LevyTriple
-from scalekit.montecarlo import (SimConfig, _ComponentSampler, simulate_exit,
+from scalekit.levy import LevyTriple, build_parent
+from scalekit.montecarlo import (SimConfig, _ComponentSampler, _triple_mean, simulate_exit,
                                  simulate_ruin)
 from scalekit.polyfrac import RationalAlpha
 from scalekit.special import upper_gamma
@@ -250,6 +250,31 @@ class TestGtscBenchmark:
             warnings.simplefilter("ignore")
             est = simulate_ruin(triple, 1.0, cfg, a_upper=a_up)
         assert abs(est.p_hat - target) <= 3.0 * est.stderr
+
+    @pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 0.9])
+    @pytest.mark.parametrize("kappa,varphi,zeta", [(0, 0, 0), (1, 0, 0), (0, 1, 0),
+                                                   (0, 0, 1), (1, 0, 1), (0, 1, 1)])
+    def test_engine_mean_is_psi_prime(self, alpha, kappa, varphi, zeta):
+        # the E X_1 the engine drives with, -a - M(1) from the jump components, is psi'(0+);
+        # at psi'(0+) = 0 (cases A and D) round-off is measured against the location
+        for gamma in (0.5, 1.0, 2.0):
+            triple, psi = GtscParams(alpha=alpha, gamma=gamma, c=1.3, zeta=zeta, kappa=kappa,
+                                     varphi=varphi).parent_triple()
+            assert _triple_mean(triple, SimConfig()) == pytest.approx(
+                psi.drift_at_zero, rel=1e-13, abs=1e-13 * abs(triple.a))
+
+    @pytest.mark.parametrize("kappa", [0.0, 1.0])
+    def test_jumps_without_components_refused(self, kappa):
+        # build_parent's triple carries the jump tail but no components, so the engine
+        # would see a pure drift; parent_triple adds the components
+        params = GtscParams(alpha=0.5, gamma=1.0, c=1.0, kappa=kappa)
+        triple, _ = build_parent(params.ladder(), 0.0)
+        cfg = SimConfig(n_paths=1000, dt=5e-4, small_jump_cutoff=0.02, horizon=50.0, seed=3)
+        assert triple.pi_tail(cfg.small_jump_cutoff) > 0
+        with pytest.raises(ParameterError, match="jump_components"):
+            simulate_exit(triple, 1.0, 2.0, cfg)
+        with pytest.raises(ParameterError, match="jump_components"):
+            simulate_ruin(triple, 1.0, cfg, a_upper=14.0)
 
     def test_cutoff_warning_fires_for_infinite_variation(self):
         params = GtscParams(alpha=0.5, gamma=1.0, c=1.0)

@@ -412,7 +412,45 @@ loaded("work")
 
 def test_cli_import_and_solvers_skip_scipy_optimize_and_integrate():
     # the import, Phi(q), the barrier and the reciprocal-gamma transform load neither module;
-    # Monte Carlo set-up, the line contour and the quadrature oracles import quad themselves
+    # only the three quadrature oracles import quad, each itself
     out = subprocess.run([sys.executable, "-c", _SOLVER_MODULES], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True).stdout
     assert out.split("\n")[:2] == ["import []", "work []"], out
+
+
+_SIMULATE_MODULES = """
+import sys, warnings
+from scalekit import gtsc, montecarlo as mc
+warnings.simplefilter("ignore")
+cfg = mc.SimConfig(n_paths=200, dt=1e-2, small_jump_cutoff=0.05, horizon=20.0, seed=1)
+exit_triple, _ = gtsc.GtscParams(alpha=0.5, gamma=1.0, c=1.0, varphi=1.0).parent_triple()
+ruin_triple, _ = gtsc.GtscParams(alpha=0.5, gamma=1.0, c=1.0, kappa=1.0).parent_triple()
+mc.simulate_exit(exit_triple, 0.5, 1.0, cfg)
+mc.simulate_ruin(ruin_triple, 1.0, cfg, a_upper=4.0)
+print(sorted(m for m in sys.modules if m.split(".")[:2] in (["scipy", "optimize"],
+                                                            ["scipy", "integrate"])))
+"""
+
+
+def test_simulate_skips_scipy_optimize_and_integrate():
+    # the location a and the mean E X_1 are closed forms, so building and simulating a triple
+    # runs no quadrature
+    out = subprocess.run([sys.executable, "-c", _SIMULATE_MODULES], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                         check=True).stdout
+    assert out == "[]\n", out
+
+
+def test_quad_only_in_the_oracles():
+    # QUADPACK's quad serves the three independent oracles and nothing else
+    importers = set()
+    for module, tree in TREES.items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                importers |= {(module, func.name) for node in ast.walk(func)
+                              if isinstance(node, ast.ImportFrom) and any(
+                                  a.name == "quad" for a in node.names)}
+        assert not [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and "integrate" in ast.unparse(node)], f"{module} imports scipy.integrate"
+    assert importers == {("levy.py", "levy_khintchine_exponent"), ("bromwich.py", "_line_pass"),
+                         ("gtsc.py", "w_gamma_case_dual")}, importers
