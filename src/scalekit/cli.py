@@ -148,19 +148,18 @@ def cmd_figures(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+_SUITES = ("laplace", "routes", "asymptotics", "mc")
+
+
 def _check(name, target, achieved, tolerance):
     ok = bool(achieved <= tolerance)
     return {"name": name, "target": target, "achieved": achieved,
             "tolerance": tolerance, "pass": ok}
 
 
-def cmd_verify(args) -> int:
-    checks = []
-    scale, family = _build_model(args)
-    suites = ("laplace", "routes", "asymptotics", "mc") if args.suite == "all" \
-        else (args.suite,)
-
-    if "laplace" in suites:
+def _suite_checks(suite: str, args, scale: ScaleFunction, family: dict) -> list:
+    """The checks of one suite; ``NotApplicableError`` where it does not apply to the model."""
+    if suite == "laplace":
         thetas = [scale.phi_q + off for off in (0.5, 1.0, 2.0, 5.0)]
         # W of a family with a jump size has a kink at each multiple of it; the forward
         # quadrature splits its panels at those below 90, the truncation point of the offset
@@ -169,25 +168,26 @@ def cmd_verify(args) -> int:
         jump = family.get("jump")
         kinks = jump * np.arange(1, min(math.ceil(90.0 / jump), 65)) if jump else ()
         rep = verify_laplace_identity(scale, thetas, kinks)
-        for th, err in zip(rep.thetas, rep.relative_errors):
-            checks.append(_check(f"laplace_identity@theta={th:.6g}",
-                                 "1/(psi(theta)-q)", err, 1e-6))
+        return [_check(f"laplace_identity@theta={th:.6g}", "1/(psi(theta)-q)", err, 1e-6)
+                for th, err in zip(rep.thetas, rep.relative_errors)]
+    if args.model != "gtsc":
+        raise NotApplicableError(f"the {suite} suite checks --model gtsc only")
+    params = _gtsc_from_args(args)
 
-    if "routes" in suites and args.model == "gtsc":
+    if suite == "routes":
         # the bromwich route is checked against the other contour, not against itself
         line = scale.route == "bromwich"
         xs = np.linspace(0.05, 10.0, 25)
         if line:
             ref = np.array([invert_line(scale.psi, scale.q, float(x))[0] for x in xs])
         else:   # one array pass of the hyperbola, with Phi(q) computed once
-            ref = scale_function(_gtsc_from_args(args), scale.q, "bromwich").eval(xs)
+            ref = scale_function(params, scale.q, "bromwich").eval(xs)
         worst = float(np.max(np.abs(scale.eval(xs) - ref) / np.maximum(np.abs(ref), 1e-300)))
-        checks.append(_check(f"route_agreement[{scale.route} vs "
-                             f"{'shifted-line' if line else 'bromwich'}]",
-                             "pointwise agreement", worst, 1e-6))
+        return [_check(f"route_agreement[{scale.route} vs "
+                       f"{'shifted-line' if line else 'bromwich'}]",
+                       "pointwise agreement", worst, 1e-6)]
 
-    if "asymptotics" in suites and args.model == "gtsc":
-        params = _gtsc_from_args(args)
+    if suite == "asymptotics":
         rep_inf = asymptote_infinity(params, scale.q)
         x_far = 50.0
         w_far = scale.eval(x_far)
@@ -197,36 +197,46 @@ def cmd_verify(args) -> int:
                     "with gamma = 0 the untempered jumps make W approach 1/psi'(0+) as a power "
                     "law in x, so no fixed x is far enough to check the limit at 1e-3")
             err = abs(w_far - rep_inf.constant) / rep_inf.constant
-            checks.append(_check("limit_at_infinity", rep_inf.constant, err, 1e-3))
-        elif rep_inf.regime == "linear":
+            return [_check("limit_at_infinity", rep_inf.constant, err, 1e-3)]
+        if rep_inf.regime == "linear":
             slope = (scale.eval(x_far) - scale.eval(x_far - 1.0))
             err = abs(slope - rep_inf.constant) / rep_inf.constant
-            checks.append(_check("linear_growth_slope", rep_inf.constant, err, 1e-2))
-        else:
-            lo, hi = x_far - 6.0, x_far
-            rate = (math.log(scale.eval(hi)) - math.log(scale.eval(lo))) / (hi - lo)
-            err = abs(rate - rep_inf.rate) / max(rep_inf.rate, 1e-12)
-            checks.append(_check("exponential_growth_rate", rep_inf.rate, err, 1e-2))
+            return [_check("linear_growth_slope", rep_inf.constant, err, 1e-2)]
+        lo, hi = x_far - 6.0, x_far
+        rate = (math.log(scale.eval(hi)) - math.log(scale.eval(lo))) / (hi - lo)
+        err = abs(rate - rep_inf.rate) / max(rep_inf.rate, 1e-12)
+        return [_check("exponential_growth_rate", rep_inf.rate, err, 1e-2)]
 
-    if "mc" in suites:
-        x0, a0 = 0.5 * args.a, args.a
-        if args.model == "gtsc":
-            params = _gtsc_from_args(args)
-            triple, _ = params.parent_triple()
-        else:
-            raise ParameterError("the mc suite currently targets --model gtsc")
-        cfg = SimConfig(n_paths=args.paths, dt=args.dt, seed=args.seed)
-        # the cutoff and censoring warnings go into the report: no CLI option acts on them
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            est = simulate_exit(triple, x0, a0, cfg, q=args.q)
-        target = scale.eval(x0) / scale.eval(a0)
-        dev = abs(est.p_hat - target) / max(est.stderr, 1e-12)
-        checks.append({**_check(f"mc_exit[x={x0},a={a0}]", target, dev, 3.0),
-                       "notes": [str(w.message) for w in caught]})
+    x0, a0 = 0.5 * args.a, args.a                                   # the mc suite
+    cfg = SimConfig(n_paths=args.paths, dt=args.dt, seed=args.seed)
+    # the censoring warning goes into the report: no CLI option sets the horizon
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        est = simulate_exit(params.parent_triple()[0], x0, a0, cfg, q=args.q)
+    target = scale.eval(x0) / scale.eval(a0)
+    dev = abs(est.p_hat - target) / max(est.stderr, 1e-12)
+    return [{**_check(f"mc_exit[x={x0},a={a0}]", target, dev, 3.0),
+             "notes": [str(w.message) for w in caught]}]
 
+
+def cmd_verify(args) -> int:
+    """One suite, or every suite that applies to the model: ``all`` names those it ran and
+    why the others do not apply, where a named suite raises ``NotApplicableError``.  A
+    report without checks fails."""
+    scale, family = _build_model(args)
+    checks, ran, left_out = [], [], {}
+    for suite in _SUITES if args.suite == "all" else (args.suite,):
+        try:
+            checks += _suite_checks(suite, args, scale, family)
+        except NotApplicableError as exc:
+            if args.suite != "all":
+                raise
+            left_out[suite] = str(exc)
+        else:
+            ran.append(suite)
     report = {"suite": args.suite, "model": args.model,
-              "checks": checks, "pass": all(c["pass"] for c in checks)}
+              **({"suites": ran, "not_applicable": left_out} if args.suite == "all" else {}),
+              "checks": checks, "pass": bool(checks) and all(c["pass"] for c in checks)}
     json.dump(report, sys.stdout, indent=2)
     print()
     return 0 if report["pass"] else 1
@@ -318,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verification suites with a JSON report")
     _add_model_args(p)
     p.add_argument("--suite", default="all",
-                   choices=["laplace", "routes", "asymptotics", "mc", "all"])
+                   choices=[*_SUITES, "all"])
     p.add_argument("--paths", type=int, default=20_000)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=20_240_901)

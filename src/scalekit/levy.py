@@ -92,7 +92,7 @@ class LevyTriple:
 
     ``pi_tail(x)`` is Pi(-inf, -x) for x > 0; ``pi_density(x)`` the density of
     the jump magnitude at x when available.  ``jump_components`` gives the
-    jump law in closed form; Monte Carlo reads its jumps and E X_1 from them.
+    jump law in closed form; Monte Carlo reads its jumps, drift and E X_1 from them.
     """
 
     a: float

@@ -17,8 +17,10 @@ reach of a barrier; for the others it is below e^-40 (see ``_BRIDGE_CUT``).
 With ``q > 0`` an upward exit at time t has weight e^{-q t}; the grid engine
 takes t as the end of the exit step.
 
-The jump law and the mean E X_1 = -a - int_{u>1} u Pi(du) are read from
-``LevyTriple.jump_components``, which a triple with jumps must carry:
+One jump model at the cutoff eps per call reads the jump law from
+``LevyTriple.jump_components``, which a triple with jumps must carry.  The
+engines drive with -a + int_{eps<u<=1} u Pi(du), finite for every Levy measure;
+``simulate_ruin`` also needs E X_1 = -a - int_{u>1} u Pi(du), -inf without a first moment:
 
 * ("tempered_power", c, a, gamma)  -- density c u^{-a-1} e^{-gamma u};
   sampled by inverse-power proposals with exponential-tempering thinning.
@@ -78,7 +80,9 @@ class ExitEstimate:
 # ---------------------------------------------------------------------------
 
 class _ComponentSampler:
-    """Sampler for one jump component restricted to sizes > eps."""
+    """Sampler for one jump component restricted to sizes > eps, with its first moments
+    ``moment_to_1`` = int_{eps<u<=1} u Pi(du) (-int_{1<u<=eps} when eps > 1) and
+    ``moment_past_1`` = int_{u>1} u Pi(du) (inf without a first moment)."""
 
     def __init__(self, comp: tuple, eps: float):
         kind = comp[0]
@@ -89,7 +93,10 @@ class _ComponentSampler:
             self.a, self.gamma = a, gamma
             if gamma > 0:
                 self.rate = c * gamma ** a * upper_gamma(-a, gamma * eps)
-                self.moment1 = c * gamma ** (a - 1.0) * upper_gamma(1.0 - a, gamma * eps)
+                # int_{u>t} u Pi(du) = c gamma^{a-1} Gamma(1-a, gamma t)
+                tail_eps, tail_1 = (c * gamma ** (a - 1.0) * upper_gamma(1.0 - a, gamma * t)
+                                    for t in (eps, 1.0))
+                self.moment_to_1, self.moment_past_1 = tail_eps - tail_1, tail_1
                 # sigma_eps^2 = c gamma^{a-2} * lower_gamma(2-a, gamma*eps)
                 self.small_var = c * gamma ** (a - 2.0) \
                     * sps.gammainc(2.0 - a, gamma * eps) * math.gamma(2.0 - a)
@@ -100,10 +107,10 @@ class _ComponentSampler:
                 if a <= 0:
                     raise ParameterError("untempered component needs a > 0")
                 self.rate = c * eps ** (-a) / a
-                self.moment1 = c * eps ** (1.0 - a) / (a - 1.0) if a > 1.0 else math.inf
-                if not math.isfinite(self.moment1):
-                    raise ParameterError("untempered component with a <= 1 has "
-                                         "infinite mean above the cutoff")
+                # int_eps^1 c u^{-a} du = c (1 - eps^{1-a}) / (1-a), and -c log(eps) at a = 1
+                self.moment_to_1 = -c * (math.expm1((1.0 - a) * math.log(eps)) / (1.0 - a)
+                                         if a != 1.0 else math.log(eps))
+                self.moment_past_1 = c / (a - 1.0) if a > 1.0 else math.inf
                 self.small_var = c * eps ** (2.0 - a) / (2.0 - a)
                 self.u0 = math.inf
                 self.mass_mid, self.mass_tail = self.rate, 0.0
@@ -111,16 +118,19 @@ class _ComponentSampler:
             _, rate, mu = comp
             self.mu = mu
             self.rate = rate * math.exp(-mu * eps)
-            self.moment1 = self.rate * (eps + 1.0 / mu)
+            # int_{u>t} u Pi(du) = rate e^{-mu t} (t + 1/mu)
+            tail_eps, tail_1 = (rate * math.exp(-mu * t) * (t + 1.0 / mu) for t in (eps, 1.0))
+            self.moment_to_1, self.moment_past_1 = tail_eps - tail_1, tail_1
             # small part: rate * int_0^eps u^2 mu e^{-mu u} du
             self.small_var = rate * sps.gammainc(3.0, mu * eps) * 2.0 / mu ** 2
         elif kind == "fixed":
             _, rate, size = comp
             self.size = size
-            if size > eps:
-                self.rate, self.moment1, self.small_var = rate, rate * size, 0.0
-            else:
-                self.rate, self.moment1, self.small_var = 0.0, 0.0, rate * size ** 2
+            self.rate, self.small_var = (rate, 0.0) if size > eps else (0.0, rate * size ** 2)
+            # a point mass in (eps, 1] adds to moment_to_1, one in (1, eps] subtracts
+            sign = (eps < size <= 1.0) - (1.0 < size <= eps)
+            self.moment_to_1 = sign * rate * size
+            self.moment_past_1 = rate * size if size > 1.0 else 0.0
         else:
             raise ParameterError(f"unknown jump component kind '{kind}'")
 
@@ -183,9 +193,12 @@ def _accept_reject(draw, n: int) -> np.ndarray:
 
 class _JumpModel:
     def __init__(self, triple: LevyTriple, eps: float):
+        if not triple.jump_components and triple.pi_tail(eps) > 0:
+            raise ParameterError("the triple has jumps above the cutoff but no jump_components")
         self.samplers = [_ComponentSampler(c, eps) for c in triple.jump_components]
         self.rate = sum(s.rate for s in self.samplers)
-        self.moment1 = sum(s.moment1 for s in self.samplers)
+        self.moment_to_1 = sum(s.moment_to_1 for s in self.samplers)
+        self.moment_past_1 = sum(s.moment_past_1 for s in self.samplers)
         self.small_var = sum(s.small_var for s in self.samplers)
         self.weights = np.array([s.rate for s in self.samplers]) / self.rate \
             if self.rate > 0 else np.empty(0)
@@ -262,34 +275,18 @@ class _Exits:
 # the path engines
 # ---------------------------------------------------------------------------
 
-def _check_cutoff(triple: LevyTriple, jumps: _JumpModel, cfg: SimConfig) -> None:
-    """Warn when halving the cutoff moves the small-jump variance of ``jumps`` by over 5%."""
-    if not triple.jump_components:
-        return
-    v1 = jumps.small_var
-    v2 = _JumpModel(triple, cfg.small_jump_cutoff / 2.0).small_var
-    significant = v1 > 1e-6 * (1.0 + triple.sigma ** 2)
-    if significant and abs(v1 - v2) > 0.05 * v1:
-        warnings.warn(
-            "small-jump variance changes by more than 5% when the cutoff is "
-            "halved; the Gaussian approximation may be coarse", stacklevel=4)
-
-
-def _run_exit(triple: LevyTriple, mean_x1: float, x: float, a: float, q: float,
+def _run_exit(triple: LevyTriple, jumps: _JumpModel, x: float, a: float, q: float,
               cfg: SimConfig) -> ExitEstimate:
     if not 0.0 <= x <= a:
         raise ParameterError("need 0 <= x <= a")
     if not q >= 0.0 or not math.isfinite(q):
         raise ParameterError("need a finite q >= 0")
-    # jump models draw no random numbers when built, so one serves the check and the run
-    jumps = _JumpModel(triple, cfg.small_jump_cutoff)
-    _check_cutoff(triple, jumps, cfg)
     rng = np.random.default_rng(cfg.seed)
+    drift = -triple.a + jumps.moment_to_1     # with the jumps up to eps compensated
     small_var = jumps.small_var
-    if small_var < 1e-5 * (1.0 + triple.sigma ** 2 + abs(mean_x1)):
+    if small_var < 1e-5 * (1.0 + triple.sigma ** 2 + abs(drift)):
         small_var = 0.0   # negligible folded variance: allow the exact engine
     sigma_tot = math.sqrt(triple.sigma ** 2 + small_var)
-    drift = mean_x1 + jumps.moment1
 
     if sigma_tot == 0.0 and jumps.rate > 0:
         return _run_exit_event_driven(jumps, drift, x, a, q, cfg, rng)
@@ -393,13 +390,6 @@ def _run_exit_event_driven(jumps: _JumpModel, drift: float, x: float, a: float,
 # public operations
 # ---------------------------------------------------------------------------
 
-def _triple_mean(triple: LevyTriple, cfg: SimConfig) -> float:
-    """E X_1 = -a - M(1), M(t) = int_{u>t} u Pi(du) from the closed forms of the components."""
-    if not triple.jump_components and triple.pi_tail(cfg.small_jump_cutoff) > 0:
-        raise ParameterError("the triple has jumps above the cutoff but no jump_components")
-    return -triple.a - _JumpModel(triple, 1.0).moment1
-
-
 def simulate_exit(triple: LevyTriple, x: float, a: float, cfg: SimConfig,
                   q: float = 0.0) -> ExitEstimate:
     """Estimate E_x[e^{-q tau_a^+}; tau_a^+ < tau_0^-] over the paths that exit.
@@ -408,7 +398,7 @@ def simulate_exit(triple: LevyTriple, x: float, a: float, cfg: SimConfig,
     at q > 0 the stderr is the sample standard error of the path weights.
     Raises ``NumericalError`` when every path is censored at the horizon.
     """
-    return _run_exit(triple, _triple_mean(triple, cfg), x, a, q, cfg)
+    return _run_exit(triple, _JumpModel(triple, cfg.small_jump_cutoff), x, a, q, cfg)
 
 
 def simulate_ruin(triple: LevyTriple, x: float, cfg: SimConfig,
@@ -416,11 +406,13 @@ def simulate_ruin(triple: LevyTriple, x: float, cfg: SimConfig,
     """Estimate the ruin probability through the large-barrier exit proxy.
 
     ``a_upper`` should be chosen so that the residual mass W(x)/W(a_upper) is
-    below 1e-3 of the target.
+    below 1e-3 of the target.  Raises ``NotApplicableError`` unless
+    psi'(0+) = E X_1 = -a - int_{u>1} u Pi(du) > 0 (it is -inf without a first moment).
     """
-    mean_x1 = _triple_mean(triple, cfg)
+    jumps = _JumpModel(triple, cfg.small_jump_cutoff)
+    mean_x1 = -triple.a - jumps.moment_past_1
     if mean_x1 <= 0:
-        raise NotApplicableError("ruin estimation requires psi'(0+) > 0")
-    est = _run_exit(triple, mean_x1, x, a_upper, 0.0, cfg)
+        raise NotApplicableError(f"ruin estimation requires psi'(0+) > 0, got {mean_x1:.6g}")
+    est = _run_exit(triple, jumps, x, a_upper, 0.0, cfg)
     return ExitEstimate(p_hat=1.0 - est.p_hat, stderr=est.stderr,
                         n_censored=est.n_censored)

@@ -23,7 +23,6 @@ at sampled points for every build.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -225,11 +224,6 @@ def _cluster_and_validate(coeffs: np.ndarray, raw: np.ndarray, tol: float):
     if not real.any():
         raise NumericalError("no real root found; invalid parameters or numerical failure")
     i1 = np.flatnonzero(real)[roots.real[real].argmax()]
-    if (~real & (np.abs(roots.real) >= roots.real[i1] * (1.0 + 1e-9) + 1e-12)).any():
-        warnings.warn(
-            "non-real root with |Re| >= largest real root detected; "
-            "the largest-real-root identification may be ambiguous",
-            stacklevel=3)
 
     order = sorted(idx, key=lambda i: (i != i1, -roots[i].real,
                                        -abs(roots[i].imag), roots[i].imag))

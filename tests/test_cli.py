@@ -294,12 +294,44 @@ class TestVerify:
     def test_mc_warnings_become_notes(self):
         import warnings
 
+        # c = 0.005 slows the process down 200-fold, so some paths are still inside
+        # (0, 2) at the horizon
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out = run_cli(["verify", "--suite", "mc", "--alpha", "1/4", "--paths", "2000"])
+            code, out = run_cli(["verify", "--suite", "mc", "--alpha=-1/2", "--c", "0.005",
+                                 "--paths", "2000"])
         check = json.loads(out)["checks"][0]
-        assert any("small-jump variance" in note for note in check["notes"])
+        assert [note for note in check["notes"] if "censored at the horizon" in note]
         assert code == 0
+
+    def test_mc_untempered_tilted_parent(self):
+        # gamma = 0 with varphi > 0: no first moment above the cutoff, a finite engine drift
+        code, out = run_cli(["verify", "--suite", "mc", "--alpha", "1/2", "--gamma", "0",
+                             "--varphi", "1"])
+        assert json.loads(out)["checks"][0]["achieved"] <= 3.0
+        assert code == 0
+
+    @pytest.mark.parametrize("suite", ["routes", "asymptotics", "mc"])
+    def test_suite_without_catalog_checks_does_not_apply(self, suite, capsys):
+        code, out = run_cli(["verify", "--suite", suite, "--model", "catalog:brownian"])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err.startswith("not applicable: ")
+
+    def test_all_names_the_suites_it_ran(self):
+        code, out = run_cli(["verify", "--suite", "all", "--model", "catalog:brownian"])
+        rep = json.loads(out)
+        assert rep["suites"] == ["laplace"]
+        assert sorted(rep["not_applicable"]) == ["asymptotics", "mc", "routes"]
+        assert rep["checks"] and rep["pass"]
+        assert code == 0
+
+    def test_report_without_checks_fails(self, monkeypatch):
+        from scalekit import cli
+
+        monkeypatch.setattr(cli, "_suite_checks", lambda *args: [])
+        code, out = run_cli(["verify", "--suite", "laplace"])
+        assert json.loads(out)["pass"] is False
+        assert code == 1
 
     def test_readme_all_suites_at_q1(self):
         # the mc check simulates the discounted exit E_x[e^{-q tau}; up first],

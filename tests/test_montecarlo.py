@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from scipy import special as sps
 
+from scalekit import montecarlo
 from scalekit.errors import NotApplicableError, NumericalError, ParameterError
 from scalekit.gtsc import GtscParams, w_rational
 from scalekit.levy import LevyTriple, build_parent
-from scalekit.montecarlo import (SimConfig, _ComponentSampler, _triple_mean, simulate_exit,
+from scalekit.montecarlo import (SimConfig, _ComponentSampler, _JumpModel, simulate_exit,
                                  simulate_ruin)
 from scalekit.polyfrac import RationalAlpha
 from scalekit.special import upper_gamma
@@ -62,7 +63,7 @@ class TestSampler:
             ana = 1.5 * upper_gamma(-1.5, u) / s.rate
             se = math.sqrt(ana * (1.0 - ana) / n)
             assert abs(emp - ana) <= 4.0 * se
-        assert smp.mean() == pytest.approx(s.moment1 / s.rate, rel=0.01)
+        assert smp.mean() == pytest.approx((s.moment_to_1 + s.moment_past_1) / s.rate, rel=0.01)
 
     def test_untempered_pareto_tail(self):
         # gamma = 0: density c u^{-a-1} above eps, a Pareto law with no tail piece
@@ -70,7 +71,8 @@ class TestSampler:
         s = _ComponentSampler(("tempered_power", c, a, 0.0), eps)
         assert s.u0 == math.inf
         assert s.rate == pytest.approx(c * eps ** (-a) / a, rel=1e-15)
-        assert s.moment1 == pytest.approx(c * eps ** (1.0 - a) / (a - 1.0), rel=1e-15)
+        assert s.moment_to_1 + s.moment_past_1 == pytest.approx(c * eps ** (1.0 - a) / (a - 1.0),
+                                                                rel=1e-15)
         assert s.small_var == pytest.approx(c * eps ** (2.0 - a) / (2.0 - a), rel=1e-15)
         smp = s.sample(np.random.default_rng(3), n)
         assert smp.min() > eps
@@ -83,7 +85,8 @@ class TestSampler:
         c, gamma, eps, n = 1.0, 1.0, 0.02, 200_000
         s = _ComponentSampler(("tempered_power", c, 0.0, gamma), eps)
         assert s.rate == pytest.approx(c * sps.exp1(gamma * eps), rel=1e-14)
-        assert s.moment1 == pytest.approx(c * math.exp(-gamma * eps) / gamma, rel=1e-14)
+        assert s.moment_to_1 + s.moment_past_1 == pytest.approx(c * math.exp(-gamma * eps) / gamma,
+                                                                rel=1e-14)
         smp = s.sample(np.random.default_rng(3), n)
         assert smp.min() > eps
         for u in (0.05, 0.5, 1.0, 3.0):
@@ -255,12 +258,13 @@ class TestGtscBenchmark:
     @pytest.mark.parametrize("kappa,varphi,zeta", [(0, 0, 0), (1, 0, 0), (0, 1, 0),
                                                    (0, 0, 1), (1, 0, 1), (0, 1, 1)])
     def test_engine_mean_is_psi_prime(self, alpha, kappa, varphi, zeta):
-        # the E X_1 the engine drives with, -a - M(1) from the jump components, is psi'(0+);
-        # at psi'(0+) = 0 (cases A and D) round-off is measured against the location
+        # the E X_1 that simulate_ruin reads from its one jump model, -a - int_{u>1} u Pi(du),
+        # is psi'(0+); at psi'(0+) = 0 (cases A and D) round-off is measured against the location
         for gamma in (0.5, 1.0, 2.0):
             triple, psi = GtscParams(alpha=alpha, gamma=gamma, c=1.3, zeta=zeta, kappa=kappa,
                                      varphi=varphi).parent_triple()
-            assert _triple_mean(triple, SimConfig()) == pytest.approx(
+            mean_x1 = -triple.a - _JumpModel(triple, SimConfig().small_jump_cutoff).moment_past_1
+            assert mean_x1 == pytest.approx(
                 psi.drift_at_zero, rel=1e-13, abs=1e-13 * abs(triple.a))
 
     @pytest.mark.parametrize("kappa", [0.0, 1.0])
@@ -276,10 +280,52 @@ class TestGtscBenchmark:
         with pytest.raises(ParameterError, match="jump_components"):
             simulate_ruin(triple, 1.0, cfg, a_upper=14.0)
 
-    def test_cutoff_warning_fires_for_infinite_variation(self):
-        params = GtscParams(alpha=0.5, gamma=1.0, c=1.0)
-        triple, _ = params.parent_triple()
-        with pytest.warns(UserWarning, match="cutoff"):
-            simulate_exit(triple, 1.0, 2.0,
-                          SimConfig(n_paths=200, dt=1e-2, small_jump_cutoff=0.05,
-                                    horizon=20.0, seed=1))
+    def test_one_jump_model_per_call(self, monkeypatch):
+        built = []
+
+        class Counted(_JumpModel):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(montecarlo, "_JumpModel", Counted)
+        cfg = SimConfig(n_paths=200, dt=1e-2, small_jump_cutoff=0.05, horizon=20.0, seed=1)
+        exit_triple, _ = GtscParams(alpha=0.5, gamma=1.0, c=1.0).parent_triple()
+        simulate_exit(exit_triple, 1.0, 2.0, cfg)
+        assert len(built) == 1
+        ruin_triple, _ = GtscParams(alpha=0.5, gamma=1.0, c=1.0, kappa=1.0).parent_triple()
+        simulate_ruin(ruin_triple, 1.0, cfg, a_upper=4.0)
+        assert len(built) == 2
+
+    def test_benchmark_gtsc_a_call_warns_nothing(self):
+        # the simulate benchmark's case-A call: no warning at the cutoff 0.02
+        triple, _ = GtscParams(alpha=0.5, gamma=1.0, c=1.0).parent_triple()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = simulate_exit(triple, 1.0, 2.0,
+                                SimConfig(n_paths=12_000, dt=5e-4, small_jump_cutoff=0.02,
+                                          horizon=400.0, seed=1))
+        assert est.n_censored == 0
+
+
+class TestUntemperedTilted:
+    """gamma = 0, varphi > 0: the component c varphi u^{-alpha-1} has no first moment above
+    any cutoff, so psi'(0+) = -inf, but the engine drift -a + int_{eps<u<=1} u Pi(du) is finite."""
+
+    CASES = [(0.5, 1.0, RationalAlpha(1, 2)), (0.75, 0.5, RationalAlpha(3, 4))]
+
+    @pytest.mark.parametrize("alpha, varphi, frac", CASES)
+    def test_exit_within_three_sigma(self, alpha, varphi, frac):
+        params = GtscParams(alpha=alpha, gamma=0.0, c=1.0, varphi=varphi)
+        w = w_rational(params, frac, 0.0)
+        cfg = SimConfig(n_paths=8000, dt=5e-4, horizon=400.0, seed=1)
+        est = simulate_exit(params.parent_triple()[0], 1.0, 2.0, cfg)
+        assert est.n_censored == 0
+        assert abs(est.p_hat - w.eval(1.0) / w.eval(2.0)) <= 3.0 * est.stderr
+
+    @pytest.mark.parametrize("alpha, varphi", [case[:2] for case in CASES])
+    def test_ruin_not_applicable(self, alpha, varphi):
+        triple, psi = GtscParams(alpha=alpha, gamma=0.0, c=1.0, varphi=varphi).parent_triple()
+        assert psi.drift_at_zero == -math.inf
+        with pytest.raises(NotApplicableError, match="-inf"):
+            simulate_ruin(triple, 1.0, SimConfig(n_paths=100), a_upper=12.0)

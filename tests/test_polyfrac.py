@@ -152,11 +152,6 @@ class TestRoots:
         with pytest.raises(ParameterError, match="real"):
             partial_fractions(np.array([-1.0, 0.0, 1.0 + 1e-300j]), 0)
 
-    def test_largest_real_root_warning(self):
-        p5 = npoly.polyfromroots([0.5, 2.0 + 1.0j, 2.0 - 1.0j])
-        with pytest.warns(UserWarning, match="largest real root"):
-            roots_with_multiplicity(p5)
-
 
 def _mp_polish(coeffs, z0, mu):
     """Reference: scalar 50-digit Newton on the (mu-1)-th derivative from one cluster center."""

@@ -454,3 +454,14 @@ def test_quad_only_in_the_oracles():
                     and "integrate" in ast.unparse(node)], f"{module} imports scipy.integrate"
     assert importers == {("levy.py", "levy_khintchine_exponent"), ("bromwich.py", "_line_pass"),
                          ("gtsc.py", "w_gamma_case_dual")}, importers
+
+
+def test_one_warning_the_censoring_one():
+    # what a caller can act on is a typed error or a field of the result; the one warning
+    # left flags estimates from paths that outlived the horizon (ExitEstimate.n_censored)
+    warns = [(module, ast.unparse(node)) for module, tree in TREES.items()
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and (isinstance(node.func, ast.Attribute) and node.func.attr == "warn"
+                  or isinstance(node.func, ast.Name) and node.func.id == "warn")]
+    assert len(warns) == 1 and warns[0][0] == "montecarlo.py" \
+        and "censored at the horizon" in warns[0][1], warns
