@@ -29,7 +29,7 @@ from scipy import special as sps
 from .errors import ParameterError
 from .levy import LaplaceExponent
 from .scale import ScaleFunction
-from .special import mittag_leffler, mittag_leffler_deriv
+from .special import mittag_leffler
 
 __all__ = [
     "CatalogEntry",
@@ -104,7 +104,8 @@ def w_brownian(sigma: float, mu: float, q: float = 0.0) -> ScaleFunction:
 # ---------------------------------------------------------------------------
 
 def w_stable(beta: float, q: float = 0.0) -> ScaleFunction:
-    """W^(q)(x) = beta x^{beta-1} E'_{beta,1}(q x^beta) for psi(theta) = theta^beta.
+    """W^(q)(x) = x^{beta-1} E_{beta,beta}(q x^beta) for psi(theta) = theta^beta, and
+    W'(x) = x^{beta-2} E_{beta,beta-1}(q x^beta).
 
     beta = 2 is admitted as the Brownian boundary (psi = theta^2).
     """
@@ -118,15 +119,10 @@ def w_stable(beta: float, q: float = 0.0) -> ScaleFunction:
         return q * x ** beta if q > 0 else np.zeros(x.shape)
 
     def value(x: np.ndarray) -> np.ndarray:
-        return beta * x ** (beta - 1.0) * mittag_leffler_deriv(beta, 1.0, 1, arg(x)).real
+        return x ** (beta - 1.0) * mittag_leffler(beta, beta, arg(x)).real
 
     def deriv(x: np.ndarray) -> np.ndarray:
-        z = arg(x)
-        out = beta * (beta - 1.0) * x ** (beta - 2.0) * mittag_leffler_deriv(beta, 1.0, 1, z).real
-        if q > 0:
-            out += beta * beta * q * x ** (2.0 * beta - 2.0) \
-                * mittag_leffler_deriv(beta, 1.0, 2, z).real
-        return out
+        return x ** (beta - 2.0) * mittag_leffler(beta, beta - 1.0, arg(x)).real
 
     def psi_eval(theta):
         return theta ** beta
@@ -140,8 +136,8 @@ def w_stable(beta: float, q: float = 0.0) -> ScaleFunction:
 def w_stable_drift(beta: float, c: float) -> ScaleFunction:
     """q = 0 scale function of psi(theta) = theta^beta + c theta, c > 0.
 
-    W(x) = (1/c)(1 - E_{beta-1}(-c x^{beta-1})); the exponent pairing is
-    validated by the transform identity before the entry is enabled.
+    W(x) = (1/c)(1 - E_{beta-1}(-c x^{beta-1})), W' = x^{beta-2} E_{beta-1,beta-1}(-c x^{beta-1});
+    the exponent pairing is validated by the transform identity before the entry is enabled.
     """
     if not 1.0 < beta < 2.0:
         raise ParameterError("stable index beta must lie in (1, 2)")
@@ -153,8 +149,7 @@ def w_stable_drift(beta: float, c: float) -> ScaleFunction:
         return (1.0 - mittag_leffler(bm1, 1.0, -c * x ** bm1).real) / c
 
     def deriv(x: np.ndarray) -> np.ndarray:
-        z = -c * x ** bm1
-        return bm1 * x ** (bm1 - 1.0) * mittag_leffler_deriv(bm1, 1.0, 1, z).real
+        return x ** (bm1 - 1.0) * mittag_leffler(bm1, bm1, -c * x ** bm1).real
 
     def psi_eval(theta):
         return theta ** beta + c * theta
@@ -301,9 +296,7 @@ def w_abate_whitt(lam: float, mu: float) -> ScaleFunction:
             return pref * (1.0 - rho * lim)
 
         def deriv(x: np.ndarray) -> np.ndarray:
-            u = nu * nu * x
-            return pref * rho * nu * nu * ((1.0 + 2.0 * u) * sps.erfcx(np.sqrt(u))
-                                           - 2.0 * np.sqrt(u / math.pi))
+            return pref * rho * nu * nu * _coalescent_slope(nu * nu * x)
     else:
         root = math.sqrt(disc)
         nu1, nu2 = half + root, half - root
@@ -329,6 +322,24 @@ def w_abate_whitt(lam: float, mu: float) -> ScaleFunction:
 
     psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv, drift_at_zero=1.0 - rho)
     return ScaleFunction(0.0, 0.0, "catalog", value, deriv, psi)
+
+
+# (1 + 2u) erfcx(sqrt u) - 2 sqrt(u/pi) is 1/u^2 the size of its terms.  Against 50-digit mpmath
+# the direct form errs by up to 1.4e-12 relative at u = 40 and 1.8e-11 at u = 300, while the
+# asymptotic series sum_{k=1}^{40} -2k e_k u^{-k}/sqrt(pi u), e_k = (-1)^k (2k-1)!!/2^k the
+# coefficients of erfcx(sqrt u) sqrt(pi u), errs by 1e-14 at u = 40 and by 2e-16 from u = 45.
+_COALESCENT_U = 40.0
+_COALESCENT_SERIES = (-2.0 * np.arange(1, 41)
+                      * np.cumprod(-(2.0 * np.arange(1, 41) - 1.0) / 2.0))[::-1]
+
+
+def _coalescent_slope(u: np.ndarray) -> np.ndarray:
+    """(1 + 2u) erfcx(sqrt u) - 2 sqrt(u/pi) on u >= 0, by its asymptotic series from u = 40."""
+    out, far = np.empty(u.shape), u >= _COALESCENT_U
+    near, v = u[~far], 1.0 / u[far]
+    out[~far] = (1.0 + 2.0 * near) * sps.erfcx(np.sqrt(near)) - 2.0 * np.sqrt(near / math.pi)
+    out[far] = v * np.polyval(_COALESCENT_SERIES, v) / np.sqrt(math.pi * u[far])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,9 @@ CASES = {
     "F": CaseSpec(kappa=0.0, varphi=1.0, zeta=1.0),
 }
 
+# the GTSC ladder flags of --model gtsc and their values when neither they nor --case are given
+_LADDER_DEFAULTS = {"gamma": 1.0, "c": 1.0, "zeta": 0.0, "kappa": 0.0, "varphi": 0.0}
+
 
 def _parse_fraction(text: str) -> Fraction:
     try:
@@ -286,11 +289,8 @@ def _add_model_args(p: argparse.ArgumentParser):
                    help="gtsc or catalog:<family> "
                         f"(families: {', '.join(catalog_families())})")
     p.add_argument("--alpha", default="1/2", help="stability parameter (fraction or decimal)")
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--zeta", type=float, default=0.0)
-    p.add_argument("--kappa", type=float, default=0.0)
-    p.add_argument("--varphi", type=float, default=0.0)
+    for name, value in _LADDER_DEFAULTS.items():     # filled in by _resolve_ladder_flags
+        p.add_argument(f"--{name}", type=float, default=None, help=f"default {value:g}")
     p.add_argument("--q", type=float, default=0.0)
     p.add_argument("--route", default="auto",
                    choices=["auto", "rational", "closed", "ig", "bromwich"])
@@ -347,17 +347,33 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+def _resolve_ladder_flags(args) -> None:
+    """Set --gamma, --c, --zeta, --kappa and --varphi from --case or from their defaults.
+
+    A case sets all five, so naming any of them next to --case is a ParameterError.
+    """
+    if not hasattr(args, "model"):
+        return
+    given = [name for name in _LADDER_DEFAULTS if getattr(args, name) is not None]
+    values = dict(_LADDER_DEFAULTS)
     if getattr(args, "case", None):
         case = CASES.get(args.case.upper())
         if case is None:
-            print(f"error: unknown case '{args.case}'", file=sys.stderr)
-            return 2
-        args.kappa, args.varphi, args.zeta = case.kappa, case.varphi, case.zeta
-        args.c = args.gamma = 1.0
+            raise ParameterError(f"unknown case '{args.case}'")
+        if given:
+            raise ParameterError(f"--case {args.case} sets c = gamma = 1, kappa, varphi and "
+                                 f"zeta; it does not combine with --{', --'.join(given)}")
+        values.update(kappa=case.kappa, varphi=case.varphi, zeta=case.zeta)
+    for name, value in values.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+
+
+def main(argv=None) -> int:
+    ap = build_parser()
+    args = ap.parse_args(argv)
     try:
+        _resolve_ladder_flags(args)
         return args.func(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

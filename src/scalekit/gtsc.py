@@ -12,9 +12,10 @@ kappa*varphi = 0.
 Evaluation routes for W^(q) (``scale_function`` picks one, or Bromwich inversion):
 
 * ``w_rational``   -- alpha = m/n: partial fractions of z^{m_-}/f_q(z) and
-  tilted Mittag-Leffler derivatives; near zero the equivalent convergent
-  power series (from the expansion of z^{m_-}/f_q at infinity) is used,
-  which also yields W(0+) and W'(0+) exactly.
+  tilted Mittag-Leffler derivatives, whose W' lowers their second index by
+  one; near zero the equivalent convergent power series (from the expansion
+  of z^{m_-}/f_q at infinity) is used, which also yields W(0+) and W'(0+)
+  exactly.
 * ``w0_closed``    -- q = 0, zeta = 0, alpha in (-1,1)\\{0}: single-integral
   closed forms on fixed graded Gauss-Kronrod panels, and W' in closed form.
 * ``w_ig``         -- alpha = 1/2 inverse Gaussian ladder: erfc formulas,
@@ -193,8 +194,9 @@ def w_rational(params: GtscParams, alpha: Optional[RationalAlpha] = None,
 
     # expansion of z^{m_-}/f_q(z) at infinity: b[i] is the z^{-i} coefficient;
     # W e^{gamma x} = sum_i b_i x^{i/n-1}/Gamma(i/n) converges for all x and is
-    # the well-conditioned representation near zero.
-    bcoef = _inverse_expansion(fq, alpha.m_minus, 40 * n + 240)
+    # the well-conditioned representation near zero, x <= x_switch, where every |r x^{1/n}| <= 0.45.
+    # Over every m/n with n <= 12, cases A-F and q in {0, 1, 5} it stops by i = 75 of 8n + 60.
+    bcoef, ends = _inverse_expansion(fq, alpha.m_minus, 8 * n + 60)
     rmax = np.abs(pf.roots).max()
     x_switch = (0.45 / rmax) ** n if rmax > 0 else math.inf
 
@@ -209,23 +211,40 @@ def w_rational(params: GtscParams, alpha: Optional[RationalAlpha] = None,
     s_coef = bcoef[idx] * sps.rgamma(idx * inv_n)
     s_pow = idx * inv_n - 1.0
     s_late = idx > 2 * n
-    w0 = bcoef[n] if len(bcoef) > n else 0.0
-    wp0 = asymptote_zero(params, q).wprime0
+    # at 0+ the series leaves b_n, and b_{2n} x unless a power x^{i/n-1} in (0, 1) comes first
+    w0 = bcoef[n]
+    wp0 = math.inf if bcoef[n + 1:2 * n].any() else bcoef[2 * n] - gamma * w0
 
-    def _series_pair(x: np.ndarray, deriv: bool):
-        # the series summed up to its first negligible term beyond i = 2n, per x
+    def _series_sums(x: np.ndarray, deriv: bool):
+        # the series and its derivative summed up to the first negligible term beyond i = 2n
         with np.errstate(over="ignore", invalid="ignore"):
             terms = s_coef * x[:, None] ** s_pow
             partial = np.cumsum(terms, axis=1)
             stop = s_late & (np.abs(terms) < 1e-18 * (np.abs(partial) + 1e-300))
-        last = np.where(stop.any(axis=1), stop.argmax(axis=1), idx.size - 1)
+        stopped = stop.any(axis=1)
+        if not (ends or stopped.all()):
+            raise NumericalError(f"the small-x series did not converge within {bcoef.size} "
+                                 f"terms at x={x[np.argmin(stopped)]:.6g}")
+        last = np.where(stopped, stop.argmax(axis=1), idx.size - 1)
         rows = np.arange(x.size)
-        ex = np.exp(-gamma * x)
-        s = partial[rows, last]
-        if not deriv:
-            return ex * s, None
-        sd = np.cumsum(terms * s_pow / x[:, None], axis=1)[rows, last]
-        return ex * s, ex * (sd - gamma * s)
+        ds = np.cumsum(terms * s_pow / x[:, None], axis=1)[rows, last] if deriv else None
+        return partial[rows, last], ds
+
+    def _pfd_sums(x: np.ndarray, deriv: bool):
+        # term (r, j < mu_r): coef x^{(j+1)/n-1} j! E^{j+1}_{1/n,(j+1)/n}(r x^{1/n}); its
+        # derivative is the same with the second index and the power lowered by one
+        z = np.outer(pf_roots, x ** inv_n)
+        sums = []
+        for d in range(1 + deriv):
+            total = np.zeros(x.size, dtype=complex)
+            for j in range(max_mu):
+                on = pf_mults > j
+                ml = mittag_leffler_deriv(inv_n, inv_n - d, j, z[on])
+                # root by root, so that a point's sum does not depend on the points around it
+                total += sum(c * m for c, m in zip(pf_coef[j, on], ml)) \
+                    * x ** ((j + 1) * inv_n - 1.0 - d)
+            sums.append(total)
+        return sums[0], (sums[1] if deriv else None)
 
     def _real(total: np.ndarray, x: np.ndarray) -> np.ndarray:
         bad = np.abs(total.imag) > 1e-9 * (1.0 + np.abs(total.real))
@@ -235,39 +254,18 @@ def w_rational(params: GtscParams, alpha: Optional[RationalAlpha] = None,
                                  f"Mittag-Leffler sum at x={x[i]:.6g}")
         return total.real
 
-    def _pfd_pair(x: np.ndarray, deriv: bool):
-        # ML_j(r x^{1/n}) for all roots r at once, j <= mu (j < mu for W alone)
-        z = np.outer(pf_roots, x ** inv_n)
-        ml = []
-        for j in range(max_mu + deriv):
-            on = pf_mults + deriv > j
-            ml_j = np.zeros(z.shape, dtype=complex)
-            ml_j[on] = mittag_leffler_deriv(inv_n, inv_n, j, z[on])
-            ml.append(ml_j)
-        total = np.zeros(x.size, dtype=complex)
-        dtotal = np.zeros(x.size, dtype=complex)
-        for j in range(max_mu):
-            p1 = (j + 1) * inv_n - 1.0
-            # root by root, so that a point's sum does not depend on the points around it
-            s_j = sum(c * m for c, m in zip(pf_coef[j], ml[j]))
-            total += s_j * x ** p1
-            if deriv:
-                t_j = sum(c * r * m for c, r, m in zip(pf_coef[j], pf_roots, ml[j + 1]))
-                dtotal += p1 * s_j * x ** (p1 - 1.0) + inv_n * t_j * x ** ((j + 2) * inv_n - 2.0)
-        ex = np.exp(-gamma * x)
-        w = _real(total * ex, x)
-        return w, (_real(dtotal * ex, x) - gamma * w if deriv else None)
-
     def fused_pass(x: np.ndarray, deriv: bool):
         """W, and W' when deriv is set, on an array of x >= 0 in one pass."""
         w = np.full(x.shape, w0)
         wp = np.full(x.shape, wp0) if deriv else None
-        for branch, sel in ((_series_pair, (x > 0.0) & (x <= x_switch)),
-                            (_pfd_pair, x > x_switch)):
+        for branch, sel in ((_series_sums, (x > 0.0) & (x <= x_switch)),
+                            (_pfd_sums, x > x_switch)):
             if sel.any():
-                w[sel], d = branch(x[sel], deriv)
-                if deriv:
-                    wp[sel] = d
+                xs = x[sel]
+                (s, ds), ex = branch(xs, deriv), np.exp(-gamma * xs)
+                w[sel] = _real(ex * s, xs)
+                if deriv:   # W' = e^{-gamma x} ((W e^{gamma x})' - gamma W e^{gamma x})
+                    wp[sel] = _real(ex * (ds - gamma * s), xs)
         return w, wp
 
     return ScaleFunction(q=q, phi_q=phi_q, route="rational-ML",
@@ -282,14 +280,16 @@ def _to_fraction(alpha: float):
     return fr
 
 
-def _inverse_expansion(fq: np.ndarray, m_minus: int, nterms: int) -> np.ndarray:
-    """Coefficients b with z^{m_-}/f_q(z) = sum_{i>=1} b_i z^{-i} for large z."""
+def _inverse_expansion(fq: np.ndarray, m_minus: int, nterms: int) -> tuple[np.ndarray, bool]:
+    """Coefficients b with z^{m_-}/f_q(z) = sum_{i>=1} b_i z^{-i} for large z, up to
+    i = D - m_- + nterms - 1, and whether every later b_i is 0."""
     # 1/f_q(z) = z^{-D}/lead * sum_j e_j z^{-j}, e the reciprocal of the reversed, monic f_q
     D = fq.size - 1
     e = series_reciprocal((fq[::-1] / fq[-1]).tolist(), nterms)
-    b = np.zeros(nterms + D - m_minus + 1)
-    b[D - m_minus:D - m_minus + nterms] = np.asarray(e) / fq[-1]
-    return b
+    b = np.zeros(D - m_minus + nterms)
+    b[D - m_minus:] = np.asarray(e) / fq[-1]
+    # e obeys a recurrence of D terms, so D zeros in a row end it
+    return b, not any(e[-D:])
 
 
 # ---------------------------------------------------------------------------

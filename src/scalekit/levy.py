@@ -284,9 +284,14 @@ def levy_khintchine_exponent(triple: LevyTriple, theta: float) -> float:
         raise ParameterError("levy_khintchine_exponent needs a jump density")
 
     def near(u: float) -> float:
-        # exp(-theta u) - 1 + theta u, compensated part for u in (0, 1)
+        # exp(-theta u) - 1 + theta u, compensated part for u in (0, 1); the difference
+        # cancels to about 2 eps/(theta u) relative, so small theta u takes its Taylor series
         tu = theta * u
-        comp = math.expm1(-tu) + tu
+        if abs(tu) < 1e-2:
+            comp = tu * tu * (1 / 2 - tu * (1 / 6 - tu * (1 / 24 - tu * (1 / 120 - tu * (
+                1 / 720 - tu / 5040)))))
+        else:
+            comp = math.expm1(-tu) + tu
         return comp * triple.pi_density(u)
 
     def far(u: float) -> float:

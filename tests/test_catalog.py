@@ -76,7 +76,7 @@ class TestStable:
     @pytest.mark.parametrize("beta", [1.3, 1.5, 1.8, 2.0])
     @pytest.mark.parametrize("q", [0.5, 2.0])
     def test_deriv_against_hyperbola(self, beta, q):
-        # W' at q > 0 carries the E''_{beta,1} term; the hyperbola inverts s/(psi - q)
+        # W' = x^{beta-2} E_{beta,beta-1}(q x^beta); the hyperbola inverts s/(psi - q)
         w = w_stable(beta, q)
         xs = np.array([0.3, 1.0, 2.5, 5.0])
         ref, _ = _invert_hyperbola(w.psi, q, xs, w.phi_q + 1.0 / xs, True)
@@ -207,7 +207,7 @@ class TestAbateWhitt:
 
     @pytest.mark.parametrize("lam,mu", [(0.5, 1.0), (0.3, 2.5), (1e-15, 1.0)])
     def test_deriv_against_mpmath(self, lam, mu):
-        # (1e-15, 1) takes the coalescent branch; beyond x ~ 25 its closed form cancels
+        # (1e-15, 1) takes the coalescent branch, whose closed form W' holds to x = 40
         import mpmath as mp
 
         def exact(x):
@@ -229,6 +229,21 @@ class TestAbateWhitt:
             for x in (1e-6, 0.01, 0.3, 1.0, 4.0, 25.0):
                 assert w.eval_deriv(x) == pytest.approx(float(mp.diff(exact, x)), rel=1e-12, abs=0)
         assert w.eval_deriv(0.0) == pytest.approx(lam, rel=1e-13, abs=0)
+
+    def test_coalescent_deriv_far_against_mpmath(self):
+        # from u = 40 on the coalescent W' sums the asymptotic series of
+        # (1 + 2u) erfcx(sqrt u) - 2 sqrt(u/pi); the closed form lost up to 1.8e-11 there
+        import mpmath as mp
+
+        w = w_abate_whitt(1e-15, 1.0)       # nu = 1, so u = x
+        xs = np.linspace(40.0, 300.0, 27)
+        got = w.eval_deriv(xs)
+        with mp.workdps(50):
+            rho = mp.mpf(1e-15)
+            for x, g in zip(xs, got):
+                u = mp.mpf(x)
+                f = (1 + 2 * u) * mp.exp(u) * mp.erfc(mp.sqrt(u)) - 2 * mp.sqrt(u / mp.pi)
+                assert g == pytest.approx(float(rho / (1 - rho) * f), rel=1e-13, abs=0.0), x
 
     def test_coalescent_discriminant(self):
         # nu1 = nu2 only on the degenerate boundary mu = 1, lambda -> 0

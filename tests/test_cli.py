@@ -415,6 +415,15 @@ class TestParser:
         code, _ = run_cli(["apps", "--compute", "ruin", "--case", "Z"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--c", "--gamma", "--kappa", "--varphi", "--zeta"])
+    def test_case_refuses_explicit_ladder_flags(self, flag, capsys):
+        # --case sets c, gamma, kappa, varphi and zeta; a flag it would override is refused
+        code, out = run_cli(["apps", "--compute", "ruin", "--case", "B", flag, "2", "--x", "1"])
+        assert code == 2 and out == ""
+        assert flag in capsys.readouterr().err
+        code, out = run_cli(["apps", "--compute", "ruin", "--case", "B", "--x", "1"])
+        assert code == 0 and json.loads(out)["probability"] == 0.5265715760173599
+
     @pytest.mark.parametrize("argv", [
         ["--alpha", "abc"],
         ["--alpha", "1/0"],

@@ -12,6 +12,7 @@ from scalekit.gtsc import (GtscParams, asymptote_infinity, asymptote_zero,
                            ig_params, ig_q0_threshold, scale_function, w0_closed,
                            w_gamma_case, w_gamma_case_dual, w_ig, w_rational)
 from scalekit.polyfrac import RationalAlpha
+from scalekit.special import mittag_leffler_deriv
 
 W_IG_AT_1 = 1.424660216656229247   # (1/2)[2 erfc(-1/sqrt 2) + sqrt(2/pi) e^{-1/2} - 1]
 
@@ -180,6 +181,71 @@ class TestRationalRoute:
         w = w_rational(params, RationalAlpha(*frac), 0.7)
         rep = verify_laplace_identity(w, [w.phi_q + 0.5, w.phi_q + 2.0])
         assert rep.max_rel_err <= 1e-6
+
+
+class TestDerivativeRule:
+    """W' of the rational route: every partial-fraction term differentiates into the same
+    Prabhakar function with its second index lowered by one, and W'(0+) is read off the
+    expansion of z^{m_-}/f_q at infinity."""
+
+    def test_wprime_where_the_product_rule_cancelled(self):
+        # the 60-digit expansion of z^{m_-}/f_q at infinity, summed termwise in mpmath
+        # (90 and 130 digits give the same double); a product rule over one more derivative
+        # order was 7.9e-13 off here
+        params = GtscParams(alpha=1 / 3, gamma=1.0, c=1.0, kappa=1.0)
+        got = w_rational(params, None, 0.0).eval_deriv(9.469216332197224)
+        assert got == pytest.approx(0.0018719163847134752, rel=2e-13, abs=0.0)
+
+    @pytest.mark.parametrize("case", "ABCDEF")
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    def test_wprime0_against_asymptote(self, case, q):
+        from scalekit.cli import CASES
+
+        for frac in ((1, 4), (1, 3), (1, 2), (2, 3), (3, 4)):
+            for m in (frac[0], -frac[0]):
+                params = CASES[case].params(m / frac[1])
+                got = w_rational(params, RationalAlpha(m, frac[1]), q).eval_deriv(0.0)
+                want = asymptote_zero(params, q).wprime0
+                assert got == want or got == pytest.approx(want, rel=1e-12), (m, frac[1])
+
+    @pytest.mark.parametrize("case,m,n,q,orders", [("B", 1, 3, 1.0, {0}),
+                                                   ("D", 3, 4, 0.0, {0, 1})])
+    def test_derivative_orders_below_multiplicity(self, monkeypatch, case, m, n, q, orders):
+        # B at 1/3 has simple roots, D at 3/4 one double root: W and W' ask for orders
+        # j < mu only, W' at the second index 1/n lowered by one
+        from scalekit import gtsc
+        from scalekit.cli import CASES
+
+        asked = []
+
+        def counted(a, b, j, z):
+            asked.append((a, b, j))
+            return mittag_leffler_deriv(a, b, j, z)
+
+        monkeypatch.setattr(gtsc, "mittag_leffler_deriv", counted)
+        scale = w_rational(CASES[case].params(m / n), RationalAlpha(m, n), q)
+        scale.eval_deriv(np.linspace(0.5, 8.0, 7))
+        assert {j for _, _, j in asked} == orders
+        assert {(a, b) for a, b, _ in asked} == {(1 / n, 1 / n), (1 / n, 1 / n - 1.0)}
+
+    def test_series_past_its_budget_refused(self, monkeypatch):
+        # an expansion cut before the series meets its stop rule raises, not a truncated sum
+        from scalekit import gtsc
+        from scalekit.errors import NumericalError
+        from scalekit.polyfrac import build_fq, roots_with_multiplicity
+
+        params = GtscParams(alpha=1 / 3, gamma=1.0, c=1.0, kappa=1.0)
+        roots, _ = roots_with_multiplicity(build_fq(params, RationalAlpha(1, 3), 1.0))
+        x_switch = (0.45 / max(abs(r) for r in roots)) ** 3
+        full = w_rational(params, None, 1.0)
+        expansion = gtsc._inverse_expansion
+        monkeypatch.setattr(gtsc, "_inverse_expansion",
+                            lambda fq, m_minus, nterms: expansion(fq, m_minus, 12))
+        cut = w_rational(params, None, 1.0)
+        assert cut.eval(1e-6 * x_switch) == full.eval(1e-6 * x_switch)
+        for method in (cut.eval, cut.eval_deriv):
+            with pytest.raises(NumericalError, match="did not converge"):
+                method(x_switch)
 
 
 class TestArrayEvaluation:
@@ -560,6 +626,9 @@ def _one_path_scales():
     q0 = ig_q0_threshold(1.0, 1.0)
     yield "rational", w_rational(GtscParams(alpha=1 / 3, gamma=1.0, c=1.0, kappa=1.0), None, 1.0)
     yield "rational-negative", w_rational(GtscParams(alpha=-0.5, gamma=1.0, c=1.0), None, 0.0)
+    # a double root, and W'(0+) = 1/zeta finite
+    yield "rational-double-root", w_rational(GtscParams(alpha=0.75, gamma=1.0, c=1.0, zeta=1.0),
+                                             None, 0.0)
     for q in (0.0, q0, 1.0):
         yield f"ig-q{q:.3g}", w_ig(1.0, 1.0, q)
     yield "closed", w0_closed(GtscParams(alpha=-1 / 3, gamma=1.0, c=1.0))

@@ -235,9 +235,10 @@ class TestBuildParent:
 
     @pytest.mark.parametrize("alpha,varphi", [(0.5, 0.0), (-0.5, 0.0), (0.25, 1.0),
                                               (0.75, 1.0)])
+    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
     def test_levy_khintchine_roundtrip(self, alpha, varphi):
         # the triple returned by the construction reproduces the exponent by
-        # quadrature of the Levy-Khintchine jump integral
+        # quadrature of the Levy-Khintchine jump integral, without a roundoff warning
         params = GtscParams(alpha=alpha, gamma=1.0, c=1.0, varphi=varphi)
         triple, psi = build_parent(params.ladder(), varphi)
         for th in (0.5, 1.0, 3.0):

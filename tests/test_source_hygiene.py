@@ -280,6 +280,16 @@ def test_hyperbola_oracle_independent():
     assert not shared, f"_invert_hyperbola reaches {shared}"
 
 
+def test_zero_limit_and_derivatives_from_own_series():
+    # asymptote_zero checks the rational route's W'(0+), which its own expansion at infinity
+    # gives; and catalog's W', like the rational route's, lowers the second Mittag-Leffler
+    # index instead of asking for a z-derivative
+    reached = _names(_reach("w_rational"))
+    assert "_inverse_expansion" in reached and "asymptote_zero" not in reached
+    imported = {name for name, _ in _imported(TREES["catalog.py"])}
+    assert "mittag_leffler" in imported and "mittag_leffler_deriv" not in imported
+
+
 def test_one_quadrature_rule():
     # the Gauss-Kronrod pair of special integrates the closed form, the reciprocal-gamma
     # transform, the transform identity and Z^(q); a second rule is a second copy of one job
