@@ -268,26 +268,38 @@ def _polish_centers(coeffs: np.ndarray, z0: np.ndarray, mults: np.ndarray) -> np
 def partial_fractions(poly, m_minus: int) -> PartialFraction:
     """Partial fraction decomposition of z^{m_-} / f_q(z).
 
-    Simple roots use A_k0 = r^{m_-}/f_q'(r); clusters are resolved through
-    the local Taylor expansion of z^{m_-}/(f_q(z)/(z-r)^mu), a triangular
-    solve on the cluster.  A reconstruction check at 32 sample points guards
-    against misclassified clusters.
+    Simple roots use A_k0 = r^{m_-}/f_q'(r), with f_q' formed and evaluated in
+    long double; clusters are resolved through the local Taylor expansion of
+    z^{m_-}/(f_q(z)/(z-r)^mu), a triangular solve on the cluster, corrected to
+    first order for the remainder by which the rounded f_q splits the cluster.
+    A reconstruction check at 32 sample points guards against misclassified
+    clusters.
     """
     coeffs = _real_coeffs(poly)
     roots, mults = roots_with_multiplicity(coeffs)
-    der = npoly.polyder(coeffs)
+    # f_q' at a simple root next to a cluster is far below its evaluation scale:
+    # form and evaluate it in (complex) long double, where k * coeffs[k] is exact
+    der = npoly.polyder(coeffs.astype(np.longdouble))
 
     pf_coeffs = np.zeros((roots.size, mults.max()), dtype=complex)
     for k, (r, mu) in enumerate(zip(roots, mults)):
         if mu == 1:
-            pf_coeffs[k, 0] = r ** m_minus / npoly.polyval(r, der)
+            pf_coeffs[k, 0] = r ** m_minus / complex(npoly.polyval(np.clongdouble(r), der))
             continue
-        # Taylor coefficients of f_q/(z - r)^mu at r: the first mu of f_q's are near zero
+        # f_q(r + w) = t(w) + w^mu L(w), where t (f_q's first mu Taylor coefficients at r)
+        # is the rounding remainder of a split cluster.  The principal part of z^{m_-}/f_q
+        # is that of z^{m_-}/(w^mu L) less t z^{m_-}/(w^{2 mu} L^2), up to O(t^2).  Without
+        # the correction the cluster's coefficients miss those of the rounded f_q, whose
+        # close simple roots' residues are exact, by O(t / dist^{mu+1})
         num_taylor = np.array([math.comb(m_minus, i) * r ** (m_minus - i) if i <= m_minus else 0.0
-                               for i in range(mu)], dtype=complex)
-        local = _taylor_coeffs(coeffs, r, 2 * mu)[mu:]
-        c = series_product(num_taylor, series_reciprocal(local, mu), mu)
-        pf_coeffs[k, :mu] = c[::-1]
+                               for i in range(2 * mu)], dtype=complex)
+        taylor = _taylor_coeffs(coeffs, r, 3 * mu)
+        local, rest = taylor[mu:], np.r_[taylor[:mu], np.zeros(mu)]
+        inv = series_reciprocal(local, 2 * mu)
+        c = series_product(num_taylor, inv, mu)
+        corr = series_product(series_product(rest, num_taylor, 2 * mu),
+                              series_product(inv, inv, 2 * mu), 2 * mu)[mu:]
+        pf_coeffs[k, :mu] = np.subtract(c, corr)[::-1]
     for arr in (roots, mults, pf_coeffs):
         arr.flags.writeable = False
     pf = PartialFraction(roots=roots, multiplicities=mults, coeffs=pf_coeffs)
@@ -308,9 +320,11 @@ def _taylor_coeffs(coeffs: np.ndarray, r: complex, order: int) -> np.ndarray:
     """First ``order`` Taylor coefficients of the polynomial at z = r.
 
     Repeated synthetic division by (z - r) in place: pass i leaves the i-th
-    remainder in work[i] and the quotient above it.
+    remainder in work[i] and the quotient above it.  The division runs in complex
+    long double, so the near-zero low coefficients at a cluster keep their digits.
     """
-    work = np.asarray(coeffs, dtype=complex).copy()
+    work = np.asarray(coeffs, dtype=np.clongdouble).copy()
+    r = np.clongdouble(r)
     out = np.zeros(order, dtype=complex)
     for i in range(min(order, work.size)):
         for k in range(work.size - 2, i - 1, -1):

@@ -422,7 +422,7 @@ class TestParser:
         assert code == 2 and out == ""
         assert flag in capsys.readouterr().err
         code, out = run_cli(["apps", "--compute", "ruin", "--case", "B", "--x", "1"])
-        assert code == 0 and json.loads(out)["probability"] == 0.5265715760173599
+        assert code == 0 and json.loads(out)["probability"] == 0.5265715760173593
 
     @pytest.mark.parametrize("argv", [
         ["--alpha", "abc"],

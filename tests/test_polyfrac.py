@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
@@ -247,6 +247,8 @@ class TestPartialFractions:
 
     @given(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
            st.floats(-1.5, 1.5), st.floats(0.3, 1.8))
+    @example(simple=[-0.4180119890341989, 1.0625, 0.0], double=-0.805209268363495,
+             spread=0.8554751967808623)   # a simple root 0.05 from the double one
     @settings(max_examples=60, deadline=None)
     def test_reconstruction_with_double_root(self, simple, double, spread):
         # random degree-5 polynomial with a planted double root
@@ -270,6 +272,22 @@ class TestPartialFractions:
             got = pf.reconstruct(z)
             assert np.isfinite(got)
             assert abs(got - direct) <= 1e-9 * (1.0 + abs(direct))
+
+    @pytest.mark.parametrize("roots", [
+        [-0.805209268363495, -0.805209268363495, -0.4180119890341989, 1.9179751967808623,
+         -0.8554751967808623],
+        [-1.0204352196747701, -1.0204352196747701, -1.0734658226449714, -0.785953107387358,
+         -2.262223398833358],
+    ])
+    def test_double_root_next_to_simple_root(self, roots):
+        # the rounded polynomial splits the double root; its cluster coefficients carry the
+        # split's first-order term and the close simple root's residue uses an exact f'
+        poly = npoly.polyfromroots(roots)
+        pf = partial_fractions(poly, 2)
+        assert list(pf.multiplicities).count(2) == 1
+        z = 3.5 * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False))
+        direct = z ** 2 / npoly.polyval(z, poly.astype(complex))
+        assert (np.abs(pf.reconstruct(z) - direct) <= 1e-10 * (1.0 + np.abs(direct))).all()
 
     def test_arrays_read_only_and_zero_padded(self):
         # a double root and a simple one: one coefficient row per root, padded with zeros
