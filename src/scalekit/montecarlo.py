@@ -7,15 +7,25 @@ crossings of the continuous part between grid points get the
 Brownian-bridge correction; purely jump-driven (zero-variance) models are
 simulated event-by-event, which is exact.
 
-The grid engine steps all live paths at once.  Each path carries a jump
-clock, the time of its next jump above the cutoff; a path whose clock falls
-in a step takes a jump at the end of that step and its clock moves on by an
-Exp(rate) wait, so the number of jumps per step is Poisson(rate dt) and
-independent across steps.  Jump sizes are drawn in bulk into a pool and
-taken in order.  The bridge probability is only evaluated for paths within
-reach of a barrier; for the others it is below e^-40 (see ``_BRIDGE_CUT``).
-With ``q > 0`` an upward exit at time t has weight e^{-q t}; the grid engine
-takes t as the end of the exit step.
+The grid engine advances all live paths a block of b grid steps per pass,
+with b = min(steps left, 64, max(1, 2^15 // live paths)), so a block holds at
+most about 2^15 path-steps and narrows to one step while many paths are live.
+A block draws one (b, live) array of Gaussian increments, puts the jumps in
+and sums its rows one after another into the positions after each step.
+Each path carries a jump clock, the time of its next jump above the cutoff.
+A path whose clock falls in a block jumps at its clock and Poisson(rate
+(block end - clock)) times more at uniform times after it, which is the
+Poisson process on that span, and its clock moves on to the block end plus
+an Exp(rate) wait; a jump lands at the end of the step it falls in, so the
+number of jumps per step is Poisson(rate dt) and independent across steps.
+Jump sizes are drawn in bulk into a pool and taken in order.  Every step of
+the block gets the edge and bridge test of its continuous part, and a step
+with jumps the ruin test on its end; a path's first exit counts, at the end
+time of its step, and what it drew after that is discarded (an upward exit
+beats ruin by a jump in the same step).  The bridge probability is only
+evaluated for steps within reach of a barrier; for the others it is below
+e^-40 (see ``_BRIDGE_CUT``).  With ``q > 0`` an upward exit at time t has
+weight e^{-q t}; the grid engine takes t as the end of the exit step.
 
 One jump model at the cutoff eps per call reads the jump law from
 ``LevyTriple.jump_components``, which a triple with jumps must carry.  The
@@ -52,6 +62,10 @@ _POOL_SIZE = 1 << 14
 # 2^-53) falls below p only when it is exactly 0; skipping those paths
 # changes a decision with probability at most 2^-53 per path-step.
 _BRIDGE_CUT = 40.0
+# grid steps per block: min(steps left, _BLOCK_STEPS, max(1, _BLOCK_CELLS // live
+# paths)), so a block holds at most about _BLOCK_CELLS path-steps (256 kB of float64)
+_BLOCK_CELLS = 1 << 15
+_BLOCK_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -82,11 +96,16 @@ class ExitEstimate:
 class _ComponentSampler:
     """Sampler for one jump component restricted to sizes > eps, with its first moments
     ``moment_to_1`` = int_{eps<u<=1} u Pi(du) (-int_{1<u<=eps} when eps > 1) and
-    ``moment_past_1`` = int_{u>1} u Pi(du) (inf without a first moment)."""
+    ``moment_past_1`` = int_{u>1} u Pi(du) (inf without a first moment).
+
+    ``pieces`` lists the component's law as (mass, draw) pieces: the power part
+    on (eps, u0] and the exponential tail beyond u0 of a tempered component, or
+    the whole law.  draw(rng, n) gives n iid sizes of the piece; for a point
+    mass, draw is its size.
+    """
 
     def __init__(self, comp: tuple, eps: float):
         kind = comp[0]
-        self.kind = kind
         self.eps = eps
         if kind == "tempered_power":
             _, c, a, gamma = comp
@@ -100,9 +119,15 @@ class _ComponentSampler:
                 # sigma_eps^2 = c gamma^{a-2} * lower_gamma(2-a, gamma*eps)
                 self.small_var = c * gamma ** (a - 2.0) \
                     * sps.gammainc(2.0 - a, gamma * eps) * math.gamma(2.0 - a)
-                self.u0 = max(2.0 * eps, 1.0 / gamma)
-                self.mass_tail = c * gamma ** a * upper_gamma(-a, gamma * self.u0)
-                self.mass_mid = self.rate - self.mass_tail
+                u0 = self.u0 = max(2.0 * eps, 1.0 / gamma)
+                self.mass_tail = c * gamma ** a * upper_gamma(-a, gamma * u0)
+                mass_mid = self.rate - self.mass_tail
+                # acceptance rates: each piece's mass over its proposal's mass
+                span = (eps ** (-a) - u0 ** (-a)) / a if abs(a) > 1e-12 else math.log(u0 / eps)
+                self.accept_mid = mass_mid / (c * math.exp(-gamma * eps) * span)
+                self.accept_tail = self.mass_tail * gamma / (c * u0 ** (-a - 1.0)
+                                                             * math.exp(-gamma * u0))
+                self.pieces = [(mass_mid, self._sample_mid), (self.mass_tail, self._sample_tail)]
             else:
                 if a <= 0:
                     raise ParameterError("untempered component needs a > 0")
@@ -113,11 +138,12 @@ class _ComponentSampler:
                 self.moment_past_1 = c / (a - 1.0) if a > 1.0 else math.inf
                 self.small_var = c * eps ** (2.0 - a) / (2.0 - a)
                 self.u0 = math.inf
-                self.mass_mid, self.mass_tail = self.rate, 0.0
+                self.accept_mid = 1.0
+                self.pieces = [(self.rate, self._sample_mid)]
         elif kind == "exponential":
             _, rate, mu = comp
-            self.mu = mu
             self.rate = rate * math.exp(-mu * eps)
+            self.pieces = [(self.rate, lambda rng, n: eps + rng.exponential(1.0 / mu, size=n))]
             # int_{u>t} u Pi(du) = rate e^{-mu t} (t + 1/mu)
             tail_eps, tail_1 = (rate * math.exp(-mu * t) * (t + 1.0 / mu) for t in (eps, 1.0))
             self.moment_to_1, self.moment_past_1 = tail_eps - tail_1, tail_1
@@ -125,8 +151,8 @@ class _ComponentSampler:
             self.small_var = rate * sps.gammainc(3.0, mu * eps) * 2.0 / mu ** 2
         elif kind == "fixed":
             _, rate, size = comp
-            self.size = size
             self.rate, self.small_var = (rate, 0.0) if size > eps else (0.0, rate * size ** 2)
+            self.pieces = [(self.rate, size)]
             # a point mass in (eps, 1] adds to moment_to_1, one in (1, eps] subtracts
             sign = (eps < size <= 1.0) - (1.0 < size <= eps)
             self.moment_to_1 = sign * rate * size
@@ -135,27 +161,28 @@ class _ComponentSampler:
             raise ParameterError(f"unknown jump component kind '{kind}'")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if n == 0:
-            return np.empty(0)
-        if self.kind == "exponential":
-            return self.eps + rng.exponential(1.0 / self.mu, size=n)
-        if self.kind == "fixed":
-            return np.full(n, self.size)
-        return self._sample_tempered(rng, n)
+        return _mixture(self.pieces, rng, n)
 
     def _sample_mid(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Power proposal on (eps, u0], thinned by the tempering factor."""
         a, gamma, eps, u0 = self.a, self.gamma, self.eps, self.u0
+        if abs(a) > 1e-12:      # u0 = inf only when gamma = 0 < a, and inf^(-a) = 0
+            lo, span = eps ** (-a), u0 ** (-a) - eps ** (-a)
+        else:
+            log_span = math.log(u0 / eps)
 
         def draw(batch: int) -> np.ndarray:
             v = rng.random(batch)
-            if abs(a) > 1e-12:      # u0 = inf only when gamma = 0 < a, and inf^(-a) = 0
-                u = (eps ** (-a) + v * (u0 ** (-a) - eps ** (-a))) ** (-1.0 / a)
+            if abs(a) > 1e-12:
+                v *= span
+                v += lo
+                u = v ** (-1.0 / a)
             else:
-                u = eps * (u0 / eps) ** v
+                v *= log_span
+                u = eps * np.exp(v)
             return u[rng.random(batch) <= np.exp(-gamma * (u - eps))] if gamma > 0 else u
 
-        return _accept_reject(draw, n)
+        return _accept_reject(draw, n, self.accept_mid)
 
     def _sample_tail(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Shifted-exponential proposal beyond u0, thinned by the power factor."""
@@ -165,26 +192,33 @@ class _ComponentSampler:
             u = u0 + rng.exponential(1.0 / gamma, size=batch)
             return u[rng.random(batch) <= (u / u0) ** (-a - 1.0)]
 
-        return _accept_reject(draw, n)
-
-    def _sample_tempered(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        # choose the piece by its true mass, then retry *within* the piece:
-        # pieces have different acceptance rates, so a shared retry pool
-        # would distort the mixture weights
-        if not math.isfinite(self.u0):
-            return self._sample_mid(rng, n)
-        n_mid = int(rng.binomial(n, self.mass_mid / self.rate))
-        out = np.concatenate([self._sample_mid(rng, n_mid),
-                              self._sample_tail(rng, n - n_mid)])
-        return rng.permutation(out)
+        return _accept_reject(draw, n, self.accept_tail)
 
 
-def _accept_reject(draw, n: int) -> np.ndarray:
-    """n accepted sizes; draw(batch) makes batch proposals and returns those it accepts."""
+def _mixture(pieces: list, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n iid sizes of a mixture of (mass, draw) pieces: one uniform per size picks
+    its piece by mass, and each piece then draws its own sizes (retrying *within*
+    the piece: pieces have different acceptance rates, so a shared retry pool
+    would distort the mixture weights)."""
+    if len(pieces) == 1:
+        draw = pieces[0][1]
+        return draw(rng, n) if callable(draw) else np.full(n, draw)
+    cum = np.cumsum([mass for mass, _ in pieces])
+    which = np.searchsorted(cum[:-1], rng.random(n) * cum[-1], side="right")
+    out = np.empty(n)
+    for i, (_, draw) in enumerate(pieces):
+        chosen = which == i
+        out[chosen] = draw(rng, int(np.count_nonzero(chosen))) if callable(draw) else draw
+    return out
+
+
+def _accept_reject(draw, n: int, accept: float) -> np.ndarray:
+    """n accepted sizes; draw(batch) makes batch proposals and returns those it
+    accepts, a share ``accept`` of them on average."""
     out = np.empty(n)
     filled = 0
     while filled < n:
-        u = draw(max(64, 2 * (n - filled)))
+        u = draw(max(64, int(1.05 * (n - filled) / accept)))
         take = min(n - filled, u.size)
         out[filled:filled + take] = u[:take]
         filled += take
@@ -200,20 +234,12 @@ class _JumpModel:
         self.moment_to_1 = sum(s.moment_to_1 for s in self.samplers)
         self.moment_past_1 = sum(s.moment_past_1 for s in self.samplers)
         self.small_var = sum(s.small_var for s in self.samplers)
-        self.weights = np.array([s.rate for s in self.samplers]) / self.rate \
-            if self.rate > 0 else np.empty(0)
+        self.pieces = [piece for s in self.samplers for piece in s.pieces]
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if n == 0 or not self.samplers:
+        if n == 0 or not self.pieces:
             return np.empty(0)
-        if len(self.samplers) == 1:
-            return self.samplers[0].sample(rng, n)
-        which = rng.choice(len(self.samplers), size=n, p=self.weights)
-        out = np.empty(n)
-        for i, s in enumerate(self.samplers):
-            m = which == i
-            out[m] = s.sample(rng, int(m.sum()))
-        return out
+        return _mixture(self.pieces, rng, n)
 
 
 class _SizePool:
@@ -292,6 +318,7 @@ def _run_exit(triple: LevyTriple, jumps: _JumpModel, x: float, a: float, q: floa
         return _run_exit_event_driven(jumps, drift, x, a, q, cfg, rng)
 
     dt = cfg.dt
+    n_steps = int(math.ceil(cfg.horizon / dt))
     shift = drift * dt
     sq = sigma_tot * math.sqrt(dt)
     var_dt = sigma_tot ** 2 * dt
@@ -302,55 +329,87 @@ def _run_exit(triple: LevyTriple, jumps: _JumpModel, x: float, a: float, q: floa
     jumpy = jumps.rate > 0
     if jumpy:
         pool = _SizePool(jumps, rng)
-        mean_wait = 1.0 / jumps.rate
-        clock = mean_wait * rng.standard_exponential(cfg.n_paths)
+        jumps_per_step = jumps.rate * dt
+        # the time of each path's next jump, in steps
+        clock = rng.standard_exponential(cfg.n_paths) / jumps_per_step
     exits = _Exits(q)
-    for i in range(int(math.ceil(cfg.horizon / dt))):
+    done = 0        # grid steps taken
+    while pos.size and done < n_steps:
         k = pos.size
-        if k == 0:
-            break
-        t1 = (i + 1) * dt
-        new = pos + shift + sq * rng.standard_normal(k)
-        # only paths that end outside (0, a) or have a bridge probability
-        # above e^-40 can leave in this step by their continuous part
-        edge = ((np.minimum(pos, new) <= reach)
-                | (np.maximum(pos, new) >= a - reach)).nonzero()[0]
-        pe, ne = pos[edge], new[edge]
-        up_e = ne >= a
-        down_e = ne <= 0.0
+        b = min(n_steps - done, _BLOCK_STEPS, max(1, _BLOCK_CELLS // k))
+        # path[r] is the position after r steps of the block, and path[r + 1] - path[r]
+        # the Gaussian increment of step r minus the jumps at its end
+        path = np.empty((b + 1, k))
+        path[0] = pos
+        steps = path[1:]
+        rng.standard_normal(out=steps)
+        steps *= sq
+        steps += shift
+        if jumpy:
+            gauss = steps.copy()
+            # a due path jumps at its clock and Poisson(rate (block end - clock))
+            # times more, uniformly after it; its next jump comes an Exp(rate)
+            # wait after the block end
+            due = (clock <= done + b).nonzero()[0]
+            first = clock[due] - done
+            more = np.repeat(np.arange(due.size), rng.poisson(jumps_per_step * (b - first)))
+            at = np.concatenate([first, first[more] + rng.random(more.size) * (b - first[more])])
+            # a jump at time t (in steps) lands at the end of step ceil(t) - 1
+            row = np.clip(np.ceil(at).astype(np.intp) - 1, 0, b - 1)
+            jump_cells = row * k + np.concatenate([due, due[more]])
+            np.subtract.at(steps.reshape(-1), jump_cells, pool.take(at.size))
+            clock[due] = done + b + rng.standard_exponential(due.size) / jumps_per_step
+        for r in range(b):
+            steps[r] += path[r]
+        # only steps that start or end outside (reach, a - reach) can leave by
+        # their continuous part (beyond, the bridge probability is below e^-40)
+        inside = path > reach
+        inside &= path < a - reach
+        test = inside[:-1] & inside[1:]
+        np.logical_not(test, out=test)
+        flat = test.reshape(-1)
+        if jumpy:
+            # a step with jumps is tested on its end before them too: if it starts
+            # and ends inside, that end can only be outside at the top
+            flat[jump_cells[path.reshape(-1)[jump_cells] + gauss.reshape(-1)[jump_cells]
+                            >= a - reach]] = True
+        cells = flat.nonzero()[0]
+        start = path.reshape(-1)[cells]
+        # a step that starts outside [0, a] comes after its path's exit
+        live = (start >= 0.0) & (start <= a)
+        cells, start = cells[live], start[live]
+        end = path.reshape(-1)[cells + k]
+        cont = start + gauss.reshape(-1)[cells] if jumpy else end
+        up = cont >= a
+        down = cont <= 0.0
         if var_dt > 0:
-            d_lo, d_hi = pe * ne, (a - pe) * (a - ne)
-            near = (~(up_e | down_e) & (np.minimum(d_lo, d_hi) < cut)).nonzero()[0]
+            d_lo, d_hi = start * cont, (a - start) * (a - cont)
+            near = (~(up | down) & (np.minimum(d_lo, d_hi) < cut)).nonzero()[0]
             if near.size:
                 bridge_lo = rng.random(near.size) < np.exp(-2.0 * d_lo[near] / var_dt)
                 bridge_hi = ~bridge_lo & (rng.random(near.size)
                                           < np.exp(-2.0 * d_hi[near] / var_dt))
-                down_e[near[bridge_lo]] = True
-                up_e[near[bridge_hi]] = True
-        ups, downs = edge[up_e], edge[down_e]
-        ruined = np.empty(0, dtype=np.intp)
+                down[near[bridge_lo]] = True
+                up[near[bridge_hi]] = True
         if jumpy:
-            # jumps land at the end of the step (downward only): every path
-            # whose clock falls in this step jumps and its clock moves on
-            due = (clock <= t1).nonzero()[0]
-            hit = due
-            while hit.size:
-                new[hit] -= pool.take(hit.size)
-                clock[hit] += mean_wait * rng.standard_exponential(hit.size)
-                hit = hit[clock[hit] <= t1]
-            ruined = due[new[due] <= 0.0]
-        if ups.size or downs.size or ruined.size:
-            gone = np.zeros(k, dtype=bool)
-            gone[ups] = gone[downs] = gone[ruined] = True
-            # ups and downs are disjoint; a path ruined by a jump after it
-            # left upward counts as up
-            exits.add(ups.size, int(np.count_nonzero(gone)) - ups.size, t1)
-            keep = ~gone
-            pos = new[keep]
+            # ruin by a jump; a path that left upward in the same step counts as up
+            down |= ~up & (end <= 0.0)
+        left = (up | down).nonzero()[0]
+        if left.size:
+            # cells run row by row, so a path's first cell here is its exit step
+            gone, first = np.unique(cells[left] % k, return_index=True)
+            up_first = up[left[first]]
+            n_up = int(np.count_nonzero(up_first))
+            exits.add(n_up, gone.size - n_up,
+                      (done + 1 + cells[left[first[up_first]]] // k) * dt)
+            keep = np.ones(k, dtype=bool)
+            keep[gone] = False
+            pos = path[b][keep]
             if jumpy:
                 clock = clock[keep]
         else:
-            pos = new
+            pos = path[b].copy()
+        done += b
     return exits.estimate(pos.size, cfg)
 
 
@@ -369,7 +428,8 @@ def _run_exit_event_driven(jumps: _JumpModel, drift: float, x: float, a: float,
     # so the loop ends
     while pos.size:
         waits = rng.exponential(1.0 / jumps.rate, size=pos.size)
-        t_up = (a - pos) / drift
+        t_up = np.subtract(a, pos)
+        t_up /= drift
         reach_up = t_up <= waits
         t += np.minimum(t_up, waits, out=t_up)      # the time of the next event
         late = t > cfg.horizon
@@ -377,8 +437,10 @@ def _run_exit_event_driven(jumps: _JumpModel, drift: float, x: float, a: float,
         exits.add(int(up.sum()), 0, t[up] if q else 0.0)
         censored += int(late.sum())
         on = ~(reach_up | late)
-        pos = pos[on] + drift * waits[on]
-        t = t[on]
+        waits = waits[on]
+        waits *= drift
+        waits += pos[on]
+        pos, t = waits, t[on]
         pos -= jumps.sample(rng, pos.size)
         ruin = pos <= 0.0
         exits.add(0, int(ruin.sum()))

@@ -93,6 +93,27 @@ class TestSampler:
             ana = sps.exp1(gamma * u) / sps.exp1(gamma * eps)
             assert abs((smp > u).mean() - ana) <= 4.0 * math.sqrt(ana * (1.0 - ana) / n)
 
+    def test_tail_share_is_the_tail_mass(self):
+        # each size picks the power piece or the exponential tail beyond u0 by mass
+        n = 200_000
+        for comp in (("tempered_power", 1.5, 0.5, 1.0), ("tempered_power", 1.0, 0.0, 1.0),
+                     ("tempered_power", 1.5, 1.5, 1.0)):
+            s = _ComponentSampler(comp, 0.02)
+            share = s.mass_tail / s.rate
+            emp = (s.sample(np.random.default_rng(8), n) > s.u0).mean()
+            assert abs(emp - share) <= 4.0 * math.sqrt(share * (1.0 - share) / n)
+
+    def test_jump_model_mixes_components_by_rate(self):
+        # the case-A parent: c(gamma) u^{-3/2} e^{-u} + c(3/2) u^{-5/2} e^{-u} above eps
+        triple, _ = GtscParams(alpha=0.5, gamma=1.0, c=1.0).parent_triple()
+        model = _JumpModel(triple, 0.02)
+        n = 200_000
+        smp = model.sample(np.random.default_rng(9), n)
+        assert smp.min() > 0.02
+        for u in (0.03, 0.3, 1.0, 2.5):
+            ana = (upper_gamma(-0.5, u) + 1.5 * upper_gamma(-1.5, u)) / model.rate
+            assert abs((smp > u).mean() - ana) <= 4.0 * math.sqrt(ana * (1.0 - ana) / n)
+
     def test_exponential_component(self):
         s = _ComponentSampler(("exponential", 1.0, 2.0), 0.01)
         rng = np.random.default_rng(6)
@@ -124,6 +145,120 @@ class TestReproducibility:
                                          horizon=50.0, seed=43), q=0.5)
         assert (j1.p_hat, j1.stderr, j1.n_censored) == (j2.p_hat, j2.stderr, j2.n_censored)
         assert j3.p_hat != j1.p_hat
+
+
+def drift_only(mu):
+    return LevyTriple(a=-mu, sigma=0.0, pi_tail=lambda x: 0.0, pi_density=lambda x: 0.0)
+
+
+def exit_step(x, a, shift):
+    """The grid step at which x + shift + shift + ... first reaches a."""
+    steps = 0
+    while x < a:
+        x, steps = x + shift, steps + 1
+    return steps
+
+
+class TestBlockStepping:
+    """The grid engine advances the live paths by blocks of min(64, 2^15 // live) steps."""
+
+    @pytest.mark.parametrize("n_paths", [1, 100, 1000, 100_000])
+    def test_drift_exit_at_its_own_step(self, n_paths):
+        # sigma = 0 and no jumps: every path leaves at the same step t, whatever
+        # block it falls in (widths 64, 64, 32 and 1), and weighs e^{-q t dt}
+        mu, x, a, dt, q = 0.7, 0.9, 1.0, 1e-3, 0.8
+        t = exit_step(x, a, mu * dt)
+        est = simulate_exit(drift_only(mu), x, a,
+                            SimConfig(n_paths=n_paths, dt=dt, horizon=1.0, seed=1), q=q)
+        assert est.n_censored == 0
+        assert est.p_hat == pytest.approx(math.exp(-q * t * dt), rel=1e-12)
+        assert est.stderr < 1e-7
+
+    def test_horizon_not_a_multiple_of_the_width(self):
+        # 1000 paths step in blocks of 32; the exit step is not a multiple of 32
+        mu, x, a, dt = 0.7, 0.9, 1.0, 1e-3
+        t = exit_step(x, a, mu * dt)
+        assert t % 32
+        est = simulate_exit(drift_only(mu), x, a,
+                            SimConfig(n_paths=1000, dt=dt, horizon=(t - 0.5) * dt, seed=1))
+        assert (est.p_hat, est.n_censored) == (1.0, 0)
+        with pytest.raises(NumericalError, match="censored"):
+            simulate_exit(drift_only(mu), x, a,
+                          SimConfig(n_paths=1000, dt=dt, horizon=(t - 1.5) * dt, seed=1))
+
+    @pytest.mark.parametrize("n_paths", [500, 2000])
+    def test_censored_share_at_a_ragged_horizon(self, n_paths):
+        # zero-drift BM from 1/2 in (0, 1) outlives t = 0.1 with probability
+        # sum_{n odd} 4/(n pi) sin(n pi/2) e^{-n^2 pi^2 t/2}.  The horizon is 100 steps,
+        # in blocks of 64 (500 paths) or of 16 that widen as paths leave (2000 paths)
+        t = 0.1
+        survive = sum(4.0 / (n * math.pi) * math.sin(n * math.pi / 2)
+                      * math.exp(-n * n * math.pi ** 2 * t / 2) for n in range(1, 40, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            est = simulate_exit(BROWNIAN, 0.5, 1.0,
+                                SimConfig(n_paths=n_paths, dt=1e-3, horizon=t, seed=3))
+        sd = math.sqrt(n_paths * survive * (1.0 - survive))
+        assert abs(est.n_censored - n_paths * survive) <= 4.0 * sd
+
+    @pytest.mark.parametrize("n_paths", [200, 2000])
+    def test_jumps_per_block_are_poisson(self, n_paths):
+        # jumps of 0.1 at rate 100 and no drift (the location a = 10 cancels the
+        # compensator): from 0.45 the fifth jump ruins, so a path outlives t = 0.04
+        # when at most four jumps fall in (0, t], with probability P(Poisson(4) <= 4).
+        # About 6 jumps per path fall in one 64-step block, so this needs every
+        # jump after a path's clock
+        lam, t = 100.0, 0.04
+        tri = LevyTriple(a=lam * 0.1, sigma=1e-3, pi_tail=lambda x: lam if x < 0.1 else 0.0,
+                         jump_components=(("fixed", lam, 0.1),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            est = simulate_exit(tri, 0.45, 1.0,
+                                SimConfig(n_paths=n_paths, dt=1e-3, horizon=t, seed=4))
+        survive = sum(math.exp(-lam * t) * (lam * t) ** j / math.factorial(j) for j in range(5))
+        sd = math.sqrt(n_paths * survive * (1.0 - survive))
+        assert est.p_hat == 0.0
+        assert abs(est.n_censored - n_paths * survive) <= 4.0 * sd
+
+    def test_jump_lands_in_its_own_step(self):
+        # a drift of 1 reaches a at step 66, two steps into the second 64-step block,
+        # unless a jump of 10 at rate 10 ruins the path first: up with probability
+        # e^{-10 * 65 dt}, as no jump may fall in the first 65 steps
+        lam, mu, dt = 10.0, 1.0, 1e-3
+        tri = LevyTriple(a=-mu, sigma=1e-6, pi_tail=lambda x: lam if x < 10.0 else 0.0,
+                         jump_components=(("fixed", lam, 10.0),))
+        est = simulate_exit(tri, 1.0 - 65.5 * mu * dt, 1.0,
+                            SimConfig(n_paths=500, dt=dt, horizon=1.0, seed=5))
+        assert abs(est.p_hat - math.exp(-lam * 65 * dt)) <= 4.0 * est.stderr
+
+    def test_one_normal_draw_per_block(self, monkeypatch):
+        # the first gtsc_a call of the simulate benchmark at seed 1: each block draws
+        # its (b, live) increments at once, under a quarter of the 6 890 draws of an
+        # engine that steps one grid step per pass
+        shapes = []
+        make = np.random.default_rng
+
+        class Counted:
+            def __init__(self, seed):
+                self.rng = make(seed)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def standard_normal(self, *args, **kwargs):
+                shapes.append(kwargs["out"].shape if "out" in kwargs else args)
+                return self.rng.standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", Counted)
+        triple, _ = GtscParams(alpha=0.5, gamma=1.0, c=1.0).parent_triple()
+        est = simulate_exit(triple, 1.0, 2.0, SimConfig(n_paths=12_000, dt=5e-4,
+                                                        small_jump_cutoff=0.02,
+                                                        horizon=400.0, seed=1731038949))
+        assert est.n_censored == 0
+        assert len(shapes) < 6890 / 4
+        for width, live in shapes:
+            assert width == min(64, max(1, 2 ** 15 // live))
+        assert shapes[0] == (2, 12_000)
 
 
 class TestBrownianBenchmark:
