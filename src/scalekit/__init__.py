@@ -19,11 +19,10 @@ from .fluctuation import (dividend_barrier, dividend_value, mpi1_workload,
                           ruin_probability, two_sided_exit, z_q)
 from .gtsc import (GtscParams, InfinityAsymptote, ZeroAsymptote,
                    asymptote_infinity, asymptote_zero, ig_params,
-                   ig_q0_threshold, scale_function, w0_closed, w_gamma_case,
-                   w_gamma_case_dual, w_ig, w_rational)
-from .levy import (LadderParams, LaplaceExponent, LevyTriple, PathVariation,
-                   VariationReport, big_phi, build_parent, classify_variation,
-                   levy_khintchine_exponent, parent_exponent)
+                   ig_q0_threshold, scale_function, w0_closed, w_gamma_case, w_ig,
+                   w_rational)
+from .levy import (LadderParams, LaplaceExponent, LevyTriple, big_phi, build_parent,
+                   parent_exponent)
 from .montecarlo import ExitEstimate, SimConfig, simulate_exit, simulate_ruin
 from .polyfrac import (PartialFraction, RationalAlpha, build_fq,
                        partial_fractions, roots_with_multiplicity)

@@ -203,9 +203,10 @@ def w_fixed_jumps(ccoef: float, lam: float, jump: float) -> ScaleFunction:
     (piecewise smooth with kinks at multiples of the jump size) and
     W'(x) = (lam/c)(W(x) - W(x - jump)), the inverse of theta/psi - 1/c, with W = 0 for x < 0.
     The zeros of psi are theta_k = lam/c + W_k(-a e^{-a})/jump, a = lam jump/c, W_k the
-    branches of the Lambert W function: k = 0 gives 0, k = -1 the negative zero theta2 and
-    k = 1 the first complex pair.  Where that pair weighs below 1e-16 W(inf), the alternating
-    sum gives way to the two-pole tail W = 1/psi'(0+) + e^{theta2 x}/psi'(theta2).
+    branches of the Lambert W function: k = 0 gives 0, k = -1 the negative zero theta2, and
+    k >= 1 the complex pairs, theta_k with its conjugate theta_{-k-1}.  Where the pair k = 4
+    weighs below 1e-16 W(inf), the alternating sum gives way to the pole sum
+    W = 1/psi'(0+) + sum_k e^{theta_k x}/psi'(theta_k) over theta2 and the pairs k = 1, 2, 3.
     """
     if not (ccoef > 0 and lam >= 0 and jump > 0):
         raise ParameterError("ccoef, jump must be positive and lambda nonnegative")
@@ -220,22 +221,29 @@ def w_fixed_jumps(ccoef: float, lam: float, jump: float) -> ScaleFunction:
     def psi_deriv(theta):
         return ccoef - lam * jump * np.exp(-jump * theta)
 
-    x_tail, theta2, psi_d_theta2 = math.inf, 0.0, 1.0     # without jumps there is no tail
+    x_tail, poles, resid = math.inf, np.zeros(0), np.zeros(0)    # without jumps, no tail
     if lam > 0:
         a = lc * jump
-        theta2, theta1 = (lc + sps.lambertw(-a * math.exp(-a), k) / jump for k in (-1, 1))
-        theta2, psi_d_theta2 = theta2.real, float(psi_deriv(theta2.real))
-        # the pair weighs 2 |e^{theta1 x}/psi'(theta1)|, against W(inf) = 1/psi'(0+)
-        x_tail = math.log(2e16 * drift0 / abs(psi_deriv(theta1))) / -theta1.real
+        # branches k = -1 (theta2) and 1-4; the pair k = 4 only places the switch
+        theta = lc + sps.lambertw(-a * math.exp(-a), np.array([-1, 1, 2, 3, 4])) / jump
+        theta[0] = theta[0].real
+        # a pair weighs 2 |e^{theta_k x}/psi'(theta_k)|, against W(inf) = 1/psi'(0+)
+        x_tail = math.log(2e16 * drift0 / abs(psi_deriv(theta[4]))) / -theta[4].real
+        poles = theta[:4]
+        resid = np.array([1.0, 2.0, 2.0, 2.0]) / psi_deriv(poles)
 
     def value(x: np.ndarray) -> np.ndarray:
-        """W on any x: 0 below 0, the alternating sum up to x_tail, the two-pole tail beyond."""
+        """W on any x: 0 below 0, the alternating sum up to x_tail, the pole sum beyond."""
         out = np.zeros(x.shape)
         body, tail = (x >= 0.0) & (x < x_tail), x >= x_tail
         if body.any():
             out[body] = alternating(x[body])
-        out[tail] = 1.0 / drift0 + np.exp(theta2 * x[tail]) / psi_d_theta2
+        out[tail] = 1.0 / drift0 + pole_sum(x[tail], resid)
         return out
+
+    def pole_sum(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        # pole by pole in a fixed order, so no x depends on the others
+        return sum(w * np.exp(p * x) for p, w in zip(poles, weights)).real
 
     def alternating(x: np.ndarray) -> np.ndarray:
         # term n of row x: e^{-lam u/c} (lam u / c)^n / n!, u = jump n - x <= 0, so the signs
@@ -258,7 +266,7 @@ def w_fixed_jumps(ccoef: float, lam: float, jump: float) -> ScaleFunction:
     def deriv(x: np.ndarray) -> np.ndarray:
         out, tail = np.empty(x.shape), x >= x_tail
         out[~tail] = lc * (value(x[~tail]) - value(x[~tail] - jump))
-        out[tail] = theta2 * np.exp(theta2 * x[tail]) / psi_d_theta2
+        out[tail] = pole_sum(x[tail], resid * poles)
         return out
 
     psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv, drift_at_zero=drift0)

@@ -123,15 +123,13 @@ class GtscParams:
             return -c * math.exp(-g * x) * ((a + 1.0) * x ** (-a - 2.0)
                                             + g * x ** (-a - 1.0))
 
-        mass = math.inf if a >= 0 else c * sps.gamma(-a) * g ** a
         # int_0^1 u density(u) du
         m1 = c * g ** (a - 1.0) * math.gamma(1.0 - a) * reg_lower_gamma(1.0 - a, g) \
             if g > 0 else c / (1.0 - a)
         return LadderParams(drift=self.zeta, levy_density=density, tail=tail,
                             exponent=self.ladder_exponent,
                             exponent_deriv=self.ladder_exponent_deriv,
-                            activity_mass=mass, levy_density_deriv=density_deriv,
-                            small_jump_mean=m1)
+                            levy_density_deriv=density_deriv, small_jump_mean=m1)
 
     def parent_triple(self):
         """(LevyTriple, LaplaceExponent) of the parent process.
@@ -499,19 +497,6 @@ def w_gamma_case(c: float, gamma: float) -> ScaleFunction:
     return ScaleFunction(0.0, 0.0, "gamma-case", lambda x: _gamma_ladder(c, gamma, x, False),
                          lambda x: _gamma_ladder(c, gamma, x, True),
                          GtscParams(alpha=0.0, gamma=gamma, c=c).exponent())
-
-
-def w_gamma_case_dual(c: float, gamma: float, x: float) -> float:
-    """Oracle route: W(x) = int_0^inf P(c t, gamma x) dt by direct quadrature."""
-    from scipy.integrate import quad
-
-    if x <= 0.0:
-        return 0.0
-    z = gamma * x
-    T = (z + 40.0 * math.sqrt(z) + 50.0) / c
-    val, _ = quad(lambda t: reg_lower_gamma(c * t, z), 0.0, T, limit=300,
-                  epsabs=1e-11, epsrel=1e-10)
-    return val
 
 
 # ---------------------------------------------------------------------------

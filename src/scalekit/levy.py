@@ -11,15 +11,14 @@ process has
 Gaussian coefficient sigma = sqrt(2*zeta) and jump tail
 Pi(-inf, -x) = varphi * Upsilon(x, inf) + dUpsilon/dx (x).  ``parent_exponent``
 forms psi, psi' and psi'(0+) from phi and phi'; every ``LaplaceExponent``
-carries psi' and psi'(0+) in closed form.  Nothing here differentiates
-numerically, and only the Levy-Khintchine oracle integrates numerically.
+carries psi' and psi'(0+) in closed form.  Nothing here differentiates or
+integrates numerically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,13 +29,9 @@ __all__ = [
     "LaplaceExponent",
     "LadderParams",
     "LevyTriple",
-    "PathVariation",
-    "VariationReport",
     "big_phi",
     "build_parent",
-    "classify_variation",
     "parent_exponent",
-    "levy_khintchine_exponent",
 ]
 
 
@@ -71,8 +66,6 @@ class LadderParams:
     exponent: Callable[[complex], complex]
     exponent_deriv: Callable[[float], float]
     levy_density_deriv: Callable[[float], float]
-    # total jump mass Upsilon(0, inf); math.inf for infinite activity
-    activity_mass: float
     small_jump_mean: float
 
     def __post_init__(self):
@@ -100,21 +93,6 @@ class LevyTriple:
     pi_tail: Callable[[float], float]
     pi_density: Optional[Callable[[float], float]] = None
     jump_components: tuple = field(default=())
-
-
-class PathVariation(str, Enum):
-    BOUNDED = "bounded"
-    UNBOUNDED = "unbounded"
-
-
-@dataclass(frozen=True)
-class VariationReport:
-    variation: PathVariation
-    gaussian: float
-    # set when the jump mass is finite: drift of the compound Poisson form
-    drift: Optional[float] = None
-    activity_mass: Optional[float] = None
-    subordinator_tail: Optional[Callable[[float], float]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -246,57 +224,3 @@ def build_parent(ladder: LadderParams, varphi: float) -> tuple[LevyTriple, Lapla
          - ladder.levy_density(1.0) - ladder.tail(1.0))
     triple = LevyTriple(a=a, sigma=sigma, pi_tail=pi_tail, pi_density=pi_density)
     return triple, parent_exponent(ladder.exponent, ladder.exponent_deriv, varphi)
-
-
-def classify_variation(ladder: LadderParams, varphi: float = 0.0) -> VariationReport:
-    """Path variation of the parent process, with the compound Poisson
-    decomposition report when the ladder jump mass is finite."""
-    zeta = ladder.drift
-    mass = ladder.activity_mass
-    if math.isinf(mass) or zeta > 0:
-        return VariationReport(variation=PathVariation.UNBOUNDED,
-                               gaussian=math.sqrt(2.0 * zeta),
-                               activity_mass=None if math.isinf(mass) else mass)
-    drift = complex(ladder.exponent(0.0)).real + mass - zeta * varphi
-
-    def nu_tail(x: float) -> float:
-        return varphi * ladder.tail(x) + ladder.levy_density(x)
-
-    return VariationReport(variation=PathVariation.BOUNDED,
-                           gaussian=math.sqrt(2.0 * zeta),
-                           drift=drift, activity_mass=mass,
-                           subordinator_tail=nu_tail)
-
-
-# ---------------------------------------------------------------------------
-# Levy-Khintchine quadrature (consistency oracle for built triples)
-# ---------------------------------------------------------------------------
-
-def levy_khintchine_exponent(triple: LevyTriple, theta: float) -> float:
-    """psi(theta) recomputed from the triple by quadrature of the jump integral.
-
-    Splits at |x| = 1 and compensates the integrand near zero, matching the
-    truncation convention of the Levy-Khintchine form used throughout.
-    """
-    from scipy.integrate import quad
-
-    if triple.pi_density is None:
-        raise ParameterError("levy_khintchine_exponent needs a jump density")
-
-    def near(u: float) -> float:
-        # exp(-theta u) - 1 + theta u, compensated part for u in (0, 1); the difference
-        # cancels to about 2 eps/(theta u) relative, so small theta u takes its Taylor series
-        tu = theta * u
-        if abs(tu) < 1e-2:
-            comp = tu * tu * (1 / 2 - tu * (1 / 6 - tu * (1 / 24 - tu * (1 / 120 - tu * (
-                1 / 720 - tu / 5040)))))
-        else:
-            comp = math.expm1(-tu) + tu
-        return comp * triple.pi_density(u)
-
-    def far(u: float) -> float:
-        return (math.exp(-theta * u) - 1.0) * triple.pi_density(u)
-
-    j1, _ = quad(near, 0.0, 1.0, limit=400, epsabs=1e-13, epsrel=1e-11)
-    j2, _ = quad(far, 1.0, np.inf, limit=400, epsabs=1e-13, epsrel=1e-11)
-    return -triple.a * theta + 0.5 * triple.sigma ** 2 * theta ** 2 + j1 + j2

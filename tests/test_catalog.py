@@ -159,8 +159,8 @@ class TestFixedJumps:
         with pytest.raises(ParameterError):
             w_fixed_jumps(1.0, 2.0, 1.0)
 
-    # W relative tolerance per (c, lambda, jump); near the critical drift (3, 2.9, 1) the
-    # alternating sum loses more digits before the two-pole tail takes over
+    # W relative tolerance per (c, lambda, jump); test_pole_sum_near_critical_drift holds
+    # (3, 2.9, 1) and three more sets to 5e-12 on a finer grid
     @pytest.mark.parametrize("ccoef,lam,jump,tol", [(1.0, 0.5, 1.0, 1e-11), (2.0, 1.5, 0.7, 1e-11),
                                                     (1.5, 0.3, 2.0, 1e-11), (3.0, 2.9, 1.0, 4e-9)])
     def test_against_exact_sum(self, ccoef, lam, jump, tol):
@@ -184,6 +184,30 @@ class TestFixedJumps:
         assert np.all(dgot >= 0.0)
         assert np.all(got <= 1.0 / (ccoef - lam * jump))
         assert w.eval_deriv(0.0) == pytest.approx(lam / ccoef ** 2, rel=1e-15)
+
+    @pytest.mark.parametrize("ccoef,lam,jump", [(3.0, 2.9, 1.0), (1.0, 0.99, 1.0),
+                                                (1.0, 0.5, 1.0), (2.0, 1.0, 0.5)])
+    def test_pole_sum_near_critical_drift(self, ccoef, lam, jump):
+        import mpmath as mp
+
+        # near the critical drift the alternating sum cancels until the complex poles decay;
+        # with the pairs k = 1, 2, 3 in the pole sum it hands over in time (the two-pole tail
+        # read 6.4e-9 at (3, 2.9, 1)).  W' is held to 5e-12 of W; relative to W' itself it is
+        # off by up to 3.9e-8 at (2, 1, 0.5), x = 3.67, where W(x) - W(x - jump) cancels
+        def exact(x):
+            with mp.workdps(80):
+                lc, h, x = mp.mpf(lam) / ccoef, mp.mpf(jump), mp.mpf(x)
+                return mp.fsum(mp.exp(-lc * (h * n - x)) * (lc * (h * n - x)) ** n
+                               / mp.factorial(n) for n in range(int(x / h + 1e-12) + 1)) / ccoef
+
+        xs = np.linspace(0.5, 40.0, 300)
+        w = w_fixed_jumps(ccoef, lam, jump)
+        want = [exact(x) for x in xs]
+        dwant = [lam / ccoef * (v - exact(x - jump)) if x >= jump else lam / ccoef * v
+                 for x, v in zip(xs, want)]
+        want, dwant = (np.array([float(v) for v in vs]) for vs in (want, dwant))
+        assert np.max(np.abs(w.eval(xs) - want) / want) <= 5e-12
+        assert np.max(np.abs(w.eval_deriv(xs) - dwant) / want) <= 5e-12
 
 
 class TestAbateWhitt:

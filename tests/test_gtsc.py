@@ -10,9 +10,9 @@ from scalekit.bromwich import verify_laplace_identity
 from scalekit.errors import ParameterError
 from scalekit.gtsc import (GtscParams, asymptote_infinity, asymptote_zero,
                            ig_params, ig_q0_threshold, scale_function, w0_closed,
-                           w_gamma_case, w_gamma_case_dual, w_ig, w_rational)
+                           w_gamma_case, w_ig, w_rational)
 from scalekit.polyfrac import RationalAlpha
-from scalekit.special import mittag_leffler_deriv
+from scalekit.special import mittag_leffler_deriv, reg_lower_gamma
 
 W_IG_AT_1 = 1.424660216656229247   # (1/2)[2 erfc(-1/sqrt 2) + sqrt(2/pi) e^{-1/2} - 1]
 
@@ -111,6 +111,26 @@ class TestInverseGaussian:
                 assert w.eval(x) == pytest.approx(float(exact(x)), rel=1e-13)
                 assert w.eval_deriv(x) == pytest.approx(float(mp.diff(exact, x)), rel=1e-12)
         assert w.eval_deriv(0.0) == math.inf
+
+    @pytest.mark.parametrize("delta,gamma", [(1.0, 1.0), (2.0, 0.7)])
+    def test_double_root_envelope(self, delta, gamma):
+        from scalekit.bromwich import invert
+        from scalekit.errors import ConditioningError
+
+        # the envelope the README states: next to q0 the two simple roots of f_q nearly
+        # coincide and both routes lose digits (worst 1.7e-8 / 5.0e-8 on the IG route and
+        # 7.7e-9 / 1.6e-8 on the rational route, by set); the rational route raises for
+        # |q/q0 - 1| between about 1.8e-10 and 3.2e-9
+        q0, xs = ig_q0_threshold(delta, gamma), np.array([0.05, 0.3, 1.0, 3.0, 8.0])
+        psi = ig_params(delta, gamma).exponent()
+        for q in q0 * (1.0 + np.outer([-1.0, 1.0], np.geomspace(1e-12, 1e-6, 25)).ravel()):
+            ref = np.array([invert(psi, q, x)[0] for x in xs])
+            assert np.max(np.abs(w_ig(delta, gamma, q).eval(xs) - ref) / ref) <= 1e-7
+            try:
+                w = w_rational(ig_params(delta, gamma), RationalAlpha(1, 2), q).eval(xs)
+            except ConditioningError:
+                continue
+            assert np.max(np.abs(w - ref) / ref) <= 5e-8
 
     def test_derivative_consistency(self):
         for q in (0.0, 0.5, 1.2):
@@ -431,6 +451,19 @@ class TestClosedFormPanels:
             params = GtscParams(alpha=alpha, gamma=gamma, c=c, kappa=kappa, varphi=varphi)
             with pytest.raises(NumericalError, match="closed-form quadrature error estimate"):
                 w0_closed(params).eval(xs)
+
+
+def w_gamma_case_dual(c: float, gamma: float, x: float) -> float:
+    """Oracle route: W(x) = int_0^inf P(c t, gamma x) dt by direct quadrature."""
+    from scipy.integrate import quad
+
+    if x <= 0.0:
+        return 0.0
+    z = gamma * x
+    T = (z + 40.0 * math.sqrt(z) + 50.0) / c
+    val, _ = quad(lambda t: reg_lower_gamma(c * t, z), 0.0, T, limit=300,
+                  epsabs=1e-11, epsrel=1e-10)
+    return val
 
 
 class TestGammaCase:

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ from scalekit import cli, levy
 from scalekit.catalog import build_catalog_entry, catalog_families, w_brownian
 from scalekit.errors import NumericalError, ParameterError
 from scalekit.gtsc import GtscParams
-from scalekit.levy import (LaplaceExponent, PathVariation, big_phi, build_parent,
-                           classify_variation, levy_khintchine_exponent)
+from scalekit.levy import LaplaceExponent, LevyTriple, big_phi, build_parent
 
 
 def quadratic_psi():
@@ -167,14 +167,43 @@ def test_gtsc_exponent_derivative_against_mpmath(alpha, kappa, varphi, zeta):
         assert exponent.drift_at_zero == pytest.approx(ref0, rel=1e-12, abs=1e-12)
 
 
+def levy_khintchine_exponent(triple: LevyTriple, theta: float) -> float:
+    """psi(theta) recomputed from the triple by quadrature of the jump integral.
+
+    Splits at |x| = 1 and compensates the integrand near zero, matching the
+    truncation convention of the Levy-Khintchine form used throughout.
+    """
+    from scipy.integrate import quad
+
+    if triple.pi_density is None:
+        raise ParameterError("levy_khintchine_exponent needs a jump density")
+
+    def near(u: float) -> float:
+        # exp(-theta u) - 1 + theta u, compensated part for u in (0, 1); the difference
+        # cancels to about 2 eps/(theta u) relative, so small theta u takes its Taylor series
+        tu = theta * u
+        if abs(tu) < 1e-2:
+            comp = tu * tu * (1 / 2 - tu * (1 / 6 - tu * (1 / 24 - tu * (1 / 120 - tu * (
+                1 / 720 - tu / 5040)))))
+        else:
+            comp = math.expm1(-tu) + tu
+        return comp * triple.pi_density(u)
+
+    def far(u: float) -> float:
+        return (math.exp(-theta * u) - 1.0) * triple.pi_density(u)
+
+    j1, _ = quad(near, 0.0, 1.0, limit=400, epsabs=1e-13, epsrel=1e-11)
+    j2, _ = quad(far, 1.0, np.inf, limit=400, epsabs=1e-13, epsrel=1e-11)
+    return -triple.a * theta + 0.5 * triple.sigma ** 2 * theta ** 2 + j1 + j2
+
+
 class TestBuildParent:
     def test_pure_gaussian(self):
         from scalekit.levy import LadderParams
 
         ladder = LadderParams(drift=1.0, levy_density=lambda x: 0.0, tail=lambda x: 0.0,
                               exponent=lambda th: th, exponent_deriv=lambda th: 1.0,
-                              levy_density_deriv=lambda x: 0.0, activity_mass=0.0,
-                              small_jump_mean=0.0)
+                              levy_density_deriv=lambda x: 0.0, small_jump_mean=0.0)
         triple, psi = build_parent(ladder, 0.0)
         assert triple.sigma == pytest.approx(math.sqrt(2.0))
         assert triple.pi_tail(0.5) == 0.0
@@ -233,6 +262,20 @@ class TestBuildParent:
         _, psi = build_parent(params.ladder(), 1.0)
         assert big_phi(psi, 0.0) == pytest.approx(1.0, rel=1e-10)
 
+    @pytest.mark.parametrize("case", sorted(cli.CASES))
+    @pytest.mark.parametrize("alpha,gamma", [(-0.5, 1.0), (-1 / 3, 1.0), (0.0, 1.0), (1 / 3, 1.0),
+                                             (0.75, 1.0), (1 / 3, 0.0), (0.75, 0.0)])
+    def test_jump_components_are_the_density(self, case, alpha, gamma):
+        # Monte Carlo draws jumps from jump_components alone, which parent_triple writes by
+        # hand; they must describe the same law as the triple's density
+        params = replace(cli.CASES[case].params(alpha), c=1.3, gamma=gamma)
+        triple, _ = params.parent_triple()
+        assert {kind for kind, *_ in triple.jump_components} == {"tempered_power"}
+        for u in (1e-3, 0.1, 1.0, 5.0):
+            total = sum(coef * u ** (-a - 1.0) * math.exp(-g * u)
+                        for _, coef, a, g in triple.jump_components)
+            assert total == pytest.approx(triple.pi_density(u), rel=1e-13)
+
     @pytest.mark.parametrize("alpha,varphi", [(0.5, 0.0), (-0.5, 0.0), (0.25, 1.0),
                                               (0.75, 1.0)])
     @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
@@ -245,27 +288,3 @@ class TestBuildParent:
             lk = levy_khintchine_exponent(triple, th)
             ref = float(np.real(psi.eval(th)))
             assert lk == pytest.approx(ref, rel=1e-6, abs=1e-8)
-
-
-class TestClassifyVariation:
-    def test_infinite_activity_unbounded(self):
-        params = GtscParams(alpha=0.5, gamma=1.0, c=1.0)
-        rep = classify_variation(params.ladder(), 0.0)
-        assert rep.variation is PathVariation.UNBOUNDED
-
-    def test_compound_poisson_bounded(self):
-        # alpha = -1: exponential-jump compound Poisson ladder
-        params = GtscParams(alpha=-1.0, gamma=1.0, c=1.0, kappa=1.0)
-        rep = classify_variation(params.ladder(), 0.0)
-        assert rep.variation is PathVariation.BOUNDED
-        lam = params.c * math.gamma(1.0) * params.gamma ** (-1.0)
-        assert rep.activity_mass == pytest.approx(lam, rel=1e-12)
-        assert rep.drift == pytest.approx(params.kappa + lam, rel=1e-12)
-        assert rep.subordinator_tail(0.5) == pytest.approx(
-            params.ladder().levy_density(0.5), rel=1e-12)
-
-    def test_gaussian_part_unbounded(self):
-        params = GtscParams(alpha=-0.5, gamma=1.0, c=1.0, zeta=1.0)
-        rep = classify_variation(params.ladder(), 0.0)
-        assert rep.variation is PathVariation.UNBOUNDED
-        assert rep.gaussian == pytest.approx(math.sqrt(2.0))

@@ -1,5 +1,6 @@
 """Source hygiene of the package: no unused import, no orphaned private name, no dead knob,
-no write-only field or attribute, and no shared code between the gamma-ladder route and its oracle.
+no write-only field or attribute, no export that only tests read, and no shared code between
+the gamma-ladder route and its oracle.
 
 A stand-in for a linter: each module under src/scalekit is parsed with ``ast``.
 An import counts as used when its name is read in the module or listed in
@@ -10,9 +11,11 @@ or dataclass field -- counts as used when some call in src/, tests/ or
 perfbench/ passes it.  A dataclass field counts as read when some code in
 src/, tests/ or perfbench/ reads an attribute of its name, directly or through
 ``getattr``; so does an attribute a method sets as ``self.<name> = ...``.
-A function reaches every module-level function or class method whose name it
-reads, other than the bare names it binds itself, and what those reach in
-turn.
+An export (a name ``__init__`` imports) counts as read when a module of src/
+other than ``__init__``, or of perfbench/, reads it as a name or an attribute
+or imports it by ``from ... import``.  A function reaches every module-level
+function or class method whose name it reads, other than the bare names it
+binds itself, and what those reach in turn.
 """
 
 import ast
@@ -235,6 +238,16 @@ def _package_functions() -> dict:
     return funcs
 
 
+def _refs(func) -> set:
+    """Names ``func`` reads that may name package functions: bare names it does not bind
+    itself, and attributes."""
+    bare = {n.id for n in ast.walk(func)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return (bare - _bound_names(func)) | {
+        n.attr for n in ast.walk(func)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
 def _reach(start: str) -> set:
     """(module, name) of the package functions that ``start`` reaches through the names it reads.
 
@@ -249,12 +262,14 @@ def _reach(start: str) -> set:
             if (module, name) in seen:
                 continue
             seen.add((module, name))
-            bare = {n.id for n in ast.walk(node)
-                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-            todo += (bare - _bound_names(node)) | {
-                n.attr for n in ast.walk(node)
-                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+            todo += _refs(node)
     return seen
+
+
+def _test_function(module: str, name: str):
+    tree = ast.parse((ROOT / "tests" / module).read_text())
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
 def _names(reached: set) -> set:
@@ -266,7 +281,9 @@ def test_gamma_oracle_independent():
     # integrates F, would make them agree by construction
     shared = {"_ladder_table", "fransen_transform", "_gauss_kronrod"}
     assert shared <= _names(_reach("w_gamma_case"))
-    reached = _names(_reach("w_gamma_case_dual"))
+    assert "w_gamma_case_dual" not in _package_functions(), "the oracle is defined in src/"
+    oracle = _test_function("test_gtsc.py", "w_gamma_case_dual")
+    reached = _names(set().union(*map(_reach, _refs(oracle))))
     assert "reg_lower_gamma" in reached
     assert not reached & shared, f"w_gamma_case_dual reaches {sorted(reached & shared)}"
 
@@ -422,7 +439,7 @@ loaded("work")
 
 def test_cli_import_and_solvers_skip_scipy_optimize_and_integrate():
     # the import, Phi(q), the barrier and the reciprocal-gamma transform load neither module;
-    # only the three quadrature oracles import quad, each itself
+    # only the shifted-line reference imports quad, itself
     out = subprocess.run([sys.executable, "-c", _SOLVER_MODULES], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True).stdout
     assert out.split("\n")[:2] == ["import []", "work []"], out
@@ -452,18 +469,18 @@ def test_simulate_skips_scipy_optimize_and_integrate():
 
 
 def test_quad_only_in_the_oracles():
-    # QUADPACK's quad serves the three independent oracles and nothing else
+    # scipy.integrate (QUADPACK's quad) serves the shifted-line reference and nothing else; the
+    # Levy-Khintchine and gamma-ladder oracles that also integrate with it live in the tests
     importers = set()
     for module, tree in TREES.items():
         for func in ast.walk(tree):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 importers |= {(module, func.name) for node in ast.walk(func)
-                              if isinstance(node, ast.ImportFrom) and any(
-                                  a.name == "quad" for a in node.names)}
+                              if isinstance(node, (ast.Import, ast.ImportFrom))
+                              and "integrate" in ast.unparse(node)}
         assert not [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
                     and "integrate" in ast.unparse(node)], f"{module} imports scipy.integrate"
-    assert importers == {("levy.py", "levy_khintchine_exponent"), ("bromwich.py", "_line_pass"),
-                         ("gtsc.py", "w_gamma_case_dual")}, importers
+    assert importers == {("bromwich.py", "_line_pass")}, importers
 
 
 def test_one_warning_the_censoring_one():
@@ -475,3 +492,38 @@ def test_one_warning_the_censoring_one():
                   or isinstance(node.func, ast.Name) and node.func.id == "warn")]
     assert len(warns) == 1 and warns[0][0] == "montecarlo.py" \
         and "censored at the horizon" in warns[0][1], warns
+
+
+# exports that no src/ or perfbench/ code reads, each kept for a reason of its own
+_EXPORTS_FOR_TESTS = {
+    "erfc_c": "tests/test_acceptance.py::TestCriterion8 checks the complex erfc the package ships",
+    "CORRECTIONS": "the corrections ledger that README's 'Corrections' table prints",
+}
+
+
+def _from_imported(tree) -> set:
+    """Names the module imports by ``from ... import``, under their own names."""
+    return {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for a in node.names}
+
+
+def test_every_export_read_by_the_package():
+    # an export that only tests read is a test's oracle or dead code: it belongs in tests/
+    readers = [tree for module, tree in TREES.items() if module != "__init__.py"] + [
+        ast.parse(path.read_text()) for path in sorted((ROOT / "perfbench").rglob("*.py"))]
+    read = set().union(*map(_read_names, readers), *map(_from_imported, readers))
+    exported = _from_imported(TREES["__init__.py"])
+    unread = sorted(exported - read - set(_EXPORTS_FOR_TESTS))
+    assert not unread, f"exports only tests read: {unread}"
+    assert set(_EXPORTS_FOR_TESTS) <= exported - read, "a listed exception is read or gone"
+
+
+def test_no_test_only_definitions():
+    # the oracles moved to the tests that call them, and the path-variation report that only
+    # tests read is deleted; src/ defines none of them again
+    gone = {"levy_khintchine_exponent", "w_gamma_case_dual", "classify_variation",
+            "VariationReport", "PathVariation", "activity_mass"}
+    defined = {node.name for tree in TREES.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    defined |= {name for tree in TREES.values() for _, name, _ in _dataclass_fields(tree)}
+    assert not defined & gone, sorted(defined & gone)
