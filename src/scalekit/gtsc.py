@@ -12,10 +12,10 @@ kappa*varphi = 0.
 Evaluation routes for W^(q) (``scale_function`` picks one, or Bromwich inversion):
 
 * ``w_rational``   -- alpha = m/n: partial fractions of z^{m_-}/f_q(z) and
-  tilted Mittag-Leffler derivatives, whose W' lowers their second index by
-  one; near zero the equivalent convergent power series (from the expansion
-  of z^{m_-}/f_q at infinity) is used, which also yields W(0+) and W'(0+)
-  exactly.
+  tilted Mittag-Leffler derivatives, and W' from the partial fractions of
+  theta/(psi(theta) - q) over the same roots and Mittag-Leffler values; near
+  zero the equivalent convergent power series (from the expansion of
+  z^{m_-}/f_q at infinity) is used, which also yields W(0+) and W'(0+) exactly.
 * ``w0_closed``    -- q = 0, zeta = 0, alpha in (-1,1)\\{0}: single-integral
   closed forms on fixed graded Gauss-Kronrod panels, and W' in closed form.
 * ``w_ig``         -- alpha = 1/2 inverse Gaussian ladder: erfc formulas,
@@ -199,11 +199,22 @@ def w_rational(params: GtscParams, alpha: Optional[RationalAlpha] = None,
     x_switch = (0.45 / rmax) ** n if rmax > 0 else math.inf
 
     inv_n = 1.0 / n
-    # pf_coef[j, r] = coefficient / j! (0 for j >= mu_r); the closures below keep these
-    # arrays, not pf
+    # W' e^{gamma x} inverts (z^n - gamma) z^{m_-}/f_q less its polynomial part w0: per root,
+    # c'_j = sum_l h_l c_{j+l} with z^n - gamma = sum_l h_l (z - r)^l, h_l = C(n, l) r^{n-l}
+    # (0 past l = n, also at r = 0).  At q = 0 a root with r^n = gamma is theta = 0, no pole
+    # of theta/psi(theta): h_0 = 0 there, not its rounding (below 1e-13 gamma; every other
+    # root measured is 1e-3 gamma or more from r^n = gamma)
     pf_roots, pf_mults = pf.roots, pf.multiplicities
-    max_mu = pf.coeffs.shape[1]
-    pf_coef = pf.coeffs.T / sps.factorial(np.arange(max_mu))[:, None]
+    max_mu, lag = pf.coeffs.shape[1], np.arange(pf.coeffs.shape[1])
+    h = sps.comb(n, lag) * pf_roots[:, None] ** np.maximum(n - lag, 0)
+    h[:, 0] -= gamma
+    h[(q == 0.0) & (np.abs(h[:, 0]) <= 1e-9 * gamma), 0] = 0.0
+    pfd = np.zeros_like(pf.coeffs)
+    for l in range(max_mu):
+        pfd[:, :max_mu - l] += h[:, l:l + 1] * pf.coeffs[:, l:]
+    # pf_coef[0|1, j, r] = coefficient of W|W' / j! (0 for j >= mu_r); the closures below
+    # keep these arrays, not pf
+    pf_coef = np.stack([pf.coeffs.T, pfd.T]) / sps.factorial(lag)[:, None]
     # nonzero terms of the small-x series: coefficient b_i/Gamma(i/n) and power i/n - 1
     idx = np.flatnonzero(bcoef[1:]) + 1
     s_coef = bcoef[idx] * sps.rgamma(idx * inv_n)
@@ -214,7 +225,8 @@ def w_rational(params: GtscParams, alpha: Optional[RationalAlpha] = None,
     wp0 = math.inf if bcoef[n + 1:2 * n].any() else bcoef[2 * n] - gamma * w0
 
     def _series_sums(x: np.ndarray, deriv: bool):
-        # the series and its derivative summed up to the first negligible term beyond i = 2n
+        # W e^{gamma x} and W' e^{gamma x} = (W e^{gamma x})' - gamma W e^{gamma x}, the series
+        # and its derivative summed up to the first negligible term beyond i = 2n
         with np.errstate(over="ignore", invalid="ignore"):
             terms = s_coef * x[:, None] ** s_pow
             partial = np.cumsum(terms, axis=1)
@@ -225,23 +237,22 @@ def w_rational(params: GtscParams, alpha: Optional[RationalAlpha] = None,
                                  f"terms at x={x[np.argmin(stopped)]:.6g}")
         last = np.where(stopped, stop.argmax(axis=1), idx.size - 1)
         rows = np.arange(x.size)
-        ds = np.cumsum(terms * s_pow / x[:, None], axis=1)[rows, last] if deriv else None
-        return partial[rows, last], ds
+        s = partial[rows, last]
+        return s, (np.cumsum(terms * s_pow / x[:, None], axis=1)[rows, last] - gamma * s
+                   if deriv else None)
 
     def _pfd_sums(x: np.ndarray, deriv: bool):
-        # term (r, j < mu_r): coef x^{(j+1)/n-1} j! E^{j+1}_{1/n,(j+1)/n}(r x^{1/n}); its
-        # derivative is the same with the second index and the power lowered by one
+        # term (r, j < mu_r): coef x^{(j+1)/n-1} j! E^{j+1}_{1/n,(j+1)/n}(r x^{1/n}), for W
+        # and W' e^{gamma x} alike, from the same Mittag-Leffler values
         z = np.outer(pf_roots, x ** inv_n)
-        sums = []
-        for d in range(1 + deriv):
-            total = np.zeros(x.size, dtype=complex)
-            for j in range(max_mu):
-                on = pf_mults > j
-                ml = mittag_leffler_deriv(inv_n, inv_n - d, j, z[on])
+        sums = np.zeros((1 + deriv, x.size), dtype=complex)
+        for j in range(max_mu):
+            on = pf_mults > j
+            ml = mittag_leffler_deriv(inv_n, inv_n, j, z[on])
+            xp = x ** ((j + 1) * inv_n - 1.0)
+            for total, coef in zip(sums, pf_coef[:, j, on]):
                 # root by root, so that a point's sum does not depend on the points around it
-                total += sum(c * m for c, m in zip(pf_coef[j, on], ml)) \
-                    * x ** ((j + 1) * inv_n - 1.0 - d)
-            sums.append(total)
+                total += sum(c * m for c, m in zip(coef, ml)) * xp
         return sums[0], (sums[1] if deriv else None)
 
     def _real(total: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -262,8 +273,8 @@ def w_rational(params: GtscParams, alpha: Optional[RationalAlpha] = None,
                 xs = x[sel]
                 (s, ds), ex = branch(xs, deriv), np.exp(-gamma * xs)
                 w[sel] = _real(ex * s, xs)
-                if deriv:   # W' = e^{-gamma x} ((W e^{gamma x})' - gamma W e^{gamma x})
-                    wp[sel] = _real(ex * (ds - gamma * s), xs)
+                if deriv:
+                    wp[sel] = _real(ex * ds, xs)
         return w, wp
 
     return ScaleFunction(q=q, phi_q=phi_q, route="rational-ML",

@@ -203,10 +203,44 @@ class TestRationalRoute:
         assert rep.max_rel_err <= 1e-6
 
 
+def _wprime_expansion(params, m, n, q, x, dps):
+    """W' from the expansion of z^{m_-}/f_q at infinity, f_q built and summed in mpmath:
+    W e^{gamma x} = sum_i b_i x^{i/n-1}/Gamma(i/n), differentiated termwise."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        g, c, zeta, kappa, varphi = map(mp.mpf, (params.gamma, params.c, params.zeta,
+                                                 params.kappa, params.varphi))
+        mm, cg = max(-m, 0), c * mp.gamma(-mp.mpf(m) / n)
+        bracket = [mp.mpf(0)] * (n + mm + 1)        # as polyfrac.build_fq, exactly
+        bracket[mm] += kappa - zeta * g + cg * g ** (mp.mpf(m) / n)
+        bracket[n + mm] += zeta
+        bracket[max(m, 0)] -= cg
+        fq = [mp.mpf(0)] * (2 * n + mm + 1)
+        for i, v in enumerate(bracket):
+            fq[i] -= (g + varphi) * v
+            fq[i + n] += v
+        fq[mm] -= q
+        while fq[-1] == 0:
+            fq.pop()
+        deg, rev = len(fq) - 1, [v / fq[-1] for v in fq[::-1]]
+        e, total, quiet, k = [mp.mpf(1)], mp.mpf(0), 0, 0
+        while quiet <= 2 * deg or k <= 10 * n:     # e_k: 1/f_q = z^{-deg}/lead sum_k e_k z^{-k}
+            if k:
+                e.append(-mp.fsum(rev[t] * e[k - t] for t in range(1, min(k, deg) + 1)))
+            i = mp.mpf(deg - mm + k) / n
+            term = e[k] / fq[-1] * x ** (i - 1) * (mp.rgamma(i - 1) / x - g * mp.rgamma(i))
+            total += term
+            quiet = quiet + 1 if abs(term) < mp.eps * abs(total) else 0
+            k += 1
+        return float(total * mp.exp(-g * x))
+
+
 class TestDerivativeRule:
-    """W' of the rational route: every partial-fraction term differentiates into the same
-    Prabhakar function with its second index lowered by one, and W'(0+) is read off the
-    expansion of z^{m_-}/f_q at infinity."""
+    """W' of the rational route: (z^n - gamma) z^{m_-}/f_q, the transform theta/(psi(theta) - q)
+    of W' e^{gamma x}, splits into partial fractions over the roots of W, summed with the same
+    Prabhakar functions as W, and W'(0+) is read off the expansion of z^{m_-}/f_q at
+    infinity."""
 
     def test_wprime_where_the_product_rule_cancelled(self):
         # the 60-digit expansion of z^{m_-}/f_q at infinity, summed termwise in mpmath
@@ -231,8 +265,8 @@ class TestDerivativeRule:
     @pytest.mark.parametrize("case,m,n,q,orders", [("B", 1, 3, 1.0, {0}),
                                                    ("D", 3, 4, 0.0, {0, 1})])
     def test_derivative_orders_below_multiplicity(self, monkeypatch, case, m, n, q, orders):
-        # B at 1/3 has simple roots, D at 3/4 one double root: W and W' ask for orders
-        # j < mu only, W' at the second index 1/n lowered by one
+        # B at 1/3 has simple roots, D at 3/4 one double root: W' asks for exactly the
+        # Mittag-Leffler calls W asks for, at the second index 1/n and orders j < mu only
         from scalekit import gtsc
         from scalekit.cli import CASES
 
@@ -244,9 +278,32 @@ class TestDerivativeRule:
 
         monkeypatch.setattr(gtsc, "mittag_leffler_deriv", counted)
         scale = w_rational(CASES[case].params(m / n), RationalAlpha(m, n), q)
-        scale.eval_deriv(np.linspace(0.5, 8.0, 7))
+        xs = np.linspace(0.5, 8.0, 7)
+        scale.eval(xs)
+        for_w = list(asked)
+        asked.clear()
+        scale.eval_deriv(xs)
+        assert asked == for_w
         assert {j for _, _, j in asked} == orders
-        assert {(a, b) for a, b, _ in asked} == {(1 / n, 1 / n), (1 / n, 1 / n - 1.0)}
+        assert {(a, b) for a, b, _ in asked} == {(1 / n, 1 / n)}
+
+    @pytest.mark.parametrize("params,frac,xs,rel", [
+        # case D at 3/4 past the series switch x_switch = 7.2e-5, where the partial-fraction
+        # sum cancels (the second index lowered: 1.2e-11 off)
+        (GtscParams(alpha=0.75, gamma=1.0, c=1.0, zeta=1.0), (3, 4), [4.0e-4], 1e-13),
+        # case B at 1/2, where W' decays like e^{-0.48 x} under W e^{gamma x} ~ e^x
+        # (second index lowered: 1.2e-11, 1.9e-7, 4.4e-4, 1.0e+6 off, and W'(200) < 0)
+        (GtscParams(alpha=0.5, gamma=1.0, c=1.0, kappa=1.0), (1, 2),
+         [20.0, 40.0, 60.0, 100.0, 200.0], 1e-12),
+        # theta = 0 is a root of f_0 but no pole of theta/psi(theta): it carries no W' term
+        # (a rounded r^2 - gamma on its coefficient: 8.7e-13, 1.2e-10 and 5.2e-8 off)
+        (GtscParams(alpha=0.5, gamma=0.5, c=2.0, kappa=1.0), (1, 2), [40.0, 60.0, 100.0], 1e-12),
+    ], ids=["D-past-switch", "B-decaying", "B-theta-zero-root"])
+    def test_wprime_against_expansion(self, params, frac, xs, rel):
+        scale = w_rational(params, RationalAlpha(*frac), 0.0)
+        for x in xs:
+            want = _wprime_expansion(params, *frac, 0.0, x, dps=40 + int(1.2 * x))
+            assert scale.eval_deriv(x) == pytest.approx(want, rel=rel, abs=0.0), x
 
     def test_series_past_its_budget_refused(self, monkeypatch):
         # an expansion cut before the series meets its stop rule raises, not a truncated sum
