@@ -13,7 +13,8 @@ Evaluation routes for W^(q) (``scale_function`` picks one, or Bromwich inversion
 
 * ``w_rational``   -- alpha = m/n: partial fractions of z^{m_-}/f_q(z) and
   tilted Mittag-Leffler derivatives, and W' from the partial fractions of
-  theta/(psi(theta) - q) over the same roots and Mittag-Leffler values; near
+  theta/(psi(theta) - q) over the same roots and Mittag-Leffler values (W and W'
+  on one chunk share one pass, through one slot per scale function); near
   zero the equivalent convergent power series (from the expansion of
   z^{m_-}/f_q at infinity) is used, which also yields W(0+) and W'(0+) exactly.
 * ``w0_closed``    -- q = 0, zeta = 0, alpha in (-1,1)\\{0}: single-integral
@@ -241,16 +242,25 @@ def w_rational(params: GtscParams, alpha: Optional[RationalAlpha] = None,
         return s, (np.cumsum(terms * s_pow / x[:, None], axis=1)[rows, last] - gamma * s
                    if deriv else None)
 
+    # (x bytes, Mittag-Leffler values per order j) of the last chunk, so that W and W' on the
+    # same chunk share one pass; written whole, after every order has returned, so a thread
+    # reads either its own values or a miss (two threads' writes race only for the slot)
+    held = b"", ()
+
     def _pfd_sums(x: np.ndarray, deriv: bool):
         # term (r, j < mu_r): coef x^{(j+1)/n-1} j! E^{j+1}_{1/n,(j+1)/n}(r x^{1/n}), for W
         # and W' e^{gamma x} alike, from the same Mittag-Leffler values
-        z = np.outer(pf_roots, x ** inv_n)
+        nonlocal held
+        key, (last, mls) = x.tobytes(), held     # one read of the slot
+        if last != key:
+            z = np.outer(pf_roots, x ** inv_n)
+            mls = tuple(mittag_leffler_deriv(inv_n, inv_n, j, z[pf_mults > j])
+                        for j in range(max_mu))
+            held = key, mls
         sums = np.zeros((1 + deriv, x.size), dtype=complex)
-        for j in range(max_mu):
-            on = pf_mults > j
-            ml = mittag_leffler_deriv(inv_n, inv_n, j, z[on])
+        for j, ml in enumerate(mls):
             xp = x ** ((j + 1) * inv_n - 1.0)
-            for total, coef in zip(sums, pf_coef[:, j, on]):
+            for total, coef in zip(sums, pf_coef[:, j, pf_mults > j]):
                 # root by root, so that a point's sum does not depend on the points around it
                 total += sum(c * m for c, m in zip(coef, ml)) * xp
         return sums[0], (sums[1] if deriv else None)

@@ -23,7 +23,9 @@ class ScaleFunction:
     process W belongs to.  ``eval`` returns W^(q)(x) and ``eval_deriv`` W';
     both are 0 for x < 0 and take a number (returning a float) or an array
     (returning the input's shape), and raise SaturationError on a NaN or, at
-    x > 0, an infinity.  Instances are immutable and safe to share.
+    x > 0, an infinity.  Instances are safe to share: their fields never change, and
+    the one state a route keeps, the rational route's Mittag-Leffler values of its last
+    chunk, is read once per call and replaced whole, so no value depends on it.
     """
 
     def __init__(self, q: float, phi_q: float, route: str,

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +37,34 @@ class TestEval:
         assert all(ln.split(",")[3] == "ig" for ln in lines[1:])
         xs = [float(ln.split(",")[0]) for ln in lines[1:]]
         assert xs == sorted(xs)
+
+    @pytest.mark.parametrize("alpha,case,flag,q,orders", [("1/3", "B", "--kappa", "1", [0]),
+                                                          ("3/4", "D", "--zeta", "0", [0, 1])])
+    def test_rational_grid_one_pass_per_chunk(self, monkeypatch, alpha, case, flag, q, orders):
+        # W and W' on one chunk of 64 points share one Mittag-Leffler pass per order, and the
+        # CSV equals W and W' from fresh instances, bit for bit
+        from scalekit import gtsc
+        from scalekit.special import mittag_leffler_deriv
+
+        asked = []
+
+        def counted(a, b, j, z):
+            asked.append(j)
+            return mittag_leffler_deriv(a, b, j, z)
+
+        monkeypatch.setattr(gtsc, "mittag_leffler_deriv", counted)
+        code, out = run_cli(["eval", "--alpha", alpha, flag, "1", "--q", q,
+                             "--x-max", "6", "--points", "64"])
+        assert code == 0
+        assert asked == orders
+
+        def fresh():
+            return gtsc.scale_function(CASES[case].params(float(Fraction(alpha))), float(q))
+
+        xs = np.linspace(0.0, 6.0, 64)
+        assert out.splitlines()[1:] == [
+            f"{x:.12g},{w:.12g},{wp:.12g},rational-ML,{q}"
+            for x, w, wp in zip(xs, fresh().eval(xs), fresh().eval_deriv(xs))]
 
     def test_catalog_stable_values(self):
         code, out = run_cli(["eval", "--model", "catalog:stable", "--beta", "1.5",

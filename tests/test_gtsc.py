@@ -265,8 +265,9 @@ class TestDerivativeRule:
     @pytest.mark.parametrize("case,m,n,q,orders", [("B", 1, 3, 1.0, {0}),
                                                    ("D", 3, 4, 0.0, {0, 1})])
     def test_derivative_orders_below_multiplicity(self, monkeypatch, case, m, n, q, orders):
-        # B at 1/3 has simple roots, D at 3/4 one double root: W' asks for exactly the
-        # Mittag-Leffler calls W asks for, at the second index 1/n and orders j < mu only
+        # B at 1/3 has simple roots, D at 3/4 one double root: on fresh instances W' asks for
+        # exactly the Mittag-Leffler calls W asks for, at the second index 1/n and orders
+        # j < mu only; on one instance the second of W and W' on a chunk asks for none
         from scalekit import gtsc
         from scalekit.cli import CASES
 
@@ -277,15 +278,26 @@ class TestDerivativeRule:
             return mittag_leffler_deriv(a, b, j, z)
 
         monkeypatch.setattr(gtsc, "mittag_leffler_deriv", counted)
-        scale = w_rational(CASES[case].params(m / n), RationalAlpha(m, n), q)
+
+        def fresh():
+            return w_rational(CASES[case].params(m / n), RationalAlpha(m, n), q)
+
         xs = np.linspace(0.5, 8.0, 7)
-        scale.eval(xs)
+        fresh().eval(xs)
         for_w = list(asked)
         asked.clear()
-        scale.eval_deriv(xs)
+        fresh().eval_deriv(xs)
         assert asked == for_w
         assert {j for _, _, j in asked} == orders
         assert {(a, b) for a, b, _ in asked} == {(1 / n, 1 / n)}
+        for first, second in (("eval", "eval_deriv"), ("eval_deriv", "eval")):
+            scale = fresh()
+            getattr(scale, first)(xs)
+            asked.clear()
+            getattr(scale, second)(xs)
+            assert asked == [], (first, second)
+            getattr(scale, second)(xs + 0.25)   # a different chunk asks again
+            assert asked == for_w, (first, second)
 
     @pytest.mark.parametrize("params,frac,xs,rel", [
         # case D at 3/4 past the series switch x_switch = 7.2e-5, where the partial-fraction
@@ -710,15 +722,24 @@ class TestRouteSelection:
 
 
 
+def _rational_scales():
+    yield "rational", w_rational(GtscParams(alpha=1 / 3, gamma=1.0, c=1.0, kappa=1.0), None, 1.0)
+    yield "rational-negative", w_rational(GtscParams(alpha=-0.5, gamma=1.0, c=1.0), None, 0.0)
+    # case D at 3/4: a double root, and W'(0+) = 1/zeta finite
+    yield "rational-double-root", w_rational(GtscParams(alpha=0.75, gamma=1.0, c=1.0, zeta=1.0),
+                                             None, 0.0)
+
+
+def _rational(name: str):
+    """A fresh instance of one of the rational scales."""
+    return next(scale for n, scale in _rational_scales() if n == name)
+
+
 def _one_path_scales():
     from scalekit.catalog import build_catalog_entry, catalog_families
 
     q0 = ig_q0_threshold(1.0, 1.0)
-    yield "rational", w_rational(GtscParams(alpha=1 / 3, gamma=1.0, c=1.0, kappa=1.0), None, 1.0)
-    yield "rational-negative", w_rational(GtscParams(alpha=-0.5, gamma=1.0, c=1.0), None, 0.0)
-    # a double root, and W'(0+) = 1/zeta finite
-    yield "rational-double-root", w_rational(GtscParams(alpha=0.75, gamma=1.0, c=1.0, zeta=1.0),
-                                             None, 0.0)
+    yield from _rational_scales()
     for q in (0.0, q0, 1.0):
         yield f"ig-q{q:.3g}", w_ig(1.0, 1.0, q)
     yield "closed", w0_closed(GtscParams(alpha=-1 / 3, gamma=1.0, c=1.0))
@@ -793,6 +814,126 @@ class TestOnePath:
         xs = np.concatenate(asked)
         assert rep.passed
         assert np.unique(xs).size == xs.size
+
+
+class TestSharedPass:
+    """The rational route keeps the Mittag-Leffler values of its last chunk, so W and W' on
+    the same points share one pass; no call's result depends on the calls before it."""
+
+    @pytest.mark.parametrize("name", [name for name, _ in _rational_scales()])
+    def test_interleaved_calls_bit_for_bit(self, name):
+        xs = np.r_[0.0, np.geomspace(1e-3, 20.0, 99)]    # 100 points: chunks of 64 and 36
+        calls = [("eval", xs[:40]), ("eval_deriv", xs[:40]), ("eval", xs[:40]),
+                 ("eval_deriv", xs[:40]),                       # one chunk, interleaved
+                 ("eval", xs[20:60]), ("eval_deriv", xs[:40]), ("eval_deriv", xs[20:60]),
+                 ("eval", xs[30:70]),                           # overlapping chunks
+                 ("eval_deriv", 1.7), ("eval", 1.7), ("eval", 1.7), ("eval_deriv", 0.3),
+                 ("eval", 0.3), ("eval", 0.0), ("eval_deriv", 0.0),    # scalars
+                 ("eval", xs), ("eval_deriv", xs), ("eval", xs[64:]), ("eval_deriv", xs),
+                 ("eval", xs)]                                  # across the chunk boundary
+        scale = _rational(name)
+        for i, (method, x) in enumerate(calls):
+            want = getattr(_rational(name), method)(x)
+            got = getattr(scale, method)(x)
+            assert type(got) is type(want) and np.array_equal(got, want), (name, i, method)
+
+    def test_failed_pass_holds_nothing(self, monkeypatch):
+        # case D at 3/4 asks for orders 0 and 1; a raise at order 1 must leave no values of
+        # order 0 behind
+        from scalekit import gtsc
+        from scalekit.errors import ConditioningError
+
+        asked, failing = [], [True]
+
+        def flaky(a, b, j, z):
+            asked.append(j)
+            if failing[0] and j == 1:
+                raise ConditioningError("order 1 refused")
+            return mittag_leffler_deriv(a, b, j, z)
+
+        monkeypatch.setattr(gtsc, "mittag_leffler_deriv", flaky)
+        scale = _rational("rational-double-root")
+        xs = np.linspace(0.5, 8.0, 7)
+        for method in ("eval", "eval_deriv", "eval"):
+            asked.clear()
+            with pytest.raises(ConditioningError):
+                getattr(scale, method)(xs)
+            assert asked == [0, 1], method
+        failing[0] = False
+        asked.clear()
+        got = scale.eval_deriv(xs)
+        assert asked == [0, 1]
+        assert np.array_equal(got, _rational("rational-double-root").eval_deriv(xs))
+
+    @pytest.mark.parametrize("name", [name for name, _ in _rational_scales()])
+    def test_threads_sharing_one_instance(self, name):
+        # more threads than cores, each on its own x, switching often: every result is the
+        # one a fresh instance gives
+        import sys
+        import threading
+
+        scale = _rational(name)
+        grids = [np.linspace(0.4, 9.0, 50), np.geomspace(0.05, 15.0, 50),
+                 np.linspace(0.4, 9.0, 40), np.geomspace(0.05, 15.0, 64)[::-1]]
+        want = [(_rational(name).eval(xs), _rational(name).eval_deriv(xs)) for xs in grids]
+        start, got, errors = threading.Barrier(len(grids)), [[] for _ in grids], []
+
+        def work(k):
+            try:
+                start.wait(timeout=30.0)
+                for _ in range(15):
+                    got[k].append((scale.eval(grids[k]), scale.eval_deriv(grids[k])))
+            except BaseException as exc:   # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(grids))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        for k, (w, wp) in enumerate(want):
+            assert len(got[k]) == 15
+            assert all(np.array_equal(g, w) and np.array_equal(gp, wp) for g, gp in got[k]), k
+
+    @pytest.mark.parametrize("name", [name for name, _ in _rational_scales()])
+    def test_late_pass_of_another_thread(self, monkeypatch, name):
+        # thread A is held inside its first Mittag-Leffler call while this thread evaluates
+        # other points in full; A's late write must not pair these points with A's values
+        import threading
+
+        from scalekit import gtsc
+
+        scale = _rational(name)
+        xa, xb = np.linspace(0.4, 9.0, 50), np.geomspace(0.05, 15.0, 20)
+        entered, release, got = threading.Event(), threading.Event(), []
+
+        def paused(a, b, j, z):
+            if threading.current_thread() is thread_a and not entered.is_set():
+                entered.set()
+                release.wait(timeout=30.0)
+            return mittag_leffler_deriv(a, b, j, z)
+
+        monkeypatch.setattr(gtsc, "mittag_leffler_deriv", paused)
+        thread_a = threading.Thread(target=lambda: got.append(scale.eval(xa)))
+        thread_a.start()
+        assert entered.wait(timeout=30.0)
+        calls = [("eval", xb), ("eval_deriv", xb)]
+        results = [getattr(scale, method)(x) for method, x in calls]
+        release.set()
+        thread_a.join(timeout=60.0)
+        assert not thread_a.is_alive() and len(got) == 1
+        calls += [("eval_deriv", xb), ("eval", xb), ("eval_deriv", xa), ("eval", xa)]
+        results += [getattr(scale, method)(x) for method, x in calls[2:]]
+        assert np.array_equal(got[0], _rational(name).eval(xa))
+        for (method, x), r in zip(calls, results):
+            assert np.array_equal(r, getattr(_rational(name), method)(x)), method
 
 
 class TestBromwichAtZero:

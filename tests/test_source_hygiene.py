@@ -1,6 +1,6 @@
 """Source hygiene of the package: no unused import, no orphaned private name, no dead knob,
-no write-only field or attribute, no export that only tests read, and no shared code between
-the gamma-ladder route and its oracle.
+no write-only field or attribute, no export that only tests read, no unbounded cache, and no
+shared code between the gamma-ladder route and its oracle.
 
 A stand-in for a linter: each module under src/scalekit is parsed with ``ast``.
 An import counts as used when its name is read in the module or listed in
@@ -331,6 +331,47 @@ def test_no_vectorize():
              or isinstance(node, ast.Name) and node.id == "vectorize"
              or isinstance(node, ast.alias) and node.name == "vectorize"]
     assert not found, f"np.vectorize in {found}"
+
+
+def _functools_name(node, aliases: dict):
+    """The functools attribute that node names (``functools.x`` or a name bound by
+    ``from functools import x``), else None."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id)
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id == "functools":
+        return node.attr
+    return None
+
+
+def test_every_cache_bounded():
+    # caches stay bounded: every lru_cache states a finite integer maxsize, and the unbounded
+    # functools.cache only memoizes a function of no arguments, which holds one value
+    unbounded = []
+    for module, tree in TREES.items():
+        aliases = {a.asname or a.name: a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                   for a in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    kind = _functools_name(dec, aliases)
+                    if kind == "lru_cache":
+                        unbounded.append(f"{module}:{dec.lineno} lru_cache without a maxsize")
+                    elif kind == "cache" and _parameters(node):
+                        unbounded.append(f"{module}:{dec.lineno} cache on {node.name}, "
+                                         f"which takes {_parameters(node)}")
+            elif isinstance(node, ast.Call):
+                kind = _functools_name(node.func, aliases)
+                size = node.args[0] if node.args else next(
+                    (k.value for k in node.keywords if k.arg == "maxsize"), None)
+                if kind == "lru_cache" and not (isinstance(size, ast.Constant)
+                                                and type(size.value) is int):
+                    unbounded.append(f"{module}:{node.lineno} lru_cache without a finite "
+                                     "integer maxsize")
+                elif kind == "cache":
+                    unbounded.append(f"{module}:{node.lineno} cache called, not a decorator")
+    assert not unbounded, unbounded
 
 
 def _parameters(func) -> list:
