@@ -51,11 +51,9 @@ __all__ = [
 
 
 def _phi_q(psi: LaplaceExponent, q: float, x: float) -> float:
-    """Phi(q), after the preconditions x > 0 and q >= 0 shared by both contours."""
+    """Phi(q), after the precondition x > 0 shared by both contours (big_phi checks q)."""
     if not x > 0:
         raise ParameterError("inversion requires x > 0")
-    if not 0.0 <= q < math.inf:
-        raise ParameterError(f"q must be finite and nonnegative, got {q}")
     return big_phi(psi, q)
 
 

@@ -32,7 +32,7 @@ from .fluctuation import (dividend_barrier, dividend_value, mpi1_workload,
                           ruin_probability, two_sided_exit, z_q)
 from .gtsc import GtscParams, asymptote_infinity, scale_function
 from .montecarlo import SimConfig, simulate_exit
-from .scale import ScaleFunction
+from .scale import _CHUNK, ScaleFunction
 
 __all__ = ["main", "CaseSpec", "CASES"]
 
@@ -113,14 +113,17 @@ def cmd_eval(args) -> int:
     scale, _ = _build_model(args)
     xs = _grid(args.x_min, args.x_max, args.points)
     print("x,W,Wprime,route,q")
-    ws = scale.eval(xs)
-    try:
-        wps = scale.eval_deriv(xs)
-    except ScalekitError:      # point by point, so that only the rows whose W' fails print nan
-        wps = np.full(xs.shape, math.nan)
-        for i, x in enumerate(xs):
-            with contextlib.suppress(ScalekitError):
-                wps[i] = scale.eval_deriv(float(x))
+    ws, wps = np.empty(xs.shape), np.full(xs.shape, math.nan)
+    # W, then W', one chunk at a time, so that the rational route's W' reuses W's values
+    for i in range(0, xs.size, _CHUNK):
+        block = slice(i, i + _CHUNK)
+        ws[block] = scale.eval(xs[block])
+        try:
+            wps[block] = scale.eval_deriv(xs[block])
+        except ScalekitError:  # point by point, so that only the rows whose W' fails print nan
+            for j in range(xs.size)[block]:
+                with contextlib.suppress(ScalekitError):
+                    wps[j] = scale.eval_deriv(float(xs[j]))
     for x, w, wp in zip(xs, ws, wps):
         print(f"{x:.12g},{w:.12g},{wp:.12g},{scale.route},{scale.q:.12g}")
     return 0

@@ -13,8 +13,8 @@ Evaluation routes for W^(q) (``scale_function`` picks one, or Bromwich inversion
 
 * ``w_rational``   -- alpha = m/n: partial fractions of z^{m_-}/f_q(z) and
   tilted Mittag-Leffler derivatives, and W' from the partial fractions of
-  theta/(psi(theta) - q) over the same roots and Mittag-Leffler values (W and W'
-  on one chunk share one pass, through one slot per scale function); near
+  theta/(psi(theta) - q) over the same roots and Mittag-Leffler values (each call
+  sums its own coefficients; one slot per scale function shares the values); near
   zero the equivalent convergent power series (from the expansion of
   z^{m_-}/f_q at infinity) is used, which also yields W(0+) and W'(0+) exactly.
 * ``w0_closed``    -- q = 0, zeta = 0, alpha in (-1,1)\\{0}: single-integral
@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 _DRIFT_ZERO_TOL_FACTOR = 1e-10   # |psi'(0+)| below this * max(1, kappa, c) counts as critical
+_MAX_DENOMINATOR = 12            # largest n of alpha = m/n that the rational route takes
 
 
 @dataclass(frozen=True)
@@ -179,12 +180,10 @@ def w_rational(params: GtscParams, alpha: Optional[RationalAlpha] = None,
     """W^(q) through the partial fraction / Mittag-Leffler representation."""
     if alpha is None:
         alpha = RationalAlpha.from_value(_to_fraction(params.alpha))
-    if alpha.n > 12:
+    if alpha.n > _MAX_DENOMINATOR:
         raise CapabilityError(
-            "denominator n > 12 is numerically fragile in the rational route; "
+            f"denominator n > {_MAX_DENOMINATOR} is numerically fragile in the rational route; "
             "use the bromwich route instead")
-    if not 0.0 <= q < math.inf:
-        raise ParameterError(f"q must be finite and nonnegative, got {q}")
     n = alpha.n
     gamma = params.gamma
     fq = build_fq(params, alpha, q)
@@ -225,9 +224,9 @@ def w_rational(params: GtscParams, alpha: Optional[RationalAlpha] = None,
     w0 = bcoef[n]
     wp0 = math.inf if bcoef[n + 1:2 * n].any() else bcoef[2 * n] - gamma * w0
 
-    def _series_sums(x: np.ndarray, deriv: bool):
-        # W e^{gamma x} and W' e^{gamma x} = (W e^{gamma x})' - gamma W e^{gamma x}, the series
-        # and its derivative summed up to the first negligible term beyond i = 2n
+    def _series_sum(x: np.ndarray, deriv: bool) -> np.ndarray:
+        # S = W e^{gamma x}, or W' e^{gamma x} = S' - gamma S, summed up to the first
+        # negligible term beyond i = 2n
         with np.errstate(over="ignore", invalid="ignore"):
             terms = s_coef * x[:, None] ** s_pow
             partial = np.cumsum(terms, axis=1)
@@ -239,17 +238,18 @@ def w_rational(params: GtscParams, alpha: Optional[RationalAlpha] = None,
         last = np.where(stopped, stop.argmax(axis=1), idx.size - 1)
         rows = np.arange(x.size)
         s = partial[rows, last]
-        return s, (np.cumsum(terms * s_pow / x[:, None], axis=1)[rows, last] - gamma * s
-                   if deriv else None)
+        if not deriv:
+            return s
+        return np.cumsum(terms * s_pow / x[:, None], axis=1)[rows, last] - gamma * s
 
     # (x bytes, Mittag-Leffler values per order j) of the last chunk, so that W and W' on the
     # same chunk share one pass; written whole, after every order has returned, so a thread
     # reads either its own values or a miss (two threads' writes race only for the slot)
     held = b"", ()
 
-    def _pfd_sums(x: np.ndarray, deriv: bool):
-        # term (r, j < mu_r): coef x^{(j+1)/n-1} j! E^{j+1}_{1/n,(j+1)/n}(r x^{1/n}), for W
-        # and W' e^{gamma x} alike, from the same Mittag-Leffler values
+    def _pfd_sum(x: np.ndarray, deriv: bool) -> np.ndarray:
+        # term (r, j < mu_r): coef x^{(j+1)/n-1} j! E^{j+1}_{1/n,(j+1)/n}(r x^{1/n}), with the
+        # coefficients of W or of W' e^{gamma x} over the same Mittag-Leffler values
         nonlocal held
         key, (last, mls) = x.tobytes(), held     # one read of the slot
         if last != key:
@@ -257,39 +257,37 @@ def w_rational(params: GtscParams, alpha: Optional[RationalAlpha] = None,
             mls = tuple(mittag_leffler_deriv(inv_n, inv_n, j, z[pf_mults > j])
                         for j in range(max_mu))
             held = key, mls
-        sums = np.zeros((1 + deriv, x.size), dtype=complex)
+        total = np.zeros(x.size, dtype=complex)
         for j, ml in enumerate(mls):
-            xp = x ** ((j + 1) * inv_n - 1.0)
-            for total, coef in zip(sums, pf_coef[:, j, pf_mults > j]):
-                # root by root, so that a point's sum does not depend on the points around it
-                total += sum(c * m for c, m in zip(coef, ml)) * xp
-        return sums[0], (sums[1] if deriv else None)
+            coef = pf_coef[int(deriv), j, pf_mults > j]
+            # root by root, so that a point's sum does not depend on the points around it
+            total += sum(c * m for c, m in zip(coef, ml)) * x ** ((j + 1) * inv_n - 1.0)
+        return total
 
-    def _real(total: np.ndarray, x: np.ndarray) -> np.ndarray:
-        bad = np.abs(total.imag) > 1e-9 * (1.0 + np.abs(total.real))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise NumericalError(f"imaginary residue {total.imag[i]:.3g} in the "
-                                 f"Mittag-Leffler sum at x={x[i]:.6g}")
-        return total.real
-
-    def fused_pass(x: np.ndarray, deriv: bool):
-        """W, and W' when deriv is set, on an array of x >= 0 in one pass."""
-        w = np.full(x.shape, w0)
-        wp = np.full(x.shape, wp0) if deriv else None
-        for branch, sel in ((_series_sums, (x > 0.0) & (x <= x_switch)),
-                            (_pfd_sums, x > x_switch)):
+    def one_pass(x: np.ndarray, deriv: bool) -> np.ndarray:
+        """W, or W' when deriv is set, on an array of x >= 0."""
+        out = np.full(x.shape, wp0 if deriv else w0)
+        for branch, sel in ((_series_sum, (x > 0.0) & (x <= x_switch)),
+                            (_pfd_sum, x > x_switch)):
             if sel.any():
                 xs = x[sel]
-                (s, ds), ex = branch(xs, deriv), np.exp(-gamma * xs)
-                w[sel] = _real(ex * s, xs)
-                if deriv:
-                    wp[sel] = _real(ex * ds, xs)
-        return w, wp
+                out[sel] = _real(np.exp(-gamma * xs) * branch(xs, deriv), xs)
+        return out
 
     return ScaleFunction(q=q, phi_q=phi_q, route="rational-ML",
-                         w=lambda x: fused_pass(x, False)[0], dw=lambda x: fused_pass(x, True)[1],
+                         w=lambda x: one_pass(x, False), dw=lambda x: one_pass(x, True),
                          psi=params.exponent())
+
+
+def _real(total: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The real part of a sum over the roots of f_q, which come in conjugate pairs; raises
+    where the imaginary part is more than rounding."""
+    bad = np.abs(total.imag) > 1e-9 * (1.0 + np.abs(total.real))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalError(f"imaginary residue {total.imag[i]:.3g} in the sum over the "
+                             f"roots of f_q at x={x[i]:.6g}")
+    return total.real
 
 
 def _to_fraction(alpha: float):
@@ -393,8 +391,6 @@ def w_ig(delta: float, gamma: float, q: float = 0.0) -> ScaleFunction:
     """
     if not (delta > 0 and gamma > 0):
         raise ParameterError("delta and gamma must be positive")
-    if not 0.0 <= q < math.inf:
-        raise ParameterError(f"q must be finite and nonnegative, got {q}")
     params = ig_params(delta, gamma)
     psi = params.exponent()
     q0 = ig_q0_threshold(delta, gamma)
@@ -446,17 +442,14 @@ def w_ig(delta: float, gamma: float, q: float = 0.0) -> ScaleFunction:
     def value(x: np.ndarray) -> np.ndarray:
         sx = np.sqrt(x)
         total = sum(w * _scaled_eta((r * r - c0) * x, -r * sx) for r, w in zip(roots, weights))
-        bad = (x > 0.0) & (np.abs(total.imag) > 1e-9 * (1.0 + np.abs(total.real)))
-        if bad.any():
-            raise NumericalError(f"imaginary residue in IG scale sum at x={x[bad][0]}")
-        return np.where(x > 0.0, total.real, 0.0)
+        return _real(np.where(x > 0.0, total, 0.0), x)
 
     def deriv(x: np.ndarray) -> np.ndarray:
         sx = np.sqrt(x)
         total = sum(w * (r * r - c0) * _scaled_eta((r * r - c0) * x, -r * sx)
                     for r, w in zip(roots, weights))
         total += wr_sum * np.exp(-c0 * x) / np.sqrt(math.pi * x)
-        return np.where(x > 0.0, total.real, math.inf)
+        return _real(np.where(x > 0.0, total, math.inf), x)
 
     return ScaleFunction(q, phi_q, "ig", value, deriv, psi)
 
@@ -643,4 +636,4 @@ def _small_rational(alpha: float) -> bool:
         frac = _to_fraction(alpha)
     except CapabilityError:
         return False
-    return 0 < abs(frac.numerator) < frac.denominator <= 12
+    return 0 < abs(frac.numerator) < frac.denominator <= _MAX_DENOMINATOR

@@ -121,7 +121,8 @@ def big_phi(psi: LaplaceExponent, q: float) -> float:
                 break
             lo *= 0.5
         else:
-            return 0.0
+            raise NumericalError("big_phi: psi'(0+) < 0 but psi(theta) >= 0 for every theta "
+                                 "down to 1e-8 * 2^-199 (inconsistent exponent?)")
     else:
         lo = 0.0
 

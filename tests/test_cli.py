@@ -41,9 +41,10 @@ class TestEval:
     @pytest.mark.parametrize("alpha,case,flag,q,orders", [("1/3", "B", "--kappa", "1", [0]),
                                                           ("3/4", "D", "--zeta", "0", [0, 1])])
     def test_rational_grid_one_pass_per_chunk(self, monkeypatch, alpha, case, flag, q, orders):
-        # W and W' on one chunk of 64 points share one Mittag-Leffler pass per order, and the
-        # CSV equals W and W' from fresh instances, bit for bit
+        # W and W' on each chunk share one Mittag-Leffler pass per order, on grids of one
+        # chunk and more, and the CSV equals W and W' from fresh instances, bit for bit
         from scalekit import gtsc
+        from scalekit.scale import _CHUNK
         from scalekit.special import mittag_leffler_deriv
 
         asked = []
@@ -53,18 +54,20 @@ class TestEval:
             return mittag_leffler_deriv(a, b, j, z)
 
         monkeypatch.setattr(gtsc, "mittag_leffler_deriv", counted)
-        code, out = run_cli(["eval", "--alpha", alpha, flag, "1", "--q", q,
-                             "--x-max", "6", "--points", "64"])
-        assert code == 0
-        assert asked == orders
 
         def fresh():
             return gtsc.scale_function(CASES[case].params(float(Fraction(alpha))), float(q))
 
-        xs = np.linspace(0.0, 6.0, 64)
-        assert out.splitlines()[1:] == [
-            f"{x:.12g},{w:.12g},{wp:.12g},rational-ML,{q}"
-            for x, w, wp in zip(xs, fresh().eval(xs), fresh().eval_deriv(xs))]
+        for points in (64, 101, 500):
+            asked.clear()
+            code, out = run_cli(["eval", "--alpha", alpha, flag, "1", "--q", q,
+                                 "--x-max", "6", "--points", str(points)])
+            assert code == 0
+            assert asked == orders * math.ceil(points / _CHUNK), points
+            xs = np.linspace(0.0, 6.0, points)
+            assert out.splitlines()[1:] == [
+                f"{x:.12g},{w:.12g},{wp:.12g},rational-ML,{q}"
+                for x, w, wp in zip(xs, fresh().eval(xs), fresh().eval_deriv(xs))]
 
     def test_catalog_stable_values(self):
         code, out = run_cli(["eval", "--model", "catalog:stable", "--beta", "1.5",
@@ -467,6 +470,13 @@ class TestParser:
         code, _ = run_cli(["eval", "--points", "3"] + argv)
         assert code == 2
 
+    def test_other_scalekit_error_exits_1(self, capsys):
+        # a CapabilityError (n = 13 is past the rational route) is neither a ParameterError
+        # nor a NotApplicableError: the generic branch, exit 1
+        code, out = run_cli(["eval", "--route", "rational", "--alpha", "1/13", "--points", "3"])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
     @pytest.mark.parametrize("case", [
         *[pytest.param(argv, id=" ".join(argv)) for argv in (
             ["eval", "--points", "-1"],
@@ -475,6 +485,8 @@ class TestParser:
             ["eval", "--alpha", "1/3", "--gamma", "inf"],
             ["eval", "--alpha", "1/3", "--q", "nan"],
             ["eval", "--alpha", "1/3", "--q", "inf"],
+            ["eval", "--alpha", "1/2", "--q", "nan"],
+            ["eval", "--alpha", "1/3", "--route", "bromwich", "--q", "-1"],
             ["eval", "--model", "catalog:brownian", "--sigma", "nan"],
             ["eval", "--model", "catalog:brownian", "--mu", "inf"],
             ["apps", "--compute", "zq", "--x", "nan", "--q", "1"],

@@ -7,7 +7,7 @@ import pytest
 from scipy import special as sps
 
 from scalekit.bromwich import verify_laplace_identity
-from scalekit.errors import ParameterError
+from scalekit.errors import NumericalError, ParameterError
 from scalekit.gtsc import (GtscParams, asymptote_infinity, asymptote_zero,
                            ig_params, ig_q0_threshold, scale_function, w0_closed,
                            w_gamma_case, w_ig, w_rational)
@@ -934,6 +934,34 @@ class TestSharedPass:
         assert np.array_equal(got[0], _rational(name).eval(xa))
         for (method, x), r in zip(calls, results):
             assert np.array_equal(r, getattr(_rational(name), method)(x)), method
+
+
+class TestImaginaryResidue:
+    """Both routes that sum over the roots of f_q raise where the sum keeps an imaginary
+    part above rounding; here every term is tilted by a relative 1e-6j (a shift alone
+    would cancel: the residues of each sum add up to 0)."""
+
+    @pytest.mark.parametrize("name", [name for name, _ in _rational_scales()])
+    def test_rational_route(self, monkeypatch, name):
+        from scalekit import gtsc
+
+        monkeypatch.setattr(gtsc, "mittag_leffler_deriv",
+                            lambda a, b, j, z: mittag_leffler_deriv(a, b, j, z) * (1.0 + 1e-6j))
+        xs = np.linspace(0.5, 8.0, 7)
+        for method in ("eval", "eval_deriv"):
+            with pytest.raises(NumericalError, match="imaginary residue"):
+                getattr(_rational(name), method)(xs)
+
+    @pytest.mark.parametrize("q", [0.2, 1.0])   # below and above q0 = 16/27
+    def test_ig_route(self, monkeypatch, q):
+        from scalekit import gtsc
+        from scalekit.special import erfcx_scaled
+
+        monkeypatch.setattr(gtsc, "erfcx_scaled", lambda u: erfcx_scaled(u) * (1.0 + 1e-6j))
+        xs = np.linspace(0.5, 8.0, 7)
+        for method in ("eval", "eval_deriv"):
+            with pytest.raises(NumericalError, match="imaginary residue"):
+                getattr(w_ig(1.0, 1.0, q), method)(xs)
 
 
 class TestBromwichAtZero:

@@ -53,6 +53,14 @@ class TestBigPhi:
         assert psi.eval(1e-8) > 0.0
         assert big_phi(psi, 0.0) == pytest.approx(2e-10, rel=1e-12)
 
+    def test_negative_drift_without_a_dip_raises(self):
+        # psi'(0+) < 0 says psi dips below 0 before its root Phi(0) > 0, but theta^2 never
+        # does: an inconsistent exponent, not Phi(0) = 0
+        psi = LaplaceExponent(eval=lambda th: th * th, deriv=lambda th: 2.0 * th,
+                              drift_at_zero=-1.0)
+        with pytest.raises(NumericalError, match="inconsistent"):
+            big_phi(psi, 0.0)
+
     def test_negative_q_rejected(self):
         with pytest.raises(ParameterError):
             big_phi(quadratic_psi(), -1.0)
