@@ -94,7 +94,7 @@ def w_brownian(sigma: float, mu: float, q: float = 0.0) -> ScaleFunction:
     def psi_eval(theta):
         return 0.5 * s2 * theta * theta + mu * theta
 
-    psi = LaplaceExponent(eval=psi_eval, deriv=lambda th: s2 * th + mu, drift_at_zero=mu)
+    psi = LaplaceExponent(eval=psi_eval, drift_at_zero=mu)
     phi_q = (-mu + rt) / s2
     return ScaleFunction(q, phi_q, "catalog", value, deriv, psi)
 
@@ -127,9 +127,7 @@ def w_stable(beta: float, q: float = 0.0) -> ScaleFunction:
     def psi_eval(theta):
         return theta ** beta
 
-    psi = LaplaceExponent(eval=psi_eval,
-                          deriv=lambda th: beta * th ** (beta - 1.0) if th > 0 else 0.0,
-                          drift_at_zero=0.0)
+    psi = LaplaceExponent(eval=psi_eval, drift_at_zero=0.0)
     return ScaleFunction(q, q ** (1.0 / beta), "catalog", value, deriv, psi)
 
 
@@ -154,9 +152,7 @@ def w_stable_drift(beta: float, c: float) -> ScaleFunction:
     def psi_eval(theta):
         return theta ** beta + c * theta
 
-    psi = LaplaceExponent(eval=psi_eval,
-                          deriv=lambda th: beta * th ** (beta - 1.0) + c if th > 0 else c,
-                          drift_at_zero=c)
+    psi = LaplaceExponent(eval=psi_eval, drift_at_zero=c)
     return ScaleFunction(0.0, 0.0, "catalog", value, deriv, psi)
 
 
@@ -185,10 +181,7 @@ def w_cramer_lundberg(ccoef: float, lam: float, mu: float) -> ScaleFunction:
     def psi_eval(theta):
         return ccoef * theta - lam * theta / (mu + theta)
 
-    def psi_deriv(theta: float) -> float:
-        return ccoef - lam * mu / (mu + theta) ** 2
-
-    psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv, drift_at_zero=ccoef - lam / mu)
+    psi = LaplaceExponent(eval=psi_eval, drift_at_zero=ccoef - lam / mu)
     return ScaleFunction(0.0, 0.0, "catalog", value, deriv, psi)
 
 
@@ -269,7 +262,7 @@ def w_fixed_jumps(ccoef: float, lam: float, jump: float) -> ScaleFunction:
         out[tail] = pole_sum(x[tail], resid * poles)
         return out
 
-    psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv, drift_at_zero=drift0)
+    psi = LaplaceExponent(eval=psi_eval, drift_at_zero=drift0)
     return ScaleFunction(0.0, 0.0, "catalog", value, deriv, psi)
 
 
@@ -324,11 +317,7 @@ def w_abate_whitt(lam: float, mu: float) -> ScaleFunction:
         rt = np.sqrt(theta + 0j)
         return theta - lam * theta / ((mu + rt) * (1.0 + rt))
 
-    def psi_deriv(theta: float) -> float:
-        rt = math.sqrt(theta)
-        return 1.0 - lam * (mu + half * rt) / ((mu + rt) * (1.0 + rt)) ** 2
-
-    psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv, drift_at_zero=1.0 - rho)
+    psi = LaplaceExponent(eval=psi_eval, drift_at_zero=1.0 - rho)
     return ScaleFunction(0.0, 0.0, "catalog", value, deriv, psi)
 
 
@@ -391,20 +380,7 @@ def w_pssmp(beta: float, conditioned: bool) -> ScaleFunction:
     def psi_eval(theta):
         return _gamma_ratio(theta - shift, beta, lgb)
 
-    def psi_deriv(theta: float) -> float:
-        # psi = poch(beta, t) rgamma(t), t = theta - shift, so psi' = psi digamma(t + beta)
-        # + poch(beta, t) rgamma'(t); rgamma' = -digamma rgamma for t > 0, and for t <= 0
-        # the reflection rgamma(t) = Gamma(1 - t) sin(pi t)/pi gives
-        # rgamma'(t) = Gamma(1 - t)(cos(pi t) - sin(pi t) digamma(1 - t)/pi)
-        t = theta - shift
-        psi_t = psi_eval(theta).real
-        if t > 0.0:
-            return float(psi_t * (sps.digamma(t + beta) - sps.digamma(t)))
-        rg_d = sps.gamma(1.0 - t) * (math.cos(math.pi * t)
-                                     - math.sin(math.pi * t) * sps.digamma(1.0 - t) / math.pi)
-        return float(psi_t * sps.digamma(t + beta) + sps.poch(beta, t) * rg_d)
-
-    psi = LaplaceExponent(eval=psi_eval, deriv=psi_deriv, drift_at_zero=drift0)
+    psi = LaplaceExponent(eval=psi_eval, drift_at_zero=drift0)
     return ScaleFunction(0.0, phi0, "catalog", value, deriv, psi)
 
 

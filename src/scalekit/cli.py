@@ -61,6 +61,8 @@ CASES = {
 
 # the GTSC ladder flags of --model gtsc and their values when neither they nor --case are given
 _LADDER_DEFAULTS = {"gamma": 1.0, "c": 1.0, "zeta": 0.0, "kappa": 0.0, "varphi": 0.0}
+_GTSC_DEFAULTS = {"alpha": "1/2", "route": "auto", **_LADDER_DEFAULTS}
+_CATALOG_FLAGS = ("beta", "sigma", "mu", "ccoef", "lam", "jump")   # family_parameters names
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -72,14 +74,9 @@ def _parse_fraction(text: str) -> Fraction:
     return frac
 
 
-def _parse_alpha(text: str) -> float:
-    return float(_parse_fraction(text))
-
-
 def _gtsc_from_args(args) -> GtscParams:
-    return GtscParams(alpha=_parse_alpha(args.alpha), gamma=args.gamma,
-                      c=args.c, zeta=args.zeta, kappa=args.kappa,
-                      varphi=args.varphi)
+    return GtscParams(alpha=float(_parse_fraction(args.alpha)),
+                      **{name: getattr(args, name) for name in _LADDER_DEFAULTS})
 
 
 def _build_model(args) -> tuple[ScaleFunction, dict]:
@@ -158,9 +155,9 @@ _SUITES = ("laplace", "routes", "asymptotics", "mc")
 
 
 def _check(name, target, achieved, tolerance):
-    ok = bool(achieved <= tolerance)
-    return {"name": name, "target": target, "achieved": achieved,
-            "tolerance": tolerance, "pass": ok}
+    return {"name": name, "target": target,
+            "achieved": achieved if math.isfinite(achieved) else None,   # JSON has no inf
+            "tolerance": tolerance, "pass": bool(achieved <= tolerance)}
 
 
 def _suite_checks(suite: str, args, scale: ScaleFunction, family: dict) -> list:
@@ -174,8 +171,10 @@ def _suite_checks(suite: str, args, scale: ScaleFunction, family: dict) -> list:
         jump = family.get("jump")
         kinks = jump * np.arange(1, min(math.ceil(90.0 / jump), 65)) if jump else ()
         rep = verify_laplace_identity(scale, thetas, kinks)
-        return [_check(f"laplace_identity@theta={th:.6g}", "1/(psi(theta)-q)", err, 1e-6)
-                for th, err in zip(rep.thetas, rep.relative_errors)]
+        # a raising quadrature flags every theta, once each and in order
+        notes = [{"notes": [flag]} for flag in rep.flags] or [{}] * len(rep.thetas)
+        return [{**_check(f"laplace_identity@theta={th:.6g}", "1/(psi(theta)-q)", err, 1e-6),
+                 **note} for th, err, note in zip(rep.thetas, rep.relative_errors, notes)]
     if args.model != "gtsc":
         raise NotApplicableError(f"the {suite} suite checks --model gtsc only")
     params = _gtsc_from_args(args)
@@ -243,7 +242,7 @@ def cmd_verify(args) -> int:
     report = {"suite": args.suite, "model": args.model,
               **({"suites": ran, "not_applicable": left_out} if args.suite == "all" else {}),
               "checks": checks, "pass": bool(checks) and all(c["pass"] for c in checks)}
-    json.dump(report, sys.stdout, indent=2)
+    json.dump(report, sys.stdout, indent=2, allow_nan=False)
     print()
     return 0 if report["pass"] else 1
 
@@ -253,6 +252,8 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_apps(args) -> int:
+    if not (math.isfinite(args.x) and math.isfinite(args.a or 0.0)):   # JSON has no inf
+        raise ParameterError(f"--x and --a must be finite, got {args.x} and {args.a}")
     scale, _ = _build_model(args)
     compute = args.compute
     if compute == "exit":
@@ -278,7 +279,7 @@ def cmd_apps(args) -> int:
                   "value": dividend_value(scale, a, args.x)}
     else:
         raise ParameterError(f"unknown computation '{compute}'")
-    json.dump(report, sys.stdout)
+    json.dump(report, sys.stdout, allow_nan=False)
     print()
     return 0
 
@@ -291,18 +292,15 @@ def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--model", default="gtsc",
                    help="gtsc or catalog:<family> "
                         f"(families: {', '.join(catalog_families())})")
-    p.add_argument("--alpha", default="1/2", help="stability parameter (fraction or decimal)")
-    for name, value in _LADDER_DEFAULTS.items():     # filled in by _resolve_ladder_flags
+    p.add_argument("--alpha", default=None, help="stability parameter (fraction or "
+                   f"decimal), default {_GTSC_DEFAULTS['alpha']}")
+    for name, value in _LADDER_DEFAULTS.items():     # None: set by _resolve_model_flags
         p.add_argument(f"--{name}", type=float, default=None, help=f"default {value:g}")
     p.add_argument("--q", type=float, default=0.0)
-    p.add_argument("--route", default="auto",
+    p.add_argument("--route", default=None, help=f"default {_GTSC_DEFAULTS['route']}",
                    choices=["auto", "rational", "closed", "ig", "bromwich"])
-    p.add_argument("--beta", type=float, default=None, help="catalog stable index")
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--ccoef", type=float, default=None)
-    p.add_argument("--lam", type=float, default=None)
-    p.add_argument("--jump", type=float, default=None)
+    for name in _CATALOG_FLAGS:
+        p.add_argument(f"--{name}", type=float, default=None, help="catalog family parameter")
 
 
 @lru_cache(maxsize=1)
@@ -350,15 +348,22 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _resolve_ladder_flags(args) -> None:
-    """Set --gamma, --c, --zeta, --kappa and --varphi from --case or from their defaults.
-
-    A case sets all five, so naming any of them next to --case is a ParameterError.
-    """
-    if not hasattr(args, "model"):
+def _resolve_model_flags(args) -> None:
+    """Refuse the model flags the model does not read; for --model gtsc, set those not given
+    from --case or the defaults (a ladder flag next to --case is a ParameterError, as a case
+    sets all five).  An unknown model is left to ``_build_model`` to refuse."""
+    reads = {"gtsc": (*_GTSC_DEFAULTS, "case"),
+             **{f"catalog:{f}": family_parameters(f) for f in catalog_families()}}
+    if getattr(args, "model", None) not in reads:
+        return
+    unread = [name for name in (*_GTSC_DEFAULTS, "case", *_CATALOG_FLAGS)
+              if name not in reads[args.model] and getattr(args, name, None) is not None]
+    if unread:
+        raise ParameterError(f"--model {args.model} does not read --{', --'.join(unread)}")
+    if args.model != "gtsc":
         return
     given = [name for name in _LADDER_DEFAULTS if getattr(args, name) is not None]
-    values = dict(_LADDER_DEFAULTS)
+    values = dict(_GTSC_DEFAULTS)
     if getattr(args, "case", None):
         case = CASES.get(args.case.upper())
         if case is None:
@@ -376,7 +381,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        _resolve_ladder_flags(args)
+        _resolve_model_flags(args)
         return args.func(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

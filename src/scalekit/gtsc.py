@@ -555,9 +555,11 @@ def asymptote_infinity(params: GtscParams, q: float = 0.0) -> InfinityAsymptote:
     """Behaviour of W^(q) at infinity."""
     psi = params.exponent()
     if q > 0:
+        # 1/psi'(Phi(q)), psi' = phi_L + (theta - varphi) phi_L' from psi = (theta - varphi) phi_L
         phi_q = big_phi(psi, q)
-        return InfinityAsymptote(regime="exponential",
-                                 constant=1.0 / psi.deriv(phi_q), rate=phi_q)
+        slope = (float(np.real(params.ladder_exponent(phi_q)))
+                 + (phi_q - params.varphi) * params.ladder_exponent_deriv(phi_q))
+        return InfinityAsymptote(regime="exponential", constant=1.0 / slope, rate=phi_q)
     drift = psi.drift_at_zero
     tol = _DRIFT_ZERO_TOL_FACTOR * max(1.0, params.kappa, params.c)
     if drift > tol:

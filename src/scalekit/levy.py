@@ -10,9 +10,9 @@ process has
 
 Gaussian coefficient sigma = sqrt(2*zeta) and jump tail
 Pi(-inf, -x) = varphi * Upsilon(x, inf) + dUpsilon/dx (x).  ``parent_exponent``
-forms psi, psi' and psi'(0+) from phi and phi'; every ``LaplaceExponent``
-carries psi' and psi'(0+) in closed form.  Nothing here differentiates or
-integrates numerically.
+forms psi and psi'(0+) from phi and phi'; a ``LaplaceExponent`` is psi with
+its mean psi'(0+) in closed form, the one value of psi' read from it.
+Nothing here differentiates or integrates numerically.
 """
 
 from __future__ import annotations
@@ -37,15 +37,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LaplaceExponent:
-    """Evaluable Laplace exponent psi with its derivative and its mean.
+    """Evaluable Laplace exponent psi with its mean.
 
-    ``eval`` accepts real or complex numbers and complex ndarrays; ``deriv`` is
-    psi' on the real axis and ``drift_at_zero`` is psi'(0+), the mean of X_1,
-    both in closed form.
+    ``eval`` accepts real or complex numbers and complex ndarrays;
+    ``drift_at_zero`` is psi'(0+), the mean of X_1, in closed form.
     """
 
     eval: Callable[[complex], complex]
-    deriv: Callable[[float], float]
     drift_at_zero: float
 
 
@@ -56,7 +54,7 @@ class LadderParams:
     The Levy density must be non-increasing on (0, inf); that is what makes
     the parent construction valid.  The exponent's derivative and the
     density's derivative are given in closed form: they become the parent's
-    psi' and jump density.  The kill rate is phi(0) and ``small_jump_mean``
+    psi'(0+) and jump density.  The kill rate is phi(0) and ``small_jump_mean``
     is int_0^1 u upsilon(u) du.
     """
 
@@ -189,13 +187,10 @@ def parent_exponent(phi_l, phi_l_deriv, varphi: float) -> LaplaceExponent:
     def psi_eval(theta):
         return (theta - varphi) * phi_l(theta)
 
-    def psi_deriv(theta: float) -> float:
-        return float(np.real(phi_l(theta))) + (theta - varphi) * phi_l_deriv(theta)
-
     drift0 = float(np.real(phi_l(0.0)))
     if varphi != 0.0:
         drift0 -= varphi * phi_l_deriv(0.0)
-    return LaplaceExponent(eval=psi_eval, deriv=psi_deriv, drift_at_zero=drift0)
+    return LaplaceExponent(eval=psi_eval, drift_at_zero=drift0)
 
 
 def build_parent(ladder: LadderParams, varphi: float) -> tuple[LevyTriple, LaplaceExponent]:

@@ -11,7 +11,7 @@ import pytest
 from scalekit.catalog import catalog_families, w_brownian
 from scalekit.cli import CASES, main
 from scalekit.errors import ParameterError
-from scalekit.fluctuation import dividend_value
+from scalekit.fluctuation import dividend_value, z_q
 from scalekit.gtsc import GtscParams
 from scalekit.levy import big_phi
 
@@ -255,6 +255,21 @@ class TestVerify:
             assert set(chk) == {"name", "target", "achieved", "tolerance", "pass"}
             assert chk["achieved"] <= 1e-6
 
+    def test_laplace_saturation_is_json_with_notes(self):
+        # Phi(60) = 11.29, so W at the truncation point x = 90 overflows: every check fails,
+        # with no number to report and the overflow named in its notes
+        code, out = run_cli(["verify", "--suite", "laplace", "--alpha", "1/3", "--q", "60"])
+        assert code == 1
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        rep = json.loads(out, parse_constant=refuse)
+        assert rep["pass"] is False and len(rep["checks"]) == 4
+        for chk in rep["checks"]:
+            assert chk["pass"] is False and chk["achieved"] is None
+            assert len(chk["notes"]) == 1 and "overflow" in chk["notes"][0]
+
     def test_routes_suite(self):
         code, out = run_cli(["verify", "--suite", "routes", "--model", "gtsc",
                              "--alpha", "1/4", "--q", "1"])
@@ -470,6 +485,29 @@ class TestParser:
         code, _ = run_cli(["eval", "--points", "3"] + argv)
         assert code == 2
 
+    @pytest.mark.parametrize("argv,unread", [
+        (["eval", "--model", "catalog:stable", "--route", "bromwich"], "--route"),
+        (["eval", "--model", "gtsc", "--beta", "1.9"], "--beta"),
+        (["eval", "--model", "catalog:brownian", "--alpha", "3/4", "--kappa", "5"],
+         "--alpha, --kappa"),
+        (["apps", "--compute", "ruin", "--model", "catalog:cramer_lundberg", "--case", "B"],
+         "--case"),
+    ])
+    def test_flag_the_model_does_not_read_exits_2(self, argv, unread, capsys):
+        code, out = run_cli(argv)
+        assert code == 2 and out == ""
+        assert f"does not read {unread}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--model", "catalog:stable_drift", "--c", "2", "--points", "3"],
+        ["eval", "--model", "catalog:brownian", "--sigma", "2", "--q", "1", "--points", "3"],
+        ["eval", "--model", "gtsc", "--alpha", "1/3", "--route", "bromwich", "--kappa", "1",
+         "--points", "3"],
+    ])
+    def test_flag_the_model_reads_is_accepted(self, argv):
+        code, out = run_cli(argv)
+        assert code == 0 and len(out.splitlines()) == 4
+
     def test_other_scalekit_error_exits_1(self, capsys):
         # a CapabilityError (n = 13 is past the rational route) is neither a ParameterError
         # nor a NotApplicableError: the generic branch, exit 1
@@ -490,10 +528,13 @@ class TestParser:
             ["eval", "--model", "catalog:brownian", "--sigma", "nan"],
             ["eval", "--model", "catalog:brownian", "--mu", "inf"],
             ["apps", "--compute", "zq", "--x", "nan", "--q", "1"],
+            ["apps", "--compute", "ruin", "--model", "catalog:cramer_lundberg", "--x", "inf"],
+            ["apps", "--compute", "exit", "--model", "catalog:cramer_lundberg", "--a", "inf"],
             ["verify", "--suite", "mc", "--dt", "inf", "--paths", "200"])],
         pytest.param(lambda: big_phi(w_brownian(1.0, 0.5).psi, math.nan), id="big_phi-nan"),
         pytest.param(lambda: dividend_value(w_brownian(1.0, 0.5, 1.0), 1.0, math.nan),
                      id="dividend_value-nan"),
+        pytest.param(lambda: z_q(w_brownian(1.0, 0.5, 1.0), math.nan), id="z_q-nan"),
         *[pytest.param(lambda name=name, v=v: GtscParams(**{"alpha": 1 / 3, "gamma": 1.0,
                                                             "c": 1.0, name: v}),
                        id=f"GtscParams-{name}-{v}")

@@ -648,6 +648,26 @@ class TestAsymptotes:
         x = 40.0
         assert w.eval(x) == pytest.approx(rep.constant * math.exp(rep.rate * x), rel=1e-3)
 
+    @pytest.mark.parametrize("q", [0.5, 2.0])
+    @pytest.mark.parametrize("alpha", [-1.0 / 3.0, 0.0, 0.5])
+    @pytest.mark.parametrize("kappa,varphi,zeta",
+                             [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)])
+    def test_infinity_q_positive_constant_against_mpmath(self, q, alpha, kappa, varphi, zeta):
+        # the constant is 1/psi'(Phi(q)), the one psi' away from 0+ the package reads
+        import mpmath as mp
+
+        params = GtscParams(alpha=alpha, gamma=1.0, c=1.0, zeta=zeta, kappa=kappa, varphi=varphi)
+
+        def psi(t):
+            body = mp.log(1 + t) if alpha == 0.0 else mp.gamma(-alpha) * (1 - (1 + t) ** alpha)
+            return (t - varphi) * (kappa + zeta * t + body)
+
+        rep = asymptote_infinity(params, q)
+        with mp.workdps(40):
+            assert psi(mp.mpf(rep.rate)) == pytest.approx(q, rel=1e-12)
+            ref = float(1 / mp.diff(psi, rep.rate))
+        assert rep.constant == pytest.approx(ref, rel=1e-12)
+
 
 class TestShape:
     def test_q0_concave_cases(self):
