@@ -142,7 +142,7 @@ def _brentq(f, xpre: float, xcur: float) -> float:
     if fpre == 0.0 or fcur == 0.0:
         return xpre if fpre == 0.0 else xcur
     if (fpre < 0.0) == (fcur < 0.0):
-        raise NumericalError("big_phi: psi - q does not change sign on the bracket")
+        raise NumericalError(f"Brent's method: no sign change on the bracket [{xpre!r}, {xcur!r}]")
     xblk = fblk = spre = scur = 0.0
     for _ in range(300):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
@@ -171,7 +171,7 @@ def _brentq(f, xpre: float, xcur: float) -> float:
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = f(xcur)
-    raise NumericalError(f"big_phi: Brent's method did not converge, last iterate {xcur!r}")
+    raise NumericalError(f"Brent's method did not converge, last iterate {xcur!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,14 @@ evaluated for steps within reach of a barrier; for the others it is below
 e^-40 (see ``_BRIDGE_CUT``).  With ``q > 0`` an upward exit at time t has
 weight e^{-q t}; the grid engine takes t as the end of the exit step.
 
+``simulate_ruin`` runs the paths under the tilt to the Lundberg root, where ruin
+is certain, and weighs each ruin back; without a root, through a barrier ``a_upper``.
+
 One jump model at the cutoff eps per call reads the jump law from
 ``LevyTriple.jump_components``, which a triple with jumps must carry.  The
 engines drive with -a + int_{eps<u<=1} u Pi(du), finite for every Levy measure;
-``simulate_ruin`` also needs E X_1 = -a - int_{u>1} u Pi(du), -inf without a first moment:
+``simulate_ruin`` also needs E X_1 = -a - int_{u>1} u Pi(du), -inf without a first
+moment, and the tilted components, each of its own family (``_tilt``):
 
 * ("tempered_power", c, a, gamma)  -- density c u^{-a-1} e^{-gamma u};
   sampled by inverse-power proposals with exponential-tempering thinning.
@@ -42,13 +46,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special as sps
 
 from .errors import NotApplicableError, NumericalError, ParameterError
-from .levy import LevyTriple
+from .levy import LevyTriple, _brentq
 from .special import upper_gamma
 
 __all__ = ["SimConfig", "ExitEstimate", "simulate_exit", "simulate_ruin"]
@@ -225,21 +229,51 @@ def _accept_reject(draw, n: int, accept: float) -> np.ndarray:
     return out
 
 
-class _JumpModel:
-    def __init__(self, triple: LevyTriple, eps: float):
-        if not triple.jump_components and triple.pi_tail(eps) > 0:
-            raise ParameterError("the triple has jumps above the cutoff but no jump_components")
-        self.samplers = [_ComponentSampler(c, eps) for c in triple.jump_components]
-        self.rate = sum(s.rate for s in self.samplers)
-        self.moment_to_1 = sum(s.moment_to_1 for s in self.samplers)
-        self.moment_past_1 = sum(s.moment_past_1 for s in self.samplers)
-        self.small_var = sum(s.small_var for s in self.samplers)
-        self.pieces = [piece for s in self.samplers for piece in s.pieces]
+def _tilt(comp: tuple, theta: float) -> tuple:
+    """The component of e^{theta u} Pi(du) (theta below a tempering gamma or a rate mu)."""
+    kind, rate, last = comp[0], comp[1], comp[-1]
+    if kind == "tempered_power":
+        return kind, rate, comp[2], last - theta
+    if kind == "exponential":
+        return kind, rate * last / (last - theta), last - theta
+    return kind, rate * math.exp(theta * last), last
+
+
+class _JumpLaw:
+    """The jumps above the cutoff of some component samplers: their total rate and iid sizes."""
+
+    def __init__(self, samplers: list):
+        self.rate = sum(s.rate for s in samplers)
+        self.pieces = [piece for s in samplers for piece in s.pieces]
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if n == 0 or not self.pieces:
             return np.empty(0)
         return _mixture(self.pieces, rng, n)
+
+
+class _JumpModel(_JumpLaw):
+    """The jump law of a triple above eps, with the drift d = -a + int_{eps<u<=1} u Pi(du)
+    and Gaussian variance ``var`` of the process the engines simulate: sigma^2 plus the
+    small-jump variance, folded in where not negligible."""
+
+    def __init__(self, triple: LevyTriple, eps: float):
+        if not triple.jump_components and triple.pi_tail(eps) > 0:
+            raise ParameterError("the triple has jumps above the cutoff but no jump_components")
+        self.components, self.eps = triple.jump_components, eps
+        samplers = [_ComponentSampler(c, eps) for c in self.components]
+        super().__init__(samplers)
+        self.moment_past_1 = sum(s.moment_past_1 for s in samplers)
+        # with the jumps up to eps compensated
+        self.drift = -triple.a + sum(s.moment_to_1 for s in samplers)
+        small_var = sum(s.small_var for s in samplers)
+        if small_var < 1e-5 * (1.0 + triple.sigma ** 2 + abs(self.drift)):
+            small_var = 0.0   # negligible folded variance: allow the exact engine
+        self.var = triple.sigma ** 2 + small_var
+
+    def tilted(self, theta: float) -> _JumpLaw:
+        """The jumps above eps of e^{theta u} Pi(du), without the moments of that measure."""
+        return _JumpLaw([_ComponentSampler(_tilt(c, theta), self.eps) for c in self.components])
 
 
 class _SizePool:
@@ -249,7 +283,7 @@ class _SizePool:
     of drawing them one step at a time.
     """
 
-    def __init__(self, jumps: _JumpModel, rng: np.random.Generator):
+    def __init__(self, jumps: _JumpLaw, rng: np.random.Generator):
         self.jumps, self.rng = jumps, rng
         self.buf, self.at = np.empty(0), 0
 
@@ -262,11 +296,14 @@ class _SizePool:
 
 
 class _Exits:
-    """Exit counts, and at q > 0 the sums of e^{-q t} and e^{-2 q t} over
-    the exit times t of the paths that leave upward."""
+    """Exit counts, and the sums of the weights w and w^2 of the exits that count: at q > 0
+    e^{-q t} over the upward exits at time t, and on a tilted ruin run (``tilt`` =
+    (R, x, kappa)) e^{R (X_t - x) + kappa t} over the ruins at time t and level X_t."""
 
-    def __init__(self, q: float):
-        self.q = q
+    def __init__(self, q: float, tilt):
+        if not q >= 0.0 or not math.isfinite(q):
+            raise ParameterError("need a finite q >= 0")
+        self.q, self.tilt = q, tilt
         self.up = self.down = 0
         self.w1 = self.w2 = 0.0
 
@@ -275,47 +312,88 @@ class _Exits:
         self.up += n_up
         self.down += n_down
         if self.q > 0 and n_up:
-            w = np.broadcast_to(np.exp(-self.q * np.asarray(t_up)), (n_up,))
-            self.w1 += float(w.sum())
-            self.w2 += float(np.square(w).sum())
+            self._weigh(np.broadcast_to(np.exp(-self.q * np.asarray(t_up)), (n_up,)))
+
+    def add_ruins(self, t: np.ndarray, level) -> None:
+        """Ruins at times ``t`` and levels X_t <= 0 (0 for a creep), weighed on a tilted run."""
+        self.down += t.size
+        if self.tilt is not None:
+            r, x, kappa = self.tilt
+            self._weigh(np.exp(r * (level - x) + kappa * t))
+
+    def _weigh(self, w: np.ndarray) -> None:
+        self.w1 += float(w.sum())
+        self.w2 += float(np.square(w).sum())
 
     def estimate(self, censored: int, cfg: SimConfig) -> ExitEstimate:
         n = self.up + self.down
         if n == 0:
             raise NumericalError(f"all {cfg.n_paths} paths censored at the horizon "
                                  f"{cfg.horizon}; no exit to estimate from")
-        if censored > 0.01 * cfg.n_paths:
-            warnings.warn(f"{censored} of {cfg.n_paths} paths censored at the horizon; "
-                          "estimates may be unreliable", stacklevel=4)
-        if self.q == 0.0:
+        if self.q == 0.0 and self.tilt is None:
             p = self.up / n
             se = math.sqrt(p * (1.0 - p) / n)
         else:
-            # sample standard error of the weights (0 for a downward exit)
+            # sample standard error of the weights (0 for a downward exit, or a censored path
+            # on a tilted run)
+            n += censored if self.tilt is not None else 0
             p = self.w1 / n
             se = math.sqrt(max(self.w2 / n - p * p, 0.0) / max(n - 1, 1))
         return ExitEstimate(p_hat=p, stderr=se, n_censored=censored)
+
+
+def _warn_censored(est: ExitEstimate, cfg: SimConfig) -> ExitEstimate:
+    """``est``, warning the public operation's caller when over 1 % of paths were censored."""
+    if est.n_censored > 0.01 * cfg.n_paths:
+        warnings.warn(f"{est.n_censored} of {cfg.n_paths} paths censored at the horizon; "
+                      "estimates may be unreliable", stacklevel=3)
+    return est
+
+
+def _lundberg_root(jumps: _JumpModel):
+    """(R, psi~(-R)) at the root R > 0 of psi~(-theta) = -theta d + var theta^2 / 2 +
+    Lambda(theta) - Lambda(0), the simulated process's exponent, Lambda(theta) its jump rate
+    under the tilt e^{theta u}; None where psi~(-theta) < 0 on all of (0, theta_max], the
+    least tempering gamma or exponential mu (inf without one).  psi~(-theta) is convex, 0 at
+    0 and falls there: hi walks up as ``big_phi``'s bracket does, and lo down from it."""
+    drift, var = jumps.drift, jumps.var
+    top = min((c[-1] for c in jumps.components if c[0] != "fixed"), default=math.inf)
+    if not top > 0.0:
+        return None     # an untempered component: no tilt is admissible
+
+    def f(theta: float) -> float:
+        return theta * (0.5 * var * theta - drift) + (jumps.tilted(theta).rate - jumps.rate)
+
+    lo = hi = min(1.0, 0.5 * top)
+    for _ in range(200):
+        if f(hi) > 0.0:
+            break
+        # never onto theta_max itself, where the tilted law may have no finite rate
+        lo, hi = hi, (2.0 * hi if top == math.inf
+                      else min(0.5 * (hi + top), math.nextafter(top, 0.0)))
+    else:
+        return None
+    while f(lo) >= 0.0 and lo > 1e-300:
+        lo *= 0.5
+    root = _brentq(f, lo, hi)    # raises NumericalError if f(lo) stayed >= 0
+    return root, f(root)
 
 
 # ---------------------------------------------------------------------------
 # the path engines
 # ---------------------------------------------------------------------------
 
-def _run_exit(triple: LevyTriple, jumps: _JumpModel, x: float, a: float, q: float,
-              cfg: SimConfig) -> ExitEstimate:
-    if not 0.0 <= x <= a:
-        raise ParameterError("need 0 <= x <= a")
-    if not q >= 0.0 or not math.isfinite(q):
-        raise ParameterError("need a finite q >= 0")
+def _run_exit(jumps: _JumpLaw, drift: float, var: float, x: float, a: float,
+              exits: _Exits, cfg: SimConfig) -> ExitEstimate:
+    """Paths of drift, Gaussian variance ``var`` and the jumps of ``jumps`` from x until they
+    leave [0, a] (a = inf on a tilted ruin run), counted in ``exits``."""
+    if not (0.0 <= x <= a and x < math.inf):
+        raise ParameterError("need 0 <= x <= a and x finite")
     rng = np.random.default_rng(cfg.seed)
-    drift = -triple.a + jumps.moment_to_1     # with the jumps up to eps compensated
-    small_var = jumps.small_var
-    if small_var < 1e-5 * (1.0 + triple.sigma ** 2 + abs(drift)):
-        small_var = 0.0   # negligible folded variance: allow the exact engine
-    sigma_tot = math.sqrt(triple.sigma ** 2 + small_var)
+    sigma_tot = math.sqrt(var)
 
     if sigma_tot == 0.0 and jumps.rate > 0:
-        return _run_exit_event_driven(jumps, drift, x, a, q, cfg, rng)
+        return _run_exit_event_driven(jumps, drift, x, a, exits, cfg, rng)
 
     dt = cfg.dt
     n_steps = int(math.ceil(cfg.horizon / dt))
@@ -332,7 +410,6 @@ def _run_exit(triple: LevyTriple, jumps: _JumpModel, x: float, a: float, q: floa
         jumps_per_step = jumps.rate * dt
         # the time of each path's next jump, in steps
         clock = rng.standard_exponential(cfg.n_paths) / jumps_per_step
-    exits = _Exits(q)
     done = 0        # grid steps taken
     while pos.size and done < n_steps:
         k = pos.size
@@ -393,15 +470,20 @@ def _run_exit(triple: LevyTriple, jumps: _JumpModel, x: float, a: float, q: floa
                 up[near[bridge_hi]] = True
         if jumpy:
             # ruin by a jump; a path that left upward in the same step counts as up
-            down |= ~up & (end <= 0.0)
+            by_jump = ~(up | down) & (end <= 0.0)
+            down |= by_jump
         left = (up | down).nonzero()[0]
         if left.size:
             # cells run row by row, so a path's first cell here is its exit step
             gone, first = np.unique(cells[left] % k, return_index=True)
-            up_first = up[left[first]]
-            n_up = int(np.count_nonzero(up_first))
-            exits.add(n_up, gone.size - n_up,
-                      (done + 1 + cells[left[first[up_first]]] // k) * dt)
+            ex = left[first]
+            t = (done + 1 + cells[ex] // k) * dt
+            if exits.tilt is None:
+                up_first = up[ex]
+                n_up = int(np.count_nonzero(up_first))
+                exits.add(n_up, gone.size - n_up, t[up_first])
+            else:   # a = inf: every exit is a ruin, at level 0 unless by a jump
+                exits.add_ruins(t, np.where(by_jump[ex], end[ex], 0.0) if jumpy else 0.0)
             keep = np.ones(k, dtype=bool)
             keep[gone] = False
             pos = path[b][keep]
@@ -413,15 +495,14 @@ def _run_exit(triple: LevyTriple, jumps: _JumpModel, x: float, a: float, q: floa
     return exits.estimate(pos.size, cfg)
 
 
-def _run_exit_event_driven(jumps: _JumpModel, drift: float, x: float, a: float,
-                           q: float, cfg: SimConfig,
+def _run_exit_event_driven(jumps: _JumpLaw, drift: float, x: float, a: float,
+                           exits: _Exits, cfg: SimConfig,
                            rng: np.random.Generator) -> ExitEstimate:
     """Exact simulation for drift + compound Poisson (no Gaussian part)."""
     if drift <= 0:
         raise NotApplicableError("event-driven engine expects positive drift")
     pos = np.full(cfg.n_paths, float(x))
     t = np.zeros(cfg.n_paths)
-    exits = _Exits(q)
     censored = 0
     # a path that stays for another pass has its t moved on by an Exp(rate)
     # wait, and one whose next event comes after the horizon is censored,
@@ -434,7 +515,7 @@ def _run_exit_event_driven(jumps: _JumpModel, drift: float, x: float, a: float,
         t += np.minimum(t_up, waits, out=t_up)      # the time of the next event
         late = t > cfg.horizon
         up = reach_up & ~late
-        exits.add(int(up.sum()), 0, t[up] if q else 0.0)
+        exits.add(int(up.sum()), 0, t[up] if exits.q else 0.0)
         censored += int(late.sum())
         on = ~(reach_up | late)
         waits = waits[on]
@@ -443,7 +524,7 @@ def _run_exit_event_driven(jumps: _JumpModel, drift: float, x: float, a: float,
         pos, t = waits, t[on]
         pos -= jumps.sample(rng, pos.size)
         ruin = pos <= 0.0
-        exits.add(0, int(ruin.sum()))
+        exits.add_ruins(t[ruin], pos[ruin])
         pos, t = pos[~ruin], t[~ruin]
     return exits.estimate(censored, cfg)
 
@@ -460,21 +541,35 @@ def simulate_exit(triple: LevyTriple, x: float, a: float, cfg: SimConfig,
     at q > 0 the stderr is the sample standard error of the path weights.
     Raises ``NumericalError`` when every path is censored at the horizon.
     """
-    return _run_exit(triple, _JumpModel(triple, cfg.small_jump_cutoff), x, a, q, cfg)
+    jumps = _JumpModel(triple, cfg.small_jump_cutoff)
+    return _warn_censored(_run_exit(jumps, jumps.drift, jumps.var, x, a, _Exits(q, None), cfg),
+                          cfg)
 
 
 def simulate_ruin(triple: LevyTriple, x: float, cfg: SimConfig,
                   a_upper: float) -> ExitEstimate:
-    """Estimate the ruin probability through the large-barrier exit proxy.
+    """Estimate the ruin probability P_x(tau_0^- < inf).
 
-    ``a_upper`` should be chosen so that the residual mass W(x)/W(a_upper) is
-    below 1e-3 of the target.  Raises ``NotApplicableError`` unless
-    psi'(0+) = E X_1 = -a - int_{u>1} u Pi(du) > 0 (it is -inf without a first moment).
+    With a Lundberg root R (``_lundberg_root``) the paths run under P^{-R}, where ruin is
+    certain, and the estimate is the mean of e^{R (X_tau - x) + psi~(-R) tau}, 0 for a path
+    censored at the horizon (D. Siegmund, Ann. Statist. 4 (1976) 673-684; S. Asmussen and
+    H. Albrecher, Ruin Probabilities, 2nd ed., 2010, ch. XV).  X_tau is 0 for a crossing by
+    the continuous part and the undershoot for one by a jump.  Only without a root is
+    ``a_upper`` read: the estimate is then 1 - P_x(reach a_upper before 0), and the residual
+    W(x)/W(a_upper) should be below 1e-3 of the target.  Raises ``NotApplicableError``
+    unless psi'(0+) = E X_1 = -a - int_{u>1} u Pi(du) > 0 (-inf without a first moment).
     """
     jumps = _JumpModel(triple, cfg.small_jump_cutoff)
     mean_x1 = -triple.a - jumps.moment_past_1
     if mean_x1 <= 0:
         raise NotApplicableError(f"ruin estimation requires psi'(0+) > 0, got {mean_x1:.6g}")
-    est = _run_exit(triple, jumps, x, a_upper, 0.0, cfg)
-    return ExitEstimate(p_hat=1.0 - est.p_hat, stderr=est.stderr,
-                        n_censored=est.n_censored)
+    root = _lundberg_root(jumps)
+    if root is None:
+        est = _run_exit(jumps, jumps.drift, jumps.var, x, a_upper, _Exits(0.0, None), cfg)
+        est = replace(est, p_hat=1.0 - est.p_hat)
+    else:
+        # under P^{-R} the drift moves by -R var and the jumps follow e^{R u} Pi(du)
+        r, kappa = root
+        est = _run_exit(jumps.tilted(r), jumps.drift - r * jumps.var, jumps.var, x, math.inf,
+                        _Exits(0.0, (r, x, kappa)), cfg)
+    return _warn_censored(est, cfg)

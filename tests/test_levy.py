@@ -121,6 +121,14 @@ class TestBigPhiParity:
         with pytest.raises(NumericalError):
             levy._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
 
+    def test_errors_name_the_failure_not_a_caller(self):
+        # big_phi and the Monte Carlo Lundberg root share the solver, so its texts name no caller
+        with pytest.raises(NumericalError, match="^Brent's method: no sign change on the bracket"):
+            levy._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        # a step at 0 needs about 1000 halvings to reach xtol = 1e-300, past the 300 iterations
+        with pytest.raises(NumericalError, match="^Brent's method did not converge"):
+            levy._brentq(lambda x: 1.0 if x > 0 else -1.0, -1.0, 3.0)
+
 
 class TestMeanDrift:
     def test_quadratic(self):

@@ -283,12 +283,14 @@ class TestBrownianBenchmark:
         assert abs(ea.p_hat - eb.p_hat) <= ea.stderr
 
     def test_ruin_with_drift(self):
-        # mu > 0: ruin from x is exp(-2 mu x / sigma^2)
+        # mu > 0: ruin from x is exp(-2 mu x / sigma^2).  The Lundberg root is R = 2 mu / sigma^2
+        # and every path weighs e^{-R x} (times e^{psi(-R) tau} = 1 up to rounding), so the
+        # tilted estimate is exact
         tri = LevyTriple(a=-0.5, sigma=1.0, pi_tail=lambda x: 0.0,
                          pi_density=lambda x: 0.0)
         cfg = SimConfig(n_paths=30_000, dt=5e-4, horizon=200.0, seed=17)
         est = simulate_ruin(tri, 1.0, cfg, a_upper=12.0)
-        assert abs(est.p_hat - math.exp(-2.0 * 0.5 * 1.0)) <= 3.5 * est.stderr
+        assert abs(est.p_hat - math.exp(-2.0 * 0.5 * 1.0)) <= 1e-12 * math.exp(-1.0)
 
     @pytest.mark.parametrize("x, seed", [(0.02, 101), (0.98, 102)])
     def test_exit_near_a_barrier(self, x, seed):
@@ -317,6 +319,15 @@ class TestCompoundPoisson:
         with pytest.raises(NotApplicableError):
             simulate_ruin(tri, 1.0, SimConfig(n_paths=100), a_upper=12.0)
 
+    def test_tilted_grid_ruin_with_jumps(self):
+        # c t + B_t minus Exp(2) claims at rate 2 on the grid engine: psi'(0+) = 1.5 - 1 = 0.5
+        # and ruin(1) = 1 - psi'(0+) W(1)
+        cfg = SimConfig(n_paths=30_000, dt=5e-4, horizon=200.0, seed=431)
+        est = simulate_ruin(cl_triple(1.5, 2.0, 2.0, sigma=1.0), 1.0, cfg, a_upper=12.0)
+        target = 1.0 - 0.5 * exp_claims_w(1.5, 2.0, 2.0, 1.0, 0.0)(1.0)
+        assert est.n_censored == 0
+        assert abs(est.p_hat - target) <= 3.5 * est.stderr
+
     def test_brownian_plus_exponential_jumps(self):
         # sigma = 1 with Exp(beta) claims at rate lam: jump clocks on the grid engine
         cfg = SimConfig(n_paths=20_000, dt=1e-3, horizon=50.0, seed=211)
@@ -339,6 +350,99 @@ class TestCompoundPoisson:
     def test_event_driven_all_censored_raises(self):
         with pytest.raises(NumericalError, match="censored"):
             simulate_exit(cl_triple(), 0.5, 1.0, SimConfig(n_paths=100, horizon=1e-9))
+
+
+def pareto_triple(gamma, location):
+    # sigma = 1/2 and jumps of density 0.05 u^{-5/2} e^{-gamma u}: a first moment, but no
+    # Lundberg root when gamma = 0 (theta_max = 0), nor at gamma = 1 with location -2, where
+    # psi~(-theta) is still -1.8 at theta_max = 1
+    comp = ("tempered_power", 0.05, 1.5, gamma)
+    tail = (lambda x: 0.05 * x ** -1.5 / 1.5) if gamma == 0 \
+        else (lambda x: 0.05 * gamma ** 1.5 * upper_gamma(-1.5, gamma * x))
+    return LevyTriple(a=location, sigma=0.5, pi_tail=tail, jump_components=(comp,))
+
+
+def engine_root(triple, eps=SimConfig().small_jump_cutoff):
+    """(R, psi~(-R)) of the process simulate_ruin simulates, or None, with its jump model."""
+    jumps = _JumpModel(triple, eps)
+    return montecarlo._lundberg_root(jumps), jumps
+
+
+class TestLundbergRoot:
+    def test_brownian_root(self):
+        mu, sigma = 0.7, 1.3
+        root = engine_root(LevyTriple(a=-mu, sigma=sigma, pi_tail=lambda x: 0.0))[0][0]
+        assert root == pytest.approx(2.0 * mu / sigma ** 2, rel=1e-14)
+
+    def test_cramer_lundberg_root(self):
+        # psi(-theta) = -2 theta + theta / (1 - theta) vanishes at 1/2; the claims below the
+        # cutoff drop out of the simulated process, which moves the root by about 2e-8
+        assert abs(engine_root(cl_triple())[0][0] - 0.5) <= 1e-6
+
+    @pytest.mark.parametrize("triple, eps", [
+        (LevyTriple(a=-0.5, sigma=1.0, pi_tail=lambda x: 0.0), 0.01),
+        (cl_triple(), 0.01),
+        (cl_triple(1.5, 2.0, 2.0, sigma=1.0), 0.01),
+        (GtscParams(alpha=0.5, gamma=1.0, c=1.0, kappa=1.0).parent_triple()[0], 0.02)])
+    def test_exponent_vanishes_at_the_root(self, triple, eps):
+        # |psi~(-R)| at the scale of the terms that cancel in it
+        (root, kappa), jumps = engine_root(triple, eps)
+        assert 0.0 < root
+        assert abs(kappa) <= 1e-14 * (abs(jumps.drift) * root + jumps.var * root ** 2)
+
+    @pytest.mark.parametrize("gamma, location", [(0.0, -0.6), (1.0, -2.0)])
+    def test_no_root_runs_the_proxy(self, gamma, location):
+        triple = pareto_triple(gamma, location)
+        assert engine_root(triple)[0] is None
+        cfg = SimConfig(n_paths=2000, dt=1e-2, horizon=200.0, seed=5)
+        near, far = (simulate_ruin(triple, 1.0, cfg, a_upper=a).p_hat for a in (2.0, 4.0))
+        assert 0.0 < near < far
+
+    def test_walk_stops_short_of_theta_max(self):
+        # jumps of density u^{-1} e^{-u}: the tilted rate grows only like -log(1 - theta),
+        # too slowly to outgrow a drift of 50 below theta_max = 1 in double precision, and
+        # at theta_max itself the tilted component has no finite rate above the cutoff
+        triple = LevyTriple(a=-50.0, sigma=0.0, pi_tail=lambda x: upper_gamma(0.0, x),
+                            jump_components=(("tempered_power", 1.0, 0.0, 1.0),))
+        assert engine_root(triple)[0] is None
+
+    def test_zero_mean_not_applicable(self):
+        # psi'(0+) = 0 exactly, Brownian motion without drift: no root and no proxy either
+        with pytest.raises(NotApplicableError, match="psi'"):
+            simulate_ruin(BROWNIAN, 1.0, SimConfig(n_paths=100), a_upper=12.0)
+
+    def test_root_leaves_a_upper_unread(self):
+        cfg = SimConfig(n_paths=2000, horizon=3000.0, seed=5)
+        assert simulate_ruin(cl_triple(), 1.0, cfg, a_upper=0.5) \
+            == simulate_ruin(cl_triple(), 1.0, cfg, a_upper=17.0)
+
+
+class TestCensoringWarning:
+    """The censoring warning names the caller's line on every engine and branch."""
+
+    CALLS = {
+        "grid exit": lambda: simulate_exit(BROWNIAN, 0.5, 1.0,
+                                           SimConfig(n_paths=500, dt=1e-3, horizon=0.1, seed=3)),
+        "event-driven exit": lambda: simulate_exit(cl_triple(), 0.5, 1.0,
+                                                   SimConfig(n_paths=2000, horizon=0.5, seed=1)),
+        "tilted grid ruin": lambda: simulate_ruin(
+            LevyTriple(a=-0.5, sigma=1.0, pi_tail=lambda x: 0.0), 1.0,
+            SimConfig(n_paths=500, dt=1e-3, horizon=0.5, seed=3), a_upper=12.0),
+        "tilted event-driven ruin": lambda: simulate_ruin(
+            cl_triple(), 1.0, SimConfig(n_paths=2000, horizon=0.5, seed=1), a_upper=17.0),
+        "proxy ruin": lambda: simulate_ruin(pareto_triple(0.0, -0.6), 1.0,
+                                            SimConfig(n_paths=500, dt=1e-2, horizon=0.5, seed=3),
+                                            a_upper=4.0),
+    }
+
+    @pytest.mark.parametrize("path", CALLS)
+    def test_warning_names_the_caller(self, path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = self.CALLS[path]()
+        assert est.n_censored > 0
+        assert [w.filename for w in caught] == [__file__]
+        assert "censored at the horizon" in str(caught[0].message)
 
 
 class TestDiscounted:
